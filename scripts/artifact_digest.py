@@ -1,0 +1,68 @@
+"""Print one sha256 over reproducible training artifacts.
+
+The digest covers:
+
+* `train_expert` on every built-in environment: the weights, the whitening
+  statistics and a seeded evaluation of the result;
+* `train_ailsrs` on lqr2d demonstrations recorded from the lqr2d expert,
+  for two seeds: every metrics column except the measured `wall_ms`.
+
+Two checkouts whose training is bit-identical print the same digest, so a
+refactor that must not change any artifact is checked with
+
+    python3 scripts/artifact_digest.py
+
+run once at each commit. It uses only `train_expert`, `train_ailsrs`,
+`record` and `evaluate_policy`, whose signatures are stable.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
+
+from ailsrs.ars import ArsConfig  # noqa: E402
+from ailsrs.demo_io import record  # noqa: E402
+from ailsrs.envs import evaluate_policy  # noqa: E402
+from ailsrs.trainer import TrainerConfig, train_ailsrs, train_expert  # noqa: E402
+
+ENVS = ("lqr2d", "pointmass2d", "pendulum")
+EXPERT_ITERATIONS = 40
+IMITATION_SEEDS = (1, 2)
+ROW_COLUMNS = ("iteration", "mean_disc_return", "sigma_r", "disc_loss",
+               "eval_env_return_mean", "eval_env_return_std")
+
+
+def add_policy(h, policy, normalizer) -> None:
+    for a in (policy.theta, normalizer.mean, normalizer.variance()):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    h.update(repr(normalizer.count).encode())
+
+
+def main() -> None:
+    h = hashlib.sha256()
+    ars = ArsConfig(alpha=0.02, nu=0.03, n_directions=8)
+    experts = {}
+    for env in ENVS:
+        policy, normalizer = train_expert(env, ars, EXPERT_ITERATIONS, seed=1)
+        experts[env] = policy, normalizer
+        add_policy(h, policy, normalizer)
+        h.update(repr(evaluate_policy(policy, normalizer, env, 20, 0)).encode())
+    demos = record(*experts["lqr2d"], "lqr2d", 10, 0)
+    for seed in IMITATION_SEEDS:
+        cfg = TrainerConfig(ars=ars, max_iterations=30, eval_every=10,
+                            eval_episodes=5, seed=seed)
+        policy, normalizer, rows = train_ailsrs("lqr2d", demos, cfg)
+        add_policy(h, policy, normalizer)
+        h.update(repr([tuple(getattr(r, c) for c in ROW_COLUMNS)
+                       for r in rows]).encode())
+    print(h.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

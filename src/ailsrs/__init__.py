@@ -3,29 +3,29 @@ driven by a least-squares-GAN discriminator reward, plus the expert
 training, demonstration recording and behavior cloning around it.
 """
 
-from .ars import ArsConfig, DirectionResult, ars_update, sample_directions
+from .ars import ArsConfig, ars_update, sample_directions
 from .demo_io import (TrajectorySet, load_policy, load_trajectories, record,
                       save_policy, save_trajectories)
 from .discriminator import (MlpDiscriminator, disc_init, disc_reward,
                             disc_train, forward, load_discriminator,
                             lsgan_grad, lsgan_loss, save_discriminator)
-from .envs import EnvSpec, Trajectory, env_names, make_env, riccati_optimal, rollout
+from .envs import (EnvSpec, Trajectory, env_names, evaluate_policy, make_env,
+                   riccati_optimal, rollout)
 from .numerics import AdamState, Rng, RunningStats, adam_step, finite_diff
 from .policy import (BcDataset, LinearPolicy, ObservationNormalizer, act,
                      bc_closed_form, bc_fit, perturb)
-from .trainer import (MetricsRow, TrainerConfig, TrainState, ailsrs_iteration,
-                      evaluate, return_target, train_ailsrs, train_expert,
-                      write_metrics)
+from .trainer import (MetricsRow, TrainerConfig, return_target, search,
+                      train_ailsrs, train_expert, write_metrics)
 
 __all__ = [
-    "AdamState", "ArsConfig", "BcDataset", "DirectionResult", "EnvSpec",
-    "LinearPolicy", "MetricsRow", "MlpDiscriminator", "ObservationNormalizer",
-    "Rng", "RunningStats", "TrainState", "TrainerConfig", "Trajectory",
-    "TrajectorySet", "act", "adam_step", "ailsrs_iteration", "ars_update",
-    "bc_closed_form", "bc_fit", "disc_init", "disc_reward", "disc_train",
-    "env_names", "evaluate", "finite_diff", "forward", "load_discriminator",
-    "load_policy", "load_trajectories", "lsgan_grad", "lsgan_loss", "make_env",
-    "perturb", "record", "return_target", "riccati_optimal", "rollout",
-    "sample_directions", "save_discriminator", "save_policy",
-    "save_trajectories", "train_ailsrs", "train_expert", "write_metrics",
+    "AdamState", "ArsConfig", "BcDataset", "EnvSpec", "LinearPolicy",
+    "MetricsRow", "MlpDiscriminator", "ObservationNormalizer", "Rng",
+    "RunningStats", "TrainerConfig", "Trajectory", "TrajectorySet", "act",
+    "adam_step", "ars_update", "bc_closed_form", "bc_fit", "disc_init",
+    "disc_reward", "disc_train", "env_names", "evaluate_policy", "finite_diff",
+    "forward", "load_discriminator", "load_policy", "load_trajectories",
+    "lsgan_grad", "lsgan_loss", "make_env", "perturb", "record",
+    "return_target", "riccati_optimal", "rollout", "sample_directions",
+    "save_discriminator", "save_policy", "save_trajectories", "search",
+    "train_ailsrs", "train_expert", "write_metrics",
 ]

@@ -1,16 +1,14 @@
 """Derivative-free policy update: antithetic direction search with a
 return-spread-scaled step.
 
-Each iteration samples N random direction matrices, rolls out the policy
-nudged along +/- each direction, and moves the weights toward the
-better-scoring side of every pair. The step is divided by the standard
-deviation of all 2N collected returns, which keeps the update size
+Each iteration samples N random direction matrices as one (N, p, n) array,
+rolls out the policy nudged along +/- each direction, and moves the weights
+toward the better-scoring side of every pair. The step is divided by the
+standard deviation of all 2N collected returns, which keeps the update size
 meaningful whatever the reward scale.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,17 +16,6 @@ import numpy as np
 from .envs import make_env, rollout
 from .numerics import Rng
 from .policy import LinearPolicy, ObservationNormalizer, perturb
-
-THREADS_ENV_VAR = "AILSRS_THREADS"
-
-
-@dataclass
-class DirectionResult:
-    """Returns of the +/- rollout pair for one direction."""
-
-    delta: np.ndarray
-    r_plus: float
-    r_minus: float
 
 
 @dataclass
@@ -42,92 +29,60 @@ class ArsConfig:
             raise ValueError("alpha, nu must be positive; n_directions >= 1")
 
 
-def returns_std(results: list[DirectionResult]) -> float:
-    """Population std of all 2N collected returns."""
-    rs = np.array([[r.r_plus, r.r_minus] for r in results]).ravel()
-    return float(rs.std())
-
-
-def ars_update(theta: np.ndarray, results: list[DirectionResult],
+def ars_update(theta: np.ndarray, deltas: np.ndarray, returns: np.ndarray,
                alpha: float) -> np.ndarray:
     """theta + alpha / (N * sigma) * sum_i (r+_i - r-_i) delta_i.
 
-    Skips the update when the return spread collapses below 1e-12 (a
-    constant reward carries no direction information).
+    `deltas` is (N, p, n) and `returns` is (N, 2), the +/- return of each
+    direction; sigma is the population std of all 2N returns. Skips the
+    update when the return spread collapses below 1e-12 (a constant reward
+    carries no direction information). The sum runs in direction order, so
+    the step does not depend on numpy's choice of summation algorithm.
     """
-    if not results:
-        raise ValueError("need at least one direction result")
-    for r in results:
-        if r.delta.shape != theta.shape:
-            raise ValueError(
-                f"delta shape {r.delta.shape} != theta shape {theta.shape}")
-    sigma = returns_std(results)
+    if len(deltas) < 1 or deltas.shape[1:] != theta.shape \
+            or returns.shape != (len(deltas), 2):
+        raise ValueError(f"need deltas (N >= 1, *{theta.shape}) and returns "
+                         f"(N, 2); got {deltas.shape} and {returns.shape}")
+    sigma = float(returns.std())
     if sigma < 1e-12:
         return theta.copy()
     step = np.zeros_like(theta)
-    for r in results:
-        step += (r.r_plus - r.r_minus) * r.delta
-    return theta + (alpha / (len(results) * sigma)) * step
+    for diff, delta in zip(returns[:, 0] - returns[:, 1], deltas):
+        step += diff * delta
+    return theta + (alpha / (len(deltas) * sigma)) * step
 
 
-def sample_directions(rng: Rng, n_directions: int, p: int, n: int) -> list[np.ndarray]:
-    """N standard-normal p x n matrices, one derived stream per direction."""
+def sample_directions(rng: Rng, n_directions: int, p: int, n: int) -> np.ndarray:
+    """(N, p, n) standard-normal directions, one derived stream per direction."""
     if n_directions < 1 or p < 1 or n < 1:
         raise ValueError("n_directions, p, n must be >= 1")
-    return [rng.derive(i).gaussian_matrix(p, n) for i in range(n_directions)]
+    return np.stack([rng.derive(i).gaussian_matrix(p, n)
+                     for i in range(n_directions)])
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-def evaluate_directions(theta: np.ndarray, deltas: list[np.ndarray], nu: float,
+def evaluate_directions(theta: np.ndarray, deltas: np.ndarray, nu: float,
                         env_name: str, normalizer: ObservationNormalizer,
                         reward_source, rng: Rng,
                         max_steps: int | None = None):
     """Roll out the +/- perturbation pair of every direction.
 
-    Returns (results, trajectories): `results[i]` pairs the two returns of
-    direction i, `trajectories` holds all 2N episodes in (direction, sign)
-    order. Each episode draws from its own (direction, sign)-labelled
-    stream, so results do not depend on execution order; AILSRS_THREADS > 0
-    runs episodes on a thread pool with identical output.
+    Returns (returns, trajectories): row i of the (N, 2) `returns` holds the
+    + and - return of direction i, `trajectories` all 2N episodes in
+    (direction, sign) order. Each episode draws from its own
+    (direction, sign)-labelled stream, so results do not depend on
+    execution order.
     """
     base = LinearPolicy(theta)
-    jobs = []
+    env = make_env(env_name)
+    returns = np.empty((len(deltas), 2))
+    trajectories = []
     for i, delta in enumerate(deltas):
         for sign_idx, sign in enumerate((+1, -1)):
-            jobs.append((i, sign_idx, perturb(base, delta, nu, sign)))
-
-    def run(job):
-        i, sign_idx, pol = job
-        env = make_env(env_name)
-        traj, disc_ret, _ = rollout(env, pol, normalizer, reward_source,
-                                    rng.derive(i, sign_idx), record_states=True,
-                                    max_steps=max_steps)
-        return i, sign_idx, traj, disc_ret
-
-    workers = _worker_count()
-    if workers > 0:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
-
-    returns = np.zeros((len(deltas), 2))
-    trajectories = [None] * (2 * len(deltas))
-    for i, sign_idx, traj, disc_ret in outcomes:
-        returns[i, sign_idx] = disc_ret
-        trajectories[2 * i + sign_idx] = traj
-    results = [DirectionResult(d, returns[i, 0], returns[i, 1])
-               for i, d in enumerate(deltas)]
-    return results, trajectories
+            traj, returns[i, sign_idx], _ = rollout(
+                env, perturb(base, delta, nu, sign), normalizer, reward_source,
+                rng.derive(i, sign_idx), max_steps=max_steps)
+            trajectories.append(traj)
+    return returns, trajectories
 
 
 def visited_states(trajectories) -> np.ndarray:

@@ -9,6 +9,7 @@ lines (# comments allowed); command-line flags win over file values.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -16,10 +17,10 @@ import numpy as np
 from .ars import ArsConfig
 from .demo_io import (load_policy, load_trajectories, record, save_policy,
                       save_trajectories)
-from .envs import env_names, make_env
+from .envs import env_names, evaluate_policy, make_env
 from .policy import BcDataset, ObservationNormalizer, bc_closed_form, bc_fit
-from .trainer import (TrainerConfig, evaluate, return_target, train_ailsrs,
-                      train_expert, write_metrics)
+from .trainer import (TrainerConfig, return_target, train_ailsrs, train_expert,
+                      write_metrics)
 
 # config-file keys -> (target dataclass attribute, type)
 _CONFIG_KEYS = {
@@ -39,6 +40,17 @@ _CONFIG_KEYS = {
 
 class UsageError(Exception):
     pass
+
+
+def _positive(typ):
+    """argparse `type=` accepting only finite numbers > 0 of `typ`."""
+    def parse(text: str):
+        value = typ(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+    parse.__name__ = typ.__name__  # names the type in argparse's messages
+    return parse
 
 
 def parse_config_file(path: str) -> dict:
@@ -87,8 +99,8 @@ def cmd_train_expert(args) -> int:
     ars_cfg = ArsConfig(alpha=args.alpha, nu=args.nu, n_directions=args.n_dirs)
     policy, normalizer = train_expert(args.env, ars_cfg, args.iters, args.seed)
     save_policy(policy, normalizer, args.env, args.out)
-    mean, std = evaluate(policy, normalizer, args.env, args.eval_episodes,
-                         args.seed)
+    mean, std = evaluate_policy(policy, normalizer, args.env,
+                                args.eval_episodes, args.seed)
     print(f"trained expert on {args.env}: eval return {mean:.6g} +- {std:.6g} "
           f"over {args.eval_episodes} episodes")
     print(f"wrote {args.out}")
@@ -124,7 +136,7 @@ def cmd_bc(args, parser) -> int:
         lr = args.lr if args.lr is not None else 0.01
         policy = bc_fit(dataset, normalizer, epochs=epochs, lr=lr)
     save_policy(policy, normalizer, demos.env_name, args.out)
-    mean, std = evaluate(policy, normalizer, demos.env_name, 100, 0)
+    mean, std = evaluate_policy(policy, normalizer, demos.env_name, 100, 0)
     print(f"cloned policy from {len(demos)} episodes: eval return "
           f"{mean:.6g} +- {std:.6g}")
     print(f"wrote {args.out}")
@@ -148,8 +160,8 @@ def cmd_train(args) -> int:
     if args.metrics:
         write_metrics(rows, args.metrics)
         print(f"wrote {args.metrics} ({len(rows)} rows)")
-    mean, std = evaluate(policy, normalizer, args.env, cfg.eval_episodes,
-                         cfg.seed)
+    mean, std = evaluate_policy(policy, normalizer, args.env,
+                                cfg.eval_episodes, cfg.seed)
     print(f"imitation training finished after {len(rows)} iterations: "
           f"eval return {mean:.6g} +- {std:.6g}")
     print(f"wrote {args.out}")
@@ -159,7 +171,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     spec = make_env(args.env).spec
     policy, normalizer, _ = load_policy(args.policy, expect_env=spec)
-    mean, std = evaluate(policy, normalizer, args.env, args.episodes, args.seed)
+    mean, std = evaluate_policy(policy, normalizer, args.env, args.episodes,
+                                args.seed)
     print(f"{mean:.6g} +- {std:.6g}")
     return 0
 
@@ -174,18 +187,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-expert",
                        help="train a policy on raw environment reward")
     p.add_argument("--env", required=True, choices=env_names())
-    p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--n-dirs", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=0.02)
-    p.add_argument("--nu", type=float, default=0.03)
+    p.add_argument("--iters", type=_positive(int), required=True)
+    p.add_argument("--n-dirs", type=_positive(int), default=8)
+    p.add_argument("--alpha", type=_positive(float), default=0.02)
+    p.add_argument("--nu", type=_positive(float), default=0.03)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-episodes", type=int, default=100)
+    p.add_argument("--eval-episodes", type=_positive(int), default=100)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("record", help="record demonstration episodes")
     p.add_argument("--env", required=True, choices=env_names())
     p.add_argument("--policy", required=True)
-    p.add_argument("--episodes", type=int, required=True)
+    p.add_argument("--episodes", type=_positive(int), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -194,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--ridge", type=float, default=None,
                    help="closed-form mode with this ridge")
-    p.add_argument("--epochs", type=int, default=None,
+    p.add_argument("--epochs", type=_positive(int), default=None,
                    help="iterative mode epoch count")
-    p.add_argument("--lr", type=float, default=None,
+    p.add_argument("--lr", type=_positive(float), default=None,
                    help="iterative mode learning rate")
 
     p = sub.add_parser("train",
@@ -209,14 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--target-frac", type=float, default=None,
+    p.add_argument("--target-frac", type=_positive(float), default=None,
                    help="early-stop when eval reaches this fraction of the "
                         "demo mean return")
 
     p = sub.add_parser("eval", help="evaluate a policy file")
     p.add_argument("--env", required=True, choices=env_names())
     p.add_argument("--policy", required=True)
-    p.add_argument("--episodes", type=int, default=100)
+    p.add_argument("--episodes", type=_positive(int), default=100)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

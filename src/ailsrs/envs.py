@@ -165,8 +165,7 @@ class Trajectory:
 
 
 def rollout(env, policy: LinearPolicy, normalizer: ObservationNormalizer,
-            reward_source, rng: Rng, record_states: bool = True,
-            max_steps: int | None = None):
+            reward_source, rng: Rng, max_steps: int | None = None):
     """Run one episode; returns (trajectory, disc_return, env_return).
 
     `reward_source` is None for environment reward, or a discriminator-like
@@ -189,22 +188,17 @@ def rollout(env, policy: LinearPolicy, normalizer: ObservationNormalizer,
         a = np.clip(theta_eff @ s, -clip, clip)
         s_next, r, done = env.step(a)
         env_return += r
-        if record_states or reward_source is not None:
-            states.append(s)
-            actions.append(a)
-            rewards.append(r)
+        states.append(s)
+        actions.append(a)
+        rewards.append(r)
         s = s_next
         if done:
             break
-    traj = None
-    if states:
-        traj = Trajectory(np.array(states), np.array(actions), np.array(rewards))
+    traj = Trajectory(np.array(states), np.array(actions), np.array(rewards))
     disc_return = env_return
     if reward_source is not None:
         disc_return = float(np.sum(reward_source.reward_batch(traj.states,
                                                               traj.actions)))
-    if not record_states:
-        traj = None
     return traj, disc_return, env_return
 
 
@@ -223,7 +217,7 @@ def evaluate_policy(policy: LinearPolicy, normalizer: ObservationNormalizer,
     env = make_env(env_name)
     for i in range(episodes):
         _, _, ret = rollout(env, policy, normalizer, None, episode_rng(seed, i),
-                            record_states=False, max_steps=max_steps)
+                            max_steps=max_steps)
         returns[i] = ret
     return float(returns.mean()), float(returns.std())
 

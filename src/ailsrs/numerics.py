@@ -88,10 +88,6 @@ class Rng:
         return out.reshape(rows, cols)
 
 
-def rng_new(seed: int, labels: tuple[int, ...] = ()) -> Rng:
-    return Rng(seed, labels)
-
-
 @dataclass
 class AdamState:
     """Adam moment buffers for a flat parameter vector."""
@@ -179,11 +175,6 @@ class RunningStats:
 
     def copy(self) -> "RunningStats":
         return RunningStats(self.count, self.mean.copy(), self.m2.copy())
-
-
-def welford_update(stats: RunningStats, x: np.ndarray) -> RunningStats:
-    stats.update(x)
-    return stats
 
 
 def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

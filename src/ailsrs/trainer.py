@@ -1,19 +1,19 @@
-"""Training loops: plain random-search training on environment reward, and
-the adversarial imitation loop where the discriminator supplies all rewards.
+"""Training: one antithetic random-search loop for both reward sources.
 
-One iteration of the imitation loop:
+`search` climbs the environment reward (expert training) or, given
+demonstrations, a discriminator reward (imitation). One iteration:
 
 1. sample N directions and roll out the +/- policy pair for each, scoring
-   every episode with the *current* discriminator (one frozen snapshot for
-   all 2N episodes, so the pairwise comparisons are meaningful);
-2. take a few Adam steps on the discriminator, batching fresh episodes
-   against the demonstrations;
-3. update the policy weights from the discriminator returns collected in
-   step 1 (no recomputation under the new discriminator);
+   every episode with the environment or with the *current* discriminator
+   (one frozen snapshot for all 2N episodes, so the pairwise comparisons
+   are meaningful);
+2. update the policy weights from those returns;
+3. imitation only: take a few Adam steps on the discriminator, batching the
+   fresh episodes against the demonstrations;
 4. fold all visited states into the observation normalizer.
 
-Environment rewards are logged for evaluation only and never reach the
-policy update.
+In imitation, environment rewards are logged for evaluation only and never
+reach the policy update.
 """
 from __future__ import annotations
 
@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ars import (ArsConfig, ars_update, evaluate_directions, returns_std,
+from .ars import (ArsConfig, ars_update, evaluate_directions,
                   sample_directions, visited_states)
 from .demo_io import TrajectorySet
-from .discriminator import MlpDiscriminator, disc_init, disc_train
+from .discriminator import disc_init, disc_train
 from .envs import evaluate_policy, make_env
 from .numerics import AdamState, Rng
 from .policy import LinearPolicy, ObservationNormalizer
@@ -66,7 +66,7 @@ class MetricsRow:
     iteration: int
     mean_disc_return: float
     sigma_r: float
-    disc_loss: float
+    disc_loss: float | None           # None when training on env reward
     eval_env_return_mean: float | None
     eval_env_return_std: float | None
     wall_ms: float
@@ -84,20 +84,10 @@ def write_metrics(rows: list[MetricsRow], path: str) -> None:
         fh.write(METRICS_HEADER + "\n")
         for r in rows:
             fh.write(",".join([str(r.iteration), repr(r.mean_disc_return),
-                               repr(r.sigma_r), repr(r.disc_loss),
+                               repr(r.sigma_r), cell(r.disc_loss),
                                cell(r.eval_env_return_mean),
                                cell(r.eval_env_return_std),
                                repr(r.wall_ms)]) + "\n")
-
-
-@dataclass
-class TrainState:
-    """Mutable state threaded through the imitation iterations."""
-
-    theta: np.ndarray
-    normalizer: ObservationNormalizer
-    disc: MlpDiscriminator
-    adam: AdamState
 
 
 def return_target(reference_return: float, fraction: float) -> float:
@@ -116,57 +106,74 @@ def return_target(reference_return: float, fraction: float) -> float:
     return reference_return / fraction
 
 
-def evaluate(policy: LinearPolicy, normalizer: ObservationNormalizer,
-             env_name: str, episodes: int, seed: int) -> tuple[float, float]:
-    """Mean/std environment return over seeded episodes; never mutates stats."""
-    return evaluate_policy(policy, normalizer, env_name, episodes, seed)
+def search(env_name: str, cfg: TrainerConfig,
+           expert: TrajectorySet | None = None,
+           init: tuple[LinearPolicy, ObservationNormalizer] | None = None):
+    """Yield (theta, normalizer, MetricsRow) after each of at most
+    `cfg.max_iterations` iterations, starting from a copy of `init` or zero.
+
+    `expert` None climbs the environment reward, else a discriminator reward
+    trained against these demonstrations. The caller may evaluate or stop
+    between yields; the normalizer is the loop's own (read it, do not
+    mutate it) and the rows' eval columns are left empty. Raises
+    FloatingPointError at the first non-finite return or weight.
+    Deterministic given (cfg, expert data, init).
+    """
+    spec = make_env(env_name).spec
+    root = Rng(cfg.seed)
+    disc = adam = None
+    if expert is not None:
+        if expert.env_name != env_name or expert.state_dim != spec.state_dim \
+                or expert.action_dim != spec.action_dim:
+            raise ValueError(
+                f"demonstrations are for {expert.env_name!r} "
+                f"({expert.state_dim}, {expert.action_dim}); requested {env_name!r}")
+        expert.validate()
+        disc = disc_init(spec.state_dim, spec.action_dim,
+                         root.derive(DISC_INIT_STREAM))
+        adam = AdamState.zeros(disc.n_params)
+    if init is None:
+        init = (LinearPolicy.zeros(spec.action_dim, spec.state_dim),
+                ObservationNormalizer.for_dim(spec.state_dim))
+    pol, norm = init
+    if pol.theta.shape != (spec.action_dim, spec.state_dim):
+        raise ValueError("init policy dims do not match the environment")
+    theta, normalizer = pol.theta.copy(), norm.copy()
+    for t in range(cfg.max_iterations):
+        started = time.perf_counter()
+        deltas = sample_directions(root.derive(DIRECTIONS_STREAM, t),
+                                   cfg.ars.n_directions, spec.action_dim,
+                                   spec.state_dim)
+        returns, trajs = evaluate_directions(
+            theta, deltas, cfg.ars.nu, env_name, normalizer, disc,
+            root.derive(ROLLOUT_STREAM, t), max_steps=cfg.rollout_max_steps)
+        theta = ars_update(theta, deltas, returns, cfg.ars.alpha)
+        if not (np.isfinite(returns).all() and np.isfinite(theta).all()):
+            bad = np.flatnonzero(~np.isfinite(returns).all(axis=1))
+            where = (f"the returns of direction {bad[0]}" if bad.size
+                     else "the updated weights")
+            raise FloatingPointError(f"iteration {t}: non-finite value in {where}")
+        disc_loss = None
+        if expert is not None:
+            batch = cfg.disc_batch if cfg.disc_batch is not None else len(trajs[0])
+            disc_loss = disc_train(disc, adam, expert, trajs, cfg.disc_iters,
+                                   batch, root.derive(DISC_BATCH_STREAM, t),
+                                   lr=cfg.disc_lr)
+        normalizer.add_states(visited_states(trajs))
+        wall_ms = (time.perf_counter() - started) * 1000.0
+        yield theta, normalizer, MetricsRow(
+            t, float(returns.mean()), float(returns.std()), disc_loss,
+            None, None, wall_ms)
 
 
 def train_expert(env_name: str, ars_cfg: ArsConfig, iterations: int,
                  seed: int, rollout_max_steps: int = 1000):
     """Plain random-search training on the raw environment reward."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    spec = make_env(env_name).spec
-    root = Rng(seed)
-    theta = np.zeros((spec.action_dim, spec.state_dim))
-    normalizer = ObservationNormalizer.for_dim(spec.state_dim)
-    for t in range(iterations):
-        deltas = sample_directions(root.derive(DIRECTIONS_STREAM, t),
-                                   ars_cfg.n_directions, spec.action_dim,
-                                   spec.state_dim)
-        results, trajs = evaluate_directions(
-            theta, deltas, ars_cfg.nu, env_name, normalizer, None,
-            root.derive(ROLLOUT_STREAM, t), max_steps=rollout_max_steps)
-        theta = ars_update(theta, results, ars_cfg.alpha)
-        normalizer.add_states(visited_states(trajs))
+    cfg = TrainerConfig(ars=ars_cfg, max_iterations=iterations,
+                        rollout_max_steps=rollout_max_steps, seed=seed)
+    for theta, normalizer, _ in search(env_name, cfg):
+        pass
     return LinearPolicy(theta), normalizer
-
-
-def ailsrs_iteration(state: TrainState, expert: TrajectorySet,
-                     cfg: TrainerConfig, root: Rng,
-                     iter_index: int) -> MetricsRow:
-    """One imitation iteration; mutates `state`, returns its metrics row."""
-    started = time.perf_counter()
-    spec = make_env(expert.env_name).spec
-    deltas = sample_directions(root.derive(DIRECTIONS_STREAM, iter_index),
-                               cfg.ars.n_directions, spec.action_dim,
-                               spec.state_dim)
-    results, trajs = evaluate_directions(
-        state.theta, deltas, cfg.ars.nu, expert.env_name, state.normalizer,
-        state.disc, root.derive(ROLLOUT_STREAM, iter_index),
-        max_steps=cfg.rollout_max_steps)
-    batch = cfg.disc_batch if cfg.disc_batch is not None else len(trajs[0])
-    disc_loss = disc_train(state.disc, state.adam, expert, trajs,
-                           cfg.disc_iters, batch,
-                           root.derive(DISC_BATCH_STREAM, iter_index),
-                           lr=cfg.disc_lr)
-    state.theta = ars_update(state.theta, results, cfg.ars.alpha)
-    state.normalizer.add_states(visited_states(trajs))
-    mean_ret = float(np.mean([[r.r_plus, r.r_minus] for r in results]))
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    return MetricsRow(iter_index, mean_ret, returns_std(results), disc_loss,
-                      None, None, wall_ms)
 
 
 def train_ailsrs(env_name: str, expert: TrajectorySet, cfg: TrainerConfig,
@@ -177,37 +184,16 @@ def train_ailsrs(env_name: str, expert: TrajectorySet, cfg: TrainerConfig,
     true environment reward for reporting/early-stop only and never touch
     the normalizer. Fully deterministic given (cfg, expert data).
     """
-    spec = make_env(env_name).spec
-    if expert.env_name != env_name or expert.state_dim != spec.state_dim \
-            or expert.action_dim != spec.action_dim:
-        raise ValueError(
-            f"demonstrations are for {expert.env_name!r} "
-            f"({expert.state_dim}, {expert.action_dim}); requested {env_name!r}")
-    expert.validate()
-    root = Rng(cfg.seed)
-    if init is not None:
-        pol, norm = init
-        if pol.theta.shape != (spec.action_dim, spec.state_dim):
-            raise ValueError("init policy dims do not match the environment")
-        theta, normalizer = pol.theta.copy(), norm.copy()
-    else:
-        theta = np.zeros((spec.action_dim, spec.state_dim))
-        normalizer = ObservationNormalizer.for_dim(spec.state_dim)
-    disc = disc_init(spec.state_dim, spec.action_dim,
-                     root.derive(DISC_INIT_STREAM))
-    state = TrainState(theta, normalizer, disc, AdamState.zeros(disc.n_params))
     rows: list[MetricsRow] = []
-    for t in range(cfg.max_iterations):
-        row = ailsrs_iteration(state, expert, cfg, root, t)
-        last = t == cfg.max_iterations - 1
-        if (t + 1) % cfg.eval_every == 0 or last:
-            mean, std = evaluate(LinearPolicy(state.theta), state.normalizer,
-                                 env_name, cfg.eval_episodes, cfg.seed)
-            row.eval_env_return_mean = mean
-            row.eval_env_return_std = std
+    for theta, normalizer, row in search(env_name, cfg, expert, init):
+        t = row.iteration
+        if (t + 1) % cfg.eval_every == 0 or t == cfg.max_iterations - 1:
+            row.eval_env_return_mean, row.eval_env_return_std = evaluate_policy(
+                LinearPolicy(theta), normalizer, env_name, cfg.eval_episodes,
+                cfg.seed)
         rows.append(row)
         if (cfg.early_stop_target is not None
                 and row.eval_env_return_mean is not None
                 and row.eval_env_return_mean >= cfg.early_stop_target):
             break
-    return LinearPolicy(state.theta), state.normalizer, rows
+    return LinearPolicy(theta), normalizer, rows

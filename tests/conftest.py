@@ -2,7 +2,6 @@
 plus the end-of-run acceptance verdict section."""
 import time
 
-import numpy as np
 import pytest
 
 import _acceptance_report
@@ -14,14 +13,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in _acceptance_report.VERDICTS:
             terminalreporter.line(line)
 
-from ailsrs.ars import (ArsConfig, ars_update, evaluate_directions,
-                        sample_directions, visited_states)
+from ailsrs.ars import ArsConfig
 from ailsrs.demo_io import record
 from ailsrs.envs import evaluate_policy, riccati_optimal
-from ailsrs.numerics import Rng
-from ailsrs.policy import LinearPolicy, ObservationNormalizer
-from ailsrs.trainer import (DIRECTIONS_STREAM, ROLLOUT_STREAM, TrainerConfig,
-                            return_target, train_ailsrs)
+from ailsrs.policy import LinearPolicy
+from ailsrs.trainer import TrainerConfig, return_target, search, train_ailsrs
 
 
 @pytest.fixture(scope="session")
@@ -41,25 +37,15 @@ def riccati_demos_50(riccati_expert):
 def lqr_expert_run():
     """The canonical plain-search expert run (N=8, alpha=.02, nu=.03, seed 1,
     500 iterations) with an eval trace every 10 iterations."""
-    cfg = ArsConfig(alpha=0.02, nu=0.03, n_directions=8)
-    root = Rng(1)
-    theta = np.zeros((1, 2))
-    norm = ObservationNormalizer.for_dim(2)
+    cfg = TrainerConfig(ars=ArsConfig(alpha=0.02, nu=0.03, n_directions=8),
+                        max_iterations=500, seed=1)
     evals = []
     started = time.perf_counter()
-    train_seconds = 0.0
-    for t in range(500):
-        deltas = sample_directions(root.derive(DIRECTIONS_STREAM, t),
-                                   cfg.n_directions, 1, 2)
-        results, trajs = evaluate_directions(theta, deltas, cfg.nu, "lqr2d",
-                                             norm, None,
-                                             root.derive(ROLLOUT_STREAM, t))
-        theta = ars_update(theta, results, cfg.alpha)
-        norm.add_states(visited_states(trajs))
+    for theta, norm, row in search("lqr2d", cfg):
         train_seconds = time.perf_counter() - started
-        if (t + 1) % 10 == 0:
+        if (row.iteration + 1) % 10 == 0:
             mean, _ = evaluate_policy(LinearPolicy(theta), norm, "lqr2d", 100, 0)
-            evals.append((t, mean))
+            evals.append((row.iteration, mean))
     return {"policy": LinearPolicy(theta), "normalizer": norm,
             "evals": evals, "train_seconds": train_seconds}
 

@@ -16,7 +16,7 @@ import pytest
 import _acceptance_report
 
 import ailsrs
-from ailsrs.ars import DirectionResult, ars_update
+from ailsrs.ars import ars_update
 from ailsrs.cli import main as cli_main
 from ailsrs.discriminator import disc_init, disc_reward, lsgan_grad, lsgan_loss
 from ailsrs.envs import env_names
@@ -180,23 +180,23 @@ def test_reward_anchors():
 def test_ars_invariances():
     rng = Rng(99)
     theta = rng.gaussian_matrix(1, 2)
-    results = [DirectionResult(rng.gaussian_matrix(1, 2), rng.gaussian(),
-                               rng.gaussian()) for _ in range(8)]
-    base = ars_update(theta, results, 0.02)
+    deltas, returns = [], []
+    for _ in range(8):
+        deltas.append(rng.gaussian_matrix(1, 2))
+        returns.append([rng.gaussian(), rng.gaussian()])
+    deltas, returns = np.array(deltas), np.array(returns)
+    base = ars_update(theta, deltas, returns, 0.02)
     ok = True
     for c in (0.1, 10.0, 1000.0):
-        scaled = [DirectionResult(r.delta, c * r.r_plus, c * r.r_minus)
-                  for r in results]
-        rel = np.max(np.abs(ars_update(theta, scaled, 0.02) - base)) \
+        rel = np.max(np.abs(ars_update(theta, deltas, c * returns, 0.02) - base)) \
             / max(np.max(np.abs(base)), 1e-300)
         ok &= rel <= 1e-12
-    swapped = [DirectionResult(r.delta, r.r_minus, r.r_plus) for r in results]
     inc = base - theta
-    inc_swapped = ars_update(theta, swapped, 0.02) - theta
+    inc_swapped = ars_update(theta, deltas, returns[:, ::-1], 0.02) - theta
     ok &= np.max(np.abs(inc + inc_swapped)) <= 1e-12 * max(np.max(np.abs(inc)), 1e-300)
     delta = np.array([[1.0, -0.5]])
-    up = ars_update(np.zeros((1, 2)), [DirectionResult(delta, 2.0, 1.0)], 0.02)
-    down = ars_update(np.zeros((1, 2)), [DirectionResult(delta, 1.0, 2.0)], 0.02)
+    up = ars_update(np.zeros((1, 2)), delta[None], np.array([[2.0, 1.0]]), 0.02)
+    down = ars_update(np.zeros((1, 2)), delta[None], np.array([[1.0, 2.0]]), 0.02)
     ok &= (up @ delta.T).item() > 0 > (down @ delta.T).item()
     assert _report("search-update invariances", ok,
                    "reward-scale exact to 1e-12; antisymmetric; sign test")
@@ -250,7 +250,7 @@ def test_bc_oracle(riccati_demos_50, riccati_expert):
     norm = ObservationNormalizer.for_dim(2)
     norm.add_states(states)
     closed = bc_closed_form(dataset, norm, ridge=1e-8)
-    mean, _ = ailsrs.evaluate(closed, norm, "lqr2d", 100, 0)
+    mean, _ = ailsrs.evaluate_policy(closed, norm, "lqr2d", 100, 0)
     fitted = bc_fit(dataset, norm, epochs=3000, lr=0.01)
     gap = float(np.max(np.abs(fitted.theta - closed.theta)))
     ok = mean >= return_target(expert_mean, 0.95) and gap <= 1e-2

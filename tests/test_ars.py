@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ailsrs.ars import (ArsConfig, DirectionResult, ars_update,
-                        evaluate_directions, returns_std, sample_directions,
-                        visited_states)
+from ailsrs.ars import (ArsConfig, ars_update, evaluate_directions,
+                        sample_directions, visited_states)
+from ailsrs.discriminator import MlpDiscriminator
 from ailsrs.envs import riccati_optimal
 from ailsrs.numerics import Rng
 from ailsrs.policy import ObservationNormalizer
+from ailsrs.trainer import DIRECTIONS_STREAM, ROLLOUT_STREAM
 
 
 def _e11():
@@ -17,10 +20,18 @@ def _e11():
     return d
 
 
+def _draw(rng, n, rows, cols):
+    """n directions with their (+, -) returns, drawn one direction at a time."""
+    deltas, returns = [], []
+    for _ in range(n):
+        deltas.append(rng.gaussian_matrix(rows, cols))
+        returns.append([rng.gaussian(), rng.gaussian()])
+    return np.array(deltas), np.array(returns)
+
+
 def test_ars_update_single_direction_arithmetic():
     theta = np.zeros((2, 2))
-    res = [DirectionResult(_e11(), 1.0, 0.0)]
-    out = ars_update(theta, res, alpha=0.02)
+    out = ars_update(theta, _e11()[None], np.array([[1.0, 0.0]]), alpha=0.02)
     # sigma of {1, 0} is 0.5, so the step is (0.02 / 0.5) * 1 * E11
     expect = np.zeros((2, 2))
     expect[0, 0] = 0.04
@@ -29,46 +40,44 @@ def test_ars_update_single_direction_arithmetic():
 
 def test_ars_update_equal_returns_is_identity():
     theta = np.array([[1.0, -2.0]])
-    res = [DirectionResult(np.array([[0.5, 0.5]]), 3.0, 3.0),
-           DirectionResult(np.array([[-1.0, 2.0]]), 3.0, 3.0)]
-    np.testing.assert_array_equal(ars_update(theta, res, 0.02), theta)
+    deltas = np.array([[[0.5, 0.5]], [[-1.0, 2.0]]])
+    returns = np.array([[3.0, 3.0], [3.0, 3.0]])
+    np.testing.assert_array_equal(ars_update(theta, deltas, returns, 0.02), theta)
 
 
 def test_ars_update_reward_scale_invariance():
     rng = Rng(1)
     theta = rng.gaussian_matrix(1, 2)
-    res = [DirectionResult(rng.gaussian_matrix(1, 2), rng.gaussian(), rng.gaussian())
-           for _ in range(8)]
-    base = ars_update(theta, res, 0.02)
+    deltas, returns = _draw(rng, 8, 1, 2)
+    base = ars_update(theta, deltas, returns, 0.02)
     for c in (0.1, 10.0, 1000.0):
-        scaled = [DirectionResult(r.delta, c * r.r_plus, c * r.r_minus) for r in res]
-        out = ars_update(theta, scaled, 0.02)
+        out = ars_update(theta, deltas, c * returns, 0.02)
         np.testing.assert_allclose(out, base, rtol=1e-12)
 
 
 def test_ars_update_antisymmetry():
     rng = Rng(2)
     theta = rng.gaussian_matrix(2, 3)
-    res = [DirectionResult(rng.gaussian_matrix(2, 3), rng.gaussian(), rng.gaussian())
-           for _ in range(5)]
-    swapped = [DirectionResult(r.delta, r.r_minus, r.r_plus) for r in res]
-    inc = ars_update(theta, res, 0.02) - theta
-    inc_swapped = ars_update(theta, swapped, 0.02) - theta
+    deltas, returns = _draw(rng, 5, 2, 3)
+    inc = ars_update(theta, deltas, returns, 0.02) - theta
+    inc_swapped = ars_update(theta, deltas, returns[:, ::-1], 0.02) - theta
     np.testing.assert_allclose(inc, -inc_swapped, rtol=1e-12, atol=1e-18)
 
 
 def test_ars_update_moves_along_winning_direction():
     theta = np.zeros((1, 2))
     delta = np.array([[1.0, -2.0]])
-    up = ars_update(theta, [DirectionResult(delta, 2.0, 1.0)], 0.02)
+    up = ars_update(theta, delta[None], np.array([[2.0, 1.0]]), 0.02)
     assert np.dot(up.ravel(), delta.ravel()) > 0
-    down = ars_update(theta, [DirectionResult(delta, 1.0, 2.0)], 0.02)
+    down = ars_update(theta, delta[None], np.array([[1.0, 2.0]]), 0.02)
     assert np.dot(down.ravel(), delta.ravel()) < 0
 
 
 def test_ars_update_shape_mismatch_errors():
     with pytest.raises(ValueError):
-        ars_update(np.zeros((2, 2)), [DirectionResult(np.zeros((1, 2)), 1.0, 0.0)], 0.02)
+        ars_update(np.zeros((2, 2)), np.zeros((1, 1, 2)), np.array([[1.0, 0.0]]), 0.02)
+    with pytest.raises(ValueError):
+        ars_update(np.zeros((1, 2)), np.zeros((2, 1, 2)), np.array([[1.0, 0.0]]), 0.02)
 
 
 @given(st.integers(min_value=0, max_value=2**32),
@@ -77,27 +86,42 @@ def test_ars_update_shape_mismatch_errors():
 def test_ars_update_scale_invariance_property(seed, c):
     rng = Rng(seed)
     theta = rng.gaussian_matrix(1, 2)
-    res = [DirectionResult(rng.gaussian_matrix(1, 2), rng.gaussian(), rng.gaussian())
-           for _ in range(4)]
-    scaled = [DirectionResult(r.delta, c * r.r_plus, c * r.r_minus) for r in res]
-    np.testing.assert_allclose(ars_update(theta, scaled, 0.02),
-                               ars_update(theta, res, 0.02), rtol=1e-10,
-                               atol=1e-12)
+    deltas, returns = _draw(rng, 4, 1, 2)
+    np.testing.assert_allclose(ars_update(theta, deltas, c * returns, 0.02),
+                               ars_update(theta, deltas, returns, 0.02),
+                               rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_directions", [1, 8, 32, 320])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 3), (2, 4)])
+def test_ars_update_sums_directions_in_order(shape, n_directions):
+    # the update is pinned bit for bit to the sequential per-direction sum,
+    # so trained weights do not move with numpy's summation strategy
+    # (pairwise for long contiguous reductions, blocked in tensordot).
+    # theta = 0 keeps a last-bit difference in the step from being rounded
+    # away by the final addition; ten draws make a reordered sum show.
+    for draw in range(10):
+        rng = Rng(draw, (n_directions, *shape))
+        theta = np.zeros(shape)
+        deltas, returns = _draw(rng, n_directions, *shape)
+        step = np.zeros(shape)
+        for i in range(n_directions):
+            step += (returns[i, 0] - returns[i, 1]) * deltas[i]
+        sigma = float(np.std(returns))
+        expect = theta + (0.02 / (n_directions * sigma)) * step
+        got = ars_update(theta, deltas, returns, 0.02)
+        assert got.tobytes() == expect.tobytes(), draw
 
 
 def test_sample_directions_shapes_and_determinism():
     dirs = sample_directions(Rng(1), 320, 1, 2)
-    assert len(dirs) == 320
-    assert all(d.shape == (1, 2) for d in dirs)
-    again = sample_directions(Rng(1), 320, 1, 2)
-    for a, b in zip(dirs, again):
-        np.testing.assert_array_equal(a, b)
+    assert dirs.shape == (320, 1, 2)
+    np.testing.assert_array_equal(dirs, sample_directions(Rng(1), 320, 1, 2))
 
 
 def test_sample_directions_zero_mean():
     dirs = sample_directions(Rng(3), 320, 1, 2)
-    entries = np.concatenate([d.ravel() for d in dirs])
-    assert abs(entries.mean()) <= 0.05
+    assert abs(dirs.mean()) <= 0.05
 
 
 def test_ars_config_validation():
@@ -112,12 +136,12 @@ def test_ars_config_validation():
 def test_evaluate_directions_counts_and_optimality():
     pol, norm, optimal = riccati_optimal(episodes=20)
     deltas = sample_directions(Rng(4), 6, 1, 2)
-    results, trajs = evaluate_directions(pol.theta, deltas, 0.03, "lqr2d",
+    returns, trajs = evaluate_directions(pol.theta, deltas, 0.03, "lqr2d",
                                          norm, None, Rng(5))
-    assert len(results) == 6 and len(trajs) == 12
+    assert returns.shape == (6, 2) and len(trajs) == 12
     assert len(visited_states(trajs)) == sum(len(t) for t in trajs)
     # perturbed copies of the optimal policy cannot beat it on average
-    mean_perturbed = np.mean([[r.r_plus, r.r_minus] for r in results])
+    mean_perturbed = np.mean(returns)
     per_seed_opt = np.mean([optimal])
     assert mean_perturbed <= per_seed_opt + 1e-9
 
@@ -126,7 +150,7 @@ def test_evaluate_directions_order_independent():
     norm = ObservationNormalizer.for_dim(2)
     theta = np.zeros((1, 2))
     deltas = sample_directions(Rng(6), 5, 1, 2)
-    results, _ = evaluate_directions(theta, deltas, 0.03, "lqr2d", norm,
+    returns, _ = evaluate_directions(theta, deltas, 0.03, "lqr2d", norm,
                                      None, Rng(7))
     # shuffled evaluation order: run each (direction, sign) rollout by hand
     from ailsrs.envs import make_env, rollout
@@ -139,24 +163,29 @@ def test_evaluate_directions_order_independent():
         _, ret, _ = rollout(make_env("lqr2d"), pol, norm, None,
                             Rng(7).derive(i, sign_idx))
         got[(i, sign_idx)] = ret
-    for i, r in enumerate(results):
-        assert got[(i, 0)] == r.r_plus
-        assert got[(i, 1)] == r.r_minus
-
-
-def test_evaluate_directions_thread_pool_matches_serial(monkeypatch):
-    norm = ObservationNormalizer.for_dim(2)
-    theta = np.array([[0.1, -0.4]])
-    deltas = sample_directions(Rng(8), 4, 1, 2)
-    serial, _ = evaluate_directions(theta, deltas, 0.03, "lqr2d", norm,
-                                    None, Rng(9))
-    monkeypatch.setenv("AILSRS_THREADS", "2")
-    threaded, _ = evaluate_directions(theta, deltas, 0.03, "lqr2d", norm,
-                                      None, Rng(9))
-    for a, b in zip(serial, threaded):
-        assert (a.r_plus, a.r_minus) == (b.r_plus, b.r_minus)
+    for i, (r_plus, r_minus) in enumerate(returns):
+        assert got[(i, 0)] == r_plus
+        assert got[(i, 1)] == r_minus
 
 
 def test_returns_std_is_population_std():
-    res = [DirectionResult(np.zeros((1, 1)), 1.0, 0.0)]
-    assert returns_std(res) == 0.5
+    # the spread of the returns {1, 0} is their population std, 0.5
+    out = ars_update(np.zeros((1, 1)), np.ones((1, 1, 1)),
+                     np.array([[1.0, 0.0]]), 1.0)
+    assert out[0, 0] == 1.0 / 0.5
+
+
+def test_constant_discriminator_freezes_theta():
+    disc = MlpDiscriminator(np.zeros((100, 3)), np.zeros(100),
+                            np.zeros((100, 100)), np.zeros(100),
+                            np.zeros((1, 100)), 0.0)  # D = 0.5 everywhere
+    theta = np.array([[0.25, -0.5]])
+    root = Rng(1)
+    deltas = sample_directions(root.derive(DIRECTIONS_STREAM, 0), 4, 1, 2)
+    returns, _ = evaluate_directions(theta, deltas, 0.03, "lqr2d",
+                                     ObservationNormalizer.for_dim(2), disc,
+                                     root.derive(ROLLOUT_STREAM, 0))
+    assert returns.mean() == pytest.approx(100 * math.log(2.0), rel=1e-12)
+    assert returns.std() == 0.0
+    np.testing.assert_array_equal(ars_update(theta, deltas, returns, 0.02),
+                                  theta)

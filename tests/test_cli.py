@@ -72,6 +72,38 @@ def test_unknown_env_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("train-expert", "--iters", "0"),
+    ("train-expert", "--n-dirs", "0"),
+    ("train-expert", "--alpha", "0"),
+    ("train-expert", "--alpha", "-0.02"),
+    ("train-expert", "--nu", "0"),
+    ("train-expert", "--nu", "nan"),
+    ("train-expert", "--eval-episodes", "0"),
+    ("record", "--episodes", "0"),
+    ("eval", "--episodes", "0"),
+    ("bc", "--epochs", "0"),
+    ("bc", "--lr", "0"),
+    ("bc", "--lr", "-0.01"),
+    ("train", "--target-frac", "0"),
+])
+def test_nonpositive_number_exits_2(command, flag, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    required = {
+        "train-expert": ["--env", "lqr2d", "--iters", "1", "--out", str(out)],
+        "record": ["--env", "lqr2d", "--policy", "p", "--episodes", "1",
+                   "--out", str(out)],
+        "eval": ["--env", "lqr2d", "--policy", "p"],
+        "bc": ["--demos", "d", "--out", str(out)],
+        "train": ["--env", "lqr2d", "--demos", "d", "--out", str(out)],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, flag, value])
+    assert exc.value.code == 2
+    assert f"{flag}: must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonexistent_policy_path_exits_1(capsys):
     rc = main(["eval", "--env", "lqr2d", "--policy", "/nonexistent.policy"])
     assert rc == 1

@@ -175,10 +175,8 @@ def test_riccati_beats_zero_policy_on_every_seed():
     pol, norm, _ = riccati_optimal(episodes=1)
     zero = LinearPolicy.zeros(1, 2)
     for i in range(100):
-        _, _, opt = rollout(make_env("lqr2d"), pol, norm, None, episode_rng(0, i),
-                            record_states=False)
-        _, _, z = rollout(make_env("lqr2d"), zero, norm, None, episode_rng(0, i),
-                          record_states=False)
+        _, _, opt = rollout(make_env("lqr2d"), pol, norm, None, episode_rng(0, i))
+        _, _, z = rollout(make_env("lqr2d"), zero, norm, None, episode_rng(0, i))
         assert opt >= z
 
 

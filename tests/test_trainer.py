@@ -1,18 +1,16 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 from ailsrs.ars import ArsConfig, evaluate_directions, sample_directions
 from ailsrs.demo_io import TrajectorySet, record
-from ailsrs.discriminator import MlpDiscriminator, disc_train, lsgan_loss
+from ailsrs.discriminator import disc_train, lsgan_loss
 from ailsrs.envs import evaluate_policy, make_env, riccati_optimal, rollout
 from ailsrs.numerics import AdamState, Rng
 from ailsrs.policy import LinearPolicy, ObservationNormalizer
 from ailsrs.trainer import (DIRECTIONS_STREAM, ROLLOUT_STREAM, METRICS_HEADER,
-                            TrainerConfig, TrainState, ailsrs_iteration,
-                            evaluate, return_target, train_ailsrs,
+                            TrainerConfig, return_target, search, train_ailsrs,
                             train_expert, write_metrics)
 
 
@@ -71,7 +69,7 @@ def test_train_expert_improves_on_pointmass():
     assert mean >= return_target(zero_mean, 2.5)
 
 
-def test_ailsrs_iteration_deterministic(riccati_demos):
+def test_train_ailsrs_deterministic(riccati_demos):
     demos, _ = riccati_demos
     cfg = _small_cfg()
     rows = []
@@ -81,20 +79,20 @@ def test_ailsrs_iteration_deterministic(riccati_demos):
     assert [_row_key(r) for r in rows[0]] == [_row_key(r) for r in rows[1]]
 
 
-def test_ailsrs_iteration_constant_discriminator_freezes_theta(riccati_demos):
+@pytest.mark.parametrize("imitate", [False, True],
+                         ids=["env-reward", "disc-reward"])
+@pytest.mark.parametrize("weight, where", [
+    (np.nan, "iteration 0: non-finite value in the returns of direction 0"),
+    # infinite weights saturate the action clip, so the returns stay finite
+    (np.inf, "iteration 0: non-finite value in the updated weights"),
+])
+def test_search_stops_on_nonfinite_values(riccati_demos, imitate, weight, where):
     demos, _ = riccati_demos
-    cfg = _small_cfg(disc_iters=0)  # keep the discriminator frozen too
-    disc = MlpDiscriminator(np.zeros((100, 3)), np.zeros(100),
-                            np.zeros((100, 100)), np.zeros(100),
-                            np.zeros((1, 100)), 0.0)  # D = 0.5 everywhere
-    state = TrainState(np.array([[0.25, -0.5]]),
-                       ObservationNormalizer.for_dim(2), disc,
-                       AdamState.zeros(disc.n_params))
-    before = state.theta.copy()
-    row = ailsrs_iteration(state, demos, cfg, Rng(cfg.seed), 0)
-    assert row.mean_disc_return == pytest.approx(100 * math.log(2.0), rel=1e-12)
-    assert row.sigma_r == 0.0
-    np.testing.assert_array_equal(state.theta, before)
+    init = (LinearPolicy(np.array([[weight, 0.0]])),
+            ObservationNormalizer.for_dim(2))
+    run = search("lqr2d", _small_cfg(), demos if imitate else None, init)
+    with pytest.raises(FloatingPointError, match=where):
+        next(run)
 
 
 def test_discriminator_loss_decreases_on_first_iteration(riccati_demos):
@@ -168,8 +166,8 @@ def test_evaluate_does_not_mutate_normalizer(riccati_demos):
     pol, norm, _ = riccati_optimal(episodes=1)
     norm.add_states(np.array([[0.1, 0.2], [0.3, -0.1], [0.0, 0.0]]))
     count_before = norm.count
-    m1 = evaluate(pol, norm, "lqr2d", 5, 3)
-    m2 = evaluate(pol, norm, "lqr2d", 5, 3)
+    m1 = evaluate_policy(pol, norm, "lqr2d", 5, 3)
+    m2 = evaluate_policy(pol, norm, "lqr2d", 5, 3)
     assert m1 == m2
     assert norm.count == count_before
 
