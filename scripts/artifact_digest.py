@@ -21,15 +21,15 @@ import hashlib
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
+# ailsrs before numpy, so the package's BLAS thread pin takes effect
 from ailsrs.ars import ArsConfig  # noqa: E402
 from ailsrs.demo_io import record  # noqa: E402
 from ailsrs.envs import evaluate_policy  # noqa: E402
 from ailsrs.trainer import TrainerConfig, train_ailsrs, train_expert  # noqa: E402
+import numpy as np  # noqa: E402
 
 ENVS = ("lqr2d", "pointmass2d", "pendulum")
 EXPERT_ITERATIONS = 40

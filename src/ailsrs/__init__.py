@@ -3,6 +3,12 @@ driven by a least-squares-GAN discriminator reward, plus the expert
 training, demonstration recording and behavior cloning around it.
 """
 
+import os
+
+# One BLAS thread, set before numpy loads: threaded OpenBLAS rounds the
+# discriminator's matmuls differently, so artifacts would follow the core count.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
 from .ars import ArsConfig, ars_update, sample_directions
 from .demo_io import (TrajectorySet, load_policy, load_trajectories, record,
                       save_policy, save_trajectories)
@@ -12,19 +18,19 @@ from .discriminator import (MlpDiscriminator, disc_init, disc_reward,
 from .envs import (EnvSpec, Trajectory, env_names, evaluate_policy, make_env,
                    riccati_optimal, rollout)
 from .numerics import AdamState, Rng, RunningStats, adam_step, finite_diff
-from .policy import (BcDataset, LinearPolicy, ObservationNormalizer, act,
-                     bc_closed_form, bc_fit, perturb)
+from .policy import (BcDataset, LinearPolicy, ObservationNormalizer,
+                     bc_closed_form, bc_fit)
 from .trainer import (MetricsRow, TrainerConfig, return_target, search,
                       train_ailsrs, train_expert, write_metrics)
 
 __all__ = [
     "AdamState", "ArsConfig", "BcDataset", "EnvSpec", "LinearPolicy",
     "MetricsRow", "MlpDiscriminator", "ObservationNormalizer", "Rng",
-    "RunningStats", "TrainerConfig", "Trajectory", "TrajectorySet", "act",
+    "RunningStats", "TrainerConfig", "Trajectory", "TrajectorySet",
     "adam_step", "ars_update", "bc_closed_form", "bc_fit", "disc_init",
     "disc_reward", "disc_train", "env_names", "evaluate_policy", "finite_diff",
     "forward", "load_discriminator", "load_policy", "load_trajectories",
-    "lsgan_grad", "lsgan_loss", "make_env", "perturb", "record",
+    "lsgan_grad", "lsgan_loss", "make_env", "record",
     "return_target", "riccati_optimal", "rollout", "sample_directions",
     "save_discriminator", "save_policy", "save_trajectories", "search",
     "train_ailsrs", "train_expert", "write_metrics",

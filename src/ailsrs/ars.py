@@ -15,7 +15,7 @@ import numpy as np
 
 from .envs import make_env, rollout
 from .numerics import Rng
-from .policy import LinearPolicy, ObservationNormalizer, perturb
+from .policy import ObservationNormalizer
 
 
 @dataclass
@@ -62,9 +62,8 @@ def sample_directions(rng: Rng, n_directions: int, p: int, n: int) -> np.ndarray
 
 def evaluate_directions(theta: np.ndarray, deltas: np.ndarray, nu: float,
                         env_name: str, normalizer: ObservationNormalizer,
-                        reward_source, rng: Rng,
-                        max_steps: int | None = None):
-    """Roll out the +/- perturbation pair of every direction.
+                        reward_source, rng: Rng):
+    """Roll out the +/- perturbation pair of every direction in one batch.
 
     Returns (returns, trajectories): row i of the (N, 2) `returns` holds the
     + and - return of direction i, `trajectories` all 2N episodes in
@@ -72,17 +71,13 @@ def evaluate_directions(theta: np.ndarray, deltas: np.ndarray, nu: float,
     (direction, sign)-labelled stream, so results do not depend on
     execution order.
     """
-    base = LinearPolicy(theta)
-    env = make_env(env_name)
-    returns = np.empty((len(deltas), 2))
-    trajectories = []
-    for i, delta in enumerate(deltas):
-        for sign_idx, sign in enumerate((+1, -1)):
-            traj, returns[i, sign_idx], _ = rollout(
-                env, perturb(base, delta, nu, sign), normalizer, reward_source,
-                rng.derive(i, sign_idx), max_steps=max_steps)
-            trajectories.append(traj)
-    return returns, trajectories
+    offsets = nu * deltas
+    thetas = np.stack([theta + offsets, theta - offsets], axis=1)
+    rngs = [rng.derive(i, sign_idx) for i in range(len(deltas)) for sign_idx in (0, 1)]
+    trajectories, returns = rollout(make_env(env_name),
+                                    thetas.reshape(-1, *theta.shape),
+                                    normalizer, reward_source, rngs)
+    return returns.reshape(-1, 2), trajectories
 
 
 def visited_states(trajectories) -> np.ndarray:

@@ -28,7 +28,6 @@ _CONFIG_KEYS = {
     "nu": ("ars.nu", float),
     "n_directions": ("ars.n_directions", int),
     "max_iterations": ("max_iterations", int),
-    "rollout_max_steps": ("rollout_max_steps", int),
     "disc_lr": ("disc_lr", float),
     "disc_iters": ("disc_iters", int),
     "disc_batch": ("disc_batch", int),
@@ -42,12 +41,13 @@ class UsageError(Exception):
     pass
 
 
-def _positive(typ):
-    """argparse `type=` accepting only finite numbers > 0 of `typ`."""
+def _positive(typ, allow_zero=False):
+    """argparse `type=` accepting only finite numbers > 0 (>= 0) of `typ`."""
     def parse(text: str):
         value = typ(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not (math.isfinite(value) and (value > 0 or allow_zero and value == 0)):
+            wanted = "non-negative" if allow_zero else "positive"
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
     parse.__name__ = typ.__name__  # names the type in argparse's messages
     return parse
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bc", help="behavior-clone a policy from demonstrations")
     p.add_argument("--demos", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ridge", type=float, default=None,
+    p.add_argument("--ridge", type=_positive(float, allow_zero=True), default=None,
                    help="closed-form mode with this ridge")
     p.add_argument("--epochs", type=_positive(int), default=None,
                    help="iterative mode epoch count")

@@ -92,10 +92,8 @@ def record(policy: LinearPolicy, normalizer: ObservationNormalizer,
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     env = make_env(env_name)
-    trajectories = []
-    for i in range(episodes):
-        traj, _, _ = rollout(env, policy, normalizer, None, episode_rng(seed, i))
-        trajectories.append(traj)
+    trajectories, _ = rollout(env, policy.theta, normalizer, None,
+                              [episode_rng(seed, i) for i in range(episodes)])
     return TrajectorySet(env_name, env.spec.state_dim, env.spec.action_dim,
                          trajectories)
 

@@ -76,13 +76,10 @@ def disc_init(n: int, p: int, rng: Rng) -> MlpDiscriminator:
     if n < 1 or p < 1:
         raise ValueError("state and action dims must be >= 1")
 
-    def glorot(rows, cols):
+    def glorot(rows, cols):  # drawn in row-major order
         s = np.sqrt(6.0 / (rows + cols))
-        w = np.empty((rows, cols))
-        for i in range(rows):
-            for j in range(cols):
-                w[i, j] = rng.uniform_in(-s, s)
-        return w
+        return np.array([rng.uniform_in(-s, s)
+                         for _ in range(rows * cols)]).reshape(rows, cols)
 
     return MlpDiscriminator(
         glorot(HIDDEN, n + p), np.zeros(HIDDEN),

@@ -6,7 +6,10 @@ Three pure-cost tasks stand in for the usual physics benchmarks:
 * pointmass2d - planar double integrator driven to the origin
 * pendulum    - torque-limited pendulum stabilized upright
 
-Episodes always run to the fixed horizon; rewards are never positive.
+Each environment advances a (B, n) block of independent episodes:
+`reset(rngs)` draws row b from rngs[b] and `step(actions)` returns the next
+states and the (B,) rewards. `rollout` owns the fixed horizon (there is no
+early termination, so lockstep is exact); rewards are never positive.
 Reward for a step is charged on the state where the action was taken.
 """
 from __future__ import annotations
@@ -44,25 +47,19 @@ class Lqr2dEnv:
 
     spec = EnvSpec("lqr2d", 2, 1, 100, 10.0)
 
-    def __init__(self):
-        self.s = np.zeros(2)
-        self.t = 0
-
-    def reset(self, rng: Rng) -> np.ndarray:
-        self.s = np.array([rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)])
-        self.t = 0
+    def reset(self, rngs) -> np.ndarray:
+        self.s = np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)]
+                           for rng in rngs])
         return self.s.copy()
 
-    def step(self, action: np.ndarray):
-        if self.t >= self.spec.horizon:
-            raise RuntimeError("episode is done; reset the environment")
-        a = np.clip(action, -self.spec.action_clip, self.spec.action_clip)
-        s = self.s
-        reward = -(s[0] * s[0] + s[1] * s[1] + 0.1 * (a[0] * a[0]))
+    def step(self, actions: np.ndarray):
+        s, a = self.s, actions
+        rewards = -(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1]
+                    + 0.1 * (a[:, 0] * a[:, 0]))
         # s' = A s + B a with A = [[1, .1], [0, 1]], B = [[0], [.1]]
-        self.s = np.array([s[0] + 0.1 * s[1], s[1] + 0.1 * a[0]])
-        self.t += 1
-        return self.s.copy(), reward, self.t >= self.spec.horizon
+        self.s = np.stack([s[:, 0] + 0.1 * s[:, 1], s[:, 1] + 0.1 * a[:, 0]],
+                          axis=1)
+        return self.s.copy(), rewards
 
 
 class PointMass2dEnv:
@@ -71,31 +68,20 @@ class PointMass2dEnv:
     spec = EnvSpec("pointmass2d", 4, 2, 200, 1.0)
     dt = 0.1
 
-    def __init__(self):
-        self.state = np.zeros(4)  # (px, py, vx, vy)
-        self.t = 0
+    def reset(self, rngs) -> np.ndarray:
+        self.s = np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0),
+                            0.0, 0.0] for rng in rngs])
+        return self.s.copy()
 
-    def reset(self, rng: Rng) -> np.ndarray:
-        self.state = np.array([rng.uniform_in(-1.0, 1.0),
-                               rng.uniform_in(-1.0, 1.0), 0.0, 0.0])
-        self.t = 0
-        return self.state.copy()
-
-    def step(self, action: np.ndarray):
-        if self.t >= self.spec.horizon:
-            raise RuntimeError("episode is done; reset the environment")
-        a = np.clip(action, -self.spec.action_clip, self.spec.action_clip)
-        s = self.state
-        reward = -(s[0] * s[0] + s[1] * s[1] + 0.01 * float(a @ a))
+    def step(self, actions: np.ndarray):
+        s, a = self.s, actions
+        # a @ a as a stacked matmul rounds like a 1-d dot product
+        rewards = -(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1]
+                    + 0.01 * (a[:, None, :] @ a[:, :, None])[:, 0, 0])
         # semi-implicit Euler: velocity first, then position
-        s[2:] += self.dt * a
-        s[:2] += self.dt * s[2:]
-        self.t += 1
-        return s.copy(), reward, self.t >= self.spec.horizon
-
-
-def _wrap_angle(phi: float) -> float:
-    return (phi + math.pi) % (2.0 * math.pi) - math.pi
+        s[:, 2:] += self.dt * a
+        s[:, :2] += self.dt * s[:, 2:]
+        return s.copy(), rewards
 
 
 class PendulumEnv:
@@ -105,31 +91,26 @@ class PendulumEnv:
     g, l, m, dt = 10.0, 1.0, 1.0, 0.05
     max_speed = 8.0
 
-    def __init__(self):
-        self.phi = 0.0
-        self.phidot = 0.0
-        self.t = 0
-
     def _obs(self) -> np.ndarray:
-        return np.array([math.cos(self.phi), math.sin(self.phi), self.phidot])
+        return np.stack([np.cos(self.phi), np.sin(self.phi), self.phidot], axis=1)
 
-    def reset(self, rng: Rng) -> np.ndarray:
-        self.phi = rng.uniform_in(-math.pi, math.pi)
-        self.phidot = rng.uniform_in(-1.0, 1.0)
-        self.t = 0
+    def reset(self, rngs) -> np.ndarray:
+        draws = np.array([[rng.uniform_in(-math.pi, math.pi),
+                           rng.uniform_in(-1.0, 1.0)] for rng in rngs])
+        self.phi, self.phidot = draws[:, 0], draws[:, 1]
         return self._obs()
 
-    def step(self, action: np.ndarray):
-        if self.t >= self.spec.horizon:
-            raise RuntimeError("episode is done; reset the environment")
-        u = float(np.clip(action, -self.spec.action_clip, self.spec.action_clip)[0])
-        reward = -(_wrap_angle(self.phi) ** 2 + 0.1 * self.phidot ** 2 + 0.001 * u * u)
-        acc = (self.g / self.l) * math.sin(self.phi) + u / (self.m * self.l ** 2)
-        self.phidot = min(max(self.phidot + self.dt * acc, -self.max_speed),
-                          self.max_speed)
+    def step(self, actions: np.ndarray):
+        u = actions[:, 0]
+        wrapped = (self.phi + math.pi) % (2.0 * math.pi) - math.pi
+        # np.float_power is libm pow: the rounding of a Python float's x ** 2
+        rewards = -(np.float_power(wrapped, 2) + 0.1 * np.float_power(self.phidot, 2)
+                    + 0.001 * u * u)
+        acc = (self.g / self.l) * np.sin(self.phi) + u / (self.m * self.l ** 2)
+        self.phidot = np.minimum(np.maximum(self.phidot + self.dt * acc,
+                                            -self.max_speed), self.max_speed)
         self.phi = self.phi + self.dt * self.phidot
-        self.t += 1
-        return self._obs(), reward, self.t >= self.spec.horizon
+        return self._obs(), rewards
 
 
 _ENV_CLASSES = {
@@ -164,42 +145,39 @@ class Trajectory:
         return len(self.states)
 
 
-def rollout(env, policy: LinearPolicy, normalizer: ObservationNormalizer,
-            reward_source, rng: Rng, max_steps: int | None = None):
-    """Run one episode; returns (trajectory, disc_return, env_return).
+def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
+            reward_source, rngs):
+    """Run len(rngs) episodes in lockstep to the horizon, episode b reset
+    from rngs[b]; returns (trajectories, returns (B,)).
 
-    `reward_source` is None for environment reward, or a discriminator-like
-    object with `reward_batch(states, actions)`. The normalizer is read,
-    never written; visited states come back in the trajectory. Discriminator
-    rewards never influence the dynamics, so they are computed in one batch
-    after the episode.
+    `thetas` is (B, p, n), one policy per episode, or one (p, n) for all;
+    actions are clipped to the actuator range. `reward_source` is None for
+    environment reward, or an object whose `reward_batch(states, actions)`
+    scores each finished episode. The normalizer is read, never written.
     """
-    if max_steps is not None and max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    steps = env.spec.horizon if max_steps is None else min(max_steps, env.spec.horizon)
+    spec = env.spec
+    if np.shape(thetas)[-2:] != (spec.action_dim, spec.state_dim):
+        raise ValueError(f"{spec.name} takes ({spec.action_dim}, {spec.state_dim})"
+                         f" policies, got shape {np.shape(thetas)}")
     inv_rms = normalizer.snapshot()
     # theta @ (s * inv_rms) == (theta * inv_rms) @ s
-    theta_eff = policy.theta if inv_rms is None else policy.theta * inv_rms
-    clip = env.spec.action_clip
-    s = env.reset(rng)
-    states, actions, rewards = [], [], []
-    env_return = 0.0
-    for _ in range(steps):
-        a = np.clip(theta_eff @ s, -clip, clip)
-        s_next, r, done = env.step(a)
-        env_return += r
-        states.append(s)
-        actions.append(a)
-        rewards.append(r)
+    thetas = thetas if inv_rms is None else thetas * inv_rms
+    s = env.reset(rngs)
+    returns, steps = np.zeros(len(s)), []
+    for _ in range(spec.horizon):
+        # a stacked matmul rounds like one episode's theta @ s
+        a = np.clip((thetas @ s[:, :, None])[:, :, 0],
+                    -spec.action_clip, spec.action_clip)
+        s_next, r = env.step(a)
+        returns += r  # step by step, like a scalar running sum
+        steps.append((s, a, r))
         s = s_next
-        if done:
-            break
-    traj = Trajectory(np.array(states), np.array(actions), np.array(rewards))
-    disc_return = env_return
+    trajectories = [Trajectory(*episode) for episode in
+                    zip(*(np.stack(column, axis=1) for column in zip(*steps)))]
     if reward_source is not None:
-        disc_return = float(np.sum(reward_source.reward_batch(traj.states,
-                                                              traj.actions)))
-    return traj, disc_return, env_return
+        returns = np.array([np.sum(reward_source.reward_batch(t.states, t.actions))
+                            for t in trajectories])
+    return trajectories, returns
 
 
 def episode_rng(seed: int, index: int) -> Rng:
@@ -208,17 +186,12 @@ def episode_rng(seed: int, index: int) -> Rng:
 
 
 def evaluate_policy(policy: LinearPolicy, normalizer: ObservationNormalizer,
-                    env_name: str, episodes: int, seed: int,
-                    max_steps: int | None = None) -> tuple[float, float]:
+                    env_name: str, episodes: int, seed: int) -> tuple[float, float]:
     """Mean and population std of environment return over seeded episodes."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    returns = np.empty(episodes)
-    env = make_env(env_name)
-    for i in range(episodes):
-        _, _, ret = rollout(env, policy, normalizer, None, episode_rng(seed, i),
-                            max_steps=max_steps)
-        returns[i] = ret
+    _, returns = rollout(make_env(env_name), policy.theta, normalizer, None,
+                         [episode_rng(seed, i) for i in range(episodes)])
     return float(returns.mean()), float(returns.std())
 
 

@@ -90,27 +90,6 @@ class BcDataset:
         return len(self.states)
 
 
-def act(policy: LinearPolicy, normalizer: ObservationNormalizer,
-        state: np.ndarray) -> np.ndarray:
-    if policy.theta.shape[1] != len(state):
-        raise ValueError(
-            f"policy expects state dim {policy.theta.shape[1]}, got {len(state)}")
-    return policy.theta @ normalizer.normalize(np.asarray(state, dtype=float))
-
-
-def perturb(policy: LinearPolicy, delta: np.ndarray, nu: float,
-            sign: int) -> LinearPolicy:
-    """theta +- nu*delta, leaving the input untouched."""
-    if delta.shape != policy.theta.shape:
-        raise ValueError(
-            f"delta shape {delta.shape} != theta shape {policy.theta.shape}")
-    if nu <= 0:
-        raise ValueError("exploration scale nu must be positive")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return LinearPolicy(policy.theta + sign * nu * delta)
-
-
 def bc_loss(theta: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
     """Mean squared error of theta @ z_i against y_i."""
     resid = z @ theta.T - y

@@ -41,7 +41,6 @@ DISC_INIT_STREAM = 3
 class TrainerConfig:
     ars: ArsConfig = field(default_factory=ArsConfig)
     max_iterations: int = 100_000
-    rollout_max_steps: int = 1000   # capped by the env horizon
     disc_lr: float = 0.00025
     disc_iters: int = 3
     disc_batch: int | None = None   # None: episode length of each rollout
@@ -51,8 +50,8 @@ class TrainerConfig:
     early_stop_target: float | None = None  # absolute eval return; None: off
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.rollout_max_steps < 1:
-            raise ValueError("max_iterations and rollout_max_steps must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.disc_lr <= 0 or self.disc_iters < 0:
             raise ValueError("disc_lr must be positive, disc_iters >= 0")
         if self.disc_batch is not None and self.disc_batch < 1:
@@ -116,8 +115,8 @@ def search(env_name: str, cfg: TrainerConfig,
     trained against these demonstrations. The caller may evaluate or stop
     between yields; the normalizer is the loop's own (read it, do not
     mutate it) and the rows' eval columns are left empty. Raises
-    FloatingPointError at the first non-finite return or weight.
-    Deterministic given (cfg, expert data, init).
+    FloatingPointError at the first non-finite return, weight or
+    discriminator parameter. Deterministic given (cfg, expert data, init).
     """
     spec = make_env(env_name).spec
     root = Rng(cfg.seed)
@@ -146,7 +145,7 @@ def search(env_name: str, cfg: TrainerConfig,
                                    spec.state_dim)
         returns, trajs = evaluate_directions(
             theta, deltas, cfg.ars.nu, env_name, normalizer, disc,
-            root.derive(ROLLOUT_STREAM, t), max_steps=cfg.rollout_max_steps)
+            root.derive(ROLLOUT_STREAM, t))
         theta = ars_update(theta, deltas, returns, cfg.ars.alpha)
         if not (np.isfinite(returns).all() and np.isfinite(theta).all()):
             bad = np.flatnonzero(~np.isfinite(returns).all(axis=1))
@@ -159,6 +158,9 @@ def search(env_name: str, cfg: TrainerConfig,
             disc_loss = disc_train(disc, adam, expert, trajs, cfg.disc_iters,
                                    batch, root.derive(DISC_BATCH_STREAM, t),
                                    lr=cfg.disc_lr)
+            if not np.isfinite(disc.get_params()).all():
+                raise FloatingPointError(f"iteration {t}: non-finite value in "
+                                         "the discriminator parameters")
         normalizer.add_states(visited_states(trajs))
         wall_ms = (time.perf_counter() - started) * 1000.0
         yield theta, normalizer, MetricsRow(
@@ -167,10 +169,9 @@ def search(env_name: str, cfg: TrainerConfig,
 
 
 def train_expert(env_name: str, ars_cfg: ArsConfig, iterations: int,
-                 seed: int, rollout_max_steps: int = 1000):
+                 seed: int):
     """Plain random-search training on the raw environment reward."""
-    cfg = TrainerConfig(ars=ars_cfg, max_iterations=iterations,
-                        rollout_max_steps=rollout_max_steps, seed=seed)
+    cfg = TrainerConfig(ars=ars_cfg, max_iterations=iterations, seed=seed)
     for theta, normalizer, _ in search(env_name, cfg):
         pass
     return LinearPolicy(theta), normalizer

@@ -154,14 +154,13 @@ def test_evaluate_directions_order_independent():
                                      None, Rng(7))
     # shuffled evaluation order: run each (direction, sign) rollout by hand
     from ailsrs.envs import make_env, rollout
-    from ailsrs.policy import LinearPolicy, perturb
     order = [(3, 1), (0, 0), (4, 0), (1, 1), (2, 0), (0, 1), (3, 0),
              (2, 1), (4, 1), (1, 0)]
     got = {}
     for i, sign_idx in order:
-        pol = perturb(LinearPolicy(theta), deltas[i], 0.03, +1 if sign_idx == 0 else -1)
-        _, ret, _ = rollout(make_env("lqr2d"), pol, norm, None,
-                            Rng(7).derive(i, sign_idx))
+        sign = +1 if sign_idx == 0 else -1
+        _, (ret,) = rollout(make_env("lqr2d"), theta + sign * 0.03 * deltas[i],
+                            norm, None, [Rng(7).derive(i, sign_idx)])
         got[(i, sign_idx)] = ret
     for i, (r_plus, r_minus) in enumerate(returns):
         assert got[(i, 0)] == r_plus

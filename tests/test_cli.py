@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ailsrs.cli import UsageError, build_trainer_config, main, parse_config_file
+from ailsrs.cli import (UsageError, build_parser, build_trainer_config, main,
+                        parse_config_file)
 from ailsrs.demo_io import (load_policy, load_trajectories, record,
                             save_policy, save_trajectories)
 from ailsrs.envs import riccati_optimal
@@ -102,6 +103,22 @@ def test_nonpositive_number_exits_2(command, flag, value, tmp_path, capsys):
     assert exc.value.code == 2
     assert f"{flag}: must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "-1e-12", "nan", "inf", "-inf"])
+def test_negative_or_nonfinite_ridge_exits_2(value, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["bc", "--demos", "d", "--out", str(out), f"--ridge={value}"])
+    assert exc.value.code == 2
+    assert "--ridge: must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_ridge_is_accepted():
+    args = build_parser().parse_args(["bc", "--demos", "d", "--out", "o",
+                                      "--ridge", "0"])
+    assert args.ridge == 0.0
 
 
 def test_nonexistent_policy_path_exits_1(capsys):

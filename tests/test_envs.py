@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ailsrs.discriminator import disc_init
 from ailsrs.envs import (LQR_A, LQR_B, LQR_Q, LQR_R, Trajectory, env_names,
                          episode_rng, evaluate_policy, make_env,
                          riccati_optimal, rollout)
@@ -30,63 +31,49 @@ def test_make_env_unknown_name():
 
 def test_reset_deterministic():
     env = make_env("lqr2d")
-    s1 = env.reset(Rng(5))
-    s2 = make_env("lqr2d").reset(Rng(5))
+    s1 = env.reset([Rng(5)])
+    s2 = make_env("lqr2d").reset([Rng(5)])
     np.testing.assert_array_equal(s1, s2)
 
 
 def test_reset_ranges():
     env = make_env("lqr2d")
-    for i in range(50):
-        s = env.reset(Rng(i))
-        assert np.all(s >= -1.0) and np.all(s <= 1.0)
+    s = env.reset([Rng(i) for i in range(50)])
+    assert s.shape == (50, 2)
+    assert np.all(s >= -1.0) and np.all(s <= 1.0)
     pm = make_env("pointmass2d")
-    s = pm.reset(Rng(0))
-    np.testing.assert_array_equal(s[2:], [0.0, 0.0])
+    s = pm.reset([Rng(0)])
+    np.testing.assert_array_equal(s[0, 2:], [0.0, 0.0])
 
 
 def test_lqr_step_arithmetic():
     env = make_env("lqr2d")
-    env.reset(Rng(0))
-    env.s = np.array([1.0, 0.0])
-    s, r, done = env.step(np.array([0.0]))
-    np.testing.assert_allclose(s, [1.0, 0.0])
-    assert r == -1.0 and not done
-
-    env.s = np.array([0.0, 1.0])
-    s, r, _ = env.step(np.array([0.0]))
-    np.testing.assert_allclose(s, [0.1, 1.0])
-    assert r == -1.0
+    env.reset([Rng(0), Rng(1)])
+    env.s = np.array([[1.0, 0.0], [0.0, 1.0]])
+    s, r = env.step(np.array([[0.0], [0.0]]))
+    np.testing.assert_allclose(s, [[1.0, 0.0], [0.1, 1.0]])
+    np.testing.assert_array_equal(r, [-1.0, -1.0])
 
 
 def test_pendulum_equilibrium():
     env = make_env("pendulum")
-    env.reset(Rng(0))
-    env.phi, env.phidot = 0.0, 0.0
-    s, r, _ = env.step(np.array([0.0]))
-    np.testing.assert_allclose(s, [1.0, 0.0, 0.0])
-    assert r == 0.0
-
-
-def test_step_after_done_errors():
-    env = make_env("lqr2d")
-    env.reset(Rng(1))
-    for _ in range(env.spec.horizon):
-        _, _, done = env.step(np.array([0.0]))
-    assert done
-    with pytest.raises(RuntimeError):
-        env.step(np.array([0.0]))
+    env.reset([Rng(0)])
+    env.phi, env.phidot = np.zeros(1), np.zeros(1)
+    s, r = env.step(np.array([[0.0]]))
+    np.testing.assert_allclose(s, [[1.0, 0.0, 0.0]])
+    assert r[0] == 0.0
 
 
 def test_rewards_never_positive():
     for name in env_names():
         env = make_env(name)
         rng = Rng(17)
-        env.reset(rng)
+        env.reset([Rng(17), Rng(18)])
         for _ in range(env.spec.horizon):
-            a = np.array([rng.gaussian() for _ in range(env.spec.action_dim)])
-            _, r, _ = env.step(a)
-            assert r <= 0.0
+            a = np.array([[rng.gaussian() for _ in range(env.spec.action_dim)]
+                          for _ in range(2)])
+            _, r = env.step(a)
+            assert r.shape == (2,) and np.all(r <= 0.0)
 
 
 def test_rollout_zero_policy_matches_drift_oracle():
@@ -95,26 +82,25 @@ def test_rollout_zero_policy_matches_drift_oracle():
     rng = Rng(42)
     pol = LinearPolicy.zeros(1, 2)
     norm = ObservationNormalizer.for_dim(2)
-    traj, disc_ret, env_ret = rollout(env, pol, norm, None, Rng(42))
+    (traj,), (ret,) = rollout(env, pol.theta, norm, None, [Rng(42)])
 
-    s = make_env("lqr2d").reset(rng)
+    s = make_env("lqr2d").reset([rng])[0]
     expect = 0.0
     for _ in range(100):
         expect -= float(s @ s)
         s = LQR_A @ s
-    assert env_ret == pytest.approx(expect, rel=1e-12)
-    assert disc_ret == env_ret
+    assert ret == pytest.approx(expect, rel=1e-12)
+    # the environment return is the running sum of the recorded rewards
+    assert ret == sum(traj.env_rewards)
     assert len(traj) == 100
 
 
-def test_rollout_respects_horizon_and_max_steps():
+def test_rollout_respects_horizon():
     env = make_env("lqr2d")
     pol = LinearPolicy.zeros(1, 2)
     norm = ObservationNormalizer.for_dim(2)
-    traj, _, _ = rollout(env, pol, norm, None, Rng(1))
-    assert len(traj) == 100
-    traj, _, _ = rollout(make_env("lqr2d"), pol, norm, None, Rng(1), max_steps=7)
-    assert len(traj) == 7
+    trajs, returns = rollout(env, pol.theta, norm, None, [Rng(1), Rng(2)])
+    assert [len(t) for t in trajs] == [100, 100] and returns.shape == (2,)
 
 
 def test_episodes_run_exactly_to_horizon():
@@ -122,16 +108,16 @@ def test_episodes_run_exactly_to_horizon():
         env = make_env(name)
         pol = LinearPolicy.zeros(env.spec.action_dim, env.spec.state_dim)
         norm = ObservationNormalizer.for_dim(env.spec.state_dim)
-        traj, _, _ = rollout(env, pol, norm, None, Rng(2))
+        (traj,), _ = rollout(env, pol.theta, norm, None, [Rng(2)])
         assert len(traj) == env.spec.horizon
 
 
 def test_rollout_deterministic():
     pol = LinearPolicy(np.array([[0.3, -0.2]]))
     norm = ObservationNormalizer.for_dim(2)
-    t1, _, r1 = rollout(make_env("lqr2d"), pol, norm, None, Rng(9))
-    t2, _, r2 = rollout(make_env("lqr2d"), pol, norm, None, Rng(9))
-    assert r1 == r2
+    (t1,), r1 = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(9)])
+    (t2,), r2 = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(9)])
+    assert r1.tobytes() == r2.tobytes()
     assert t1.states.tobytes() == t2.states.tobytes()
     assert t1.actions.tobytes() == t2.actions.tobytes()
 
@@ -139,8 +125,90 @@ def test_rollout_deterministic():
 def test_rollout_records_clipped_actions():
     pol = LinearPolicy(np.array([[100.0, 0.0]]))  # saturates the actuator
     norm = ObservationNormalizer.for_dim(2)
-    traj, _, _ = rollout(make_env("lqr2d"), pol, norm, None, Rng(3))
+    (traj,), _ = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(3)])
     assert np.max(np.abs(traj.actions)) <= 10.0
+
+
+def _scalar_episode(name, theta_eff, rng):
+    """Reference: one episode simulated step by step with scalar
+    Python-float physics (math.sin, Python's ** and min/max)."""
+    spec = make_env(name).spec
+    if name == "pendulum":
+        phi, phidot = rng.uniform_in(-math.pi, math.pi), rng.uniform_in(-1.0, 1.0)
+    else:
+        s = np.array([rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0),
+                      0.0, 0.0][:spec.state_dim])
+    states, actions, rewards, ret = [], [], [], 0.0
+    for _ in range(spec.horizon):
+        if name == "pendulum":
+            s = np.array([math.cos(phi), math.sin(phi), phidot])
+        a = np.clip(theta_eff @ s, -spec.action_clip, spec.action_clip)
+        states.append(s.copy())
+        actions.append(a)
+        if name == "lqr2d":
+            r = -(s[0] * s[0] + s[1] * s[1] + 0.1 * (a[0] * a[0]))
+            s = np.array([s[0] + 0.1 * s[1], s[1] + 0.1 * a[0]])
+        elif name == "pointmass2d":
+            r = -(s[0] * s[0] + s[1] * s[1] + 0.01 * float(a @ a))
+            s[2:] += 0.1 * a
+            s[:2] += 0.1 * s[2:]
+        else:
+            u = float(a[0])
+            wrapped = (phi + math.pi) % (2.0 * math.pi) - math.pi
+            r = -(wrapped ** 2 + 0.1 * phidot ** 2 + 0.001 * u * u)
+            phidot = min(max(phidot + 0.05 * (10.0 * math.sin(phi) + u), -8.0), 8.0)
+            phi = phi + 0.05 * phidot
+        rewards.append(r)
+        ret += r
+    return Trajectory(np.array(states), np.array(actions), np.array(rewards)), ret
+
+
+@pytest.mark.parametrize("name", ["lqr2d", "pointmass2d", "pendulum"])
+def test_block_rollout_matches_scalar_reference(name):
+    spec = make_env(name).spec
+    rng = Rng(12)
+    norm = ObservationNormalizer.for_dim(spec.state_dim)
+    norm.add_states(np.array([[rng.gaussian() for _ in range(spec.state_dim)]
+                              for _ in range(20)]))
+    # small weights, so that few actions saturate the actuator
+    thetas = np.stack([0.3 * rng.derive(2, b).gaussian_matrix(spec.action_dim,
+                                                             spec.state_dim)
+                       for b in range(16)])
+    trajs, returns = rollout(make_env(name), thetas, norm, None,
+                             [rng.derive(3, b) for b in range(16)])
+    for b in range(16):
+        ref, ref_ret = _scalar_episode(name, thetas[b] * norm.snapshot(),
+                                       rng.derive(3, b))
+        assert trajs[b].states.tobytes() == ref.states.tobytes()
+        assert trajs[b].actions.tobytes() == ref.actions.tobytes()
+        assert trajs[b].env_rewards.tobytes() == ref.env_rewards.tobytes()
+        assert returns[b] == ref_ret
+
+
+def _episode_bytes(trajectories, returns):
+    return [(t.states.tobytes(), t.actions.tobytes(), t.env_rewards.tobytes(),
+             r.tobytes()) for t, r in zip(trajectories, returns)]
+
+
+@pytest.mark.parametrize("name", ["lqr2d", "pointmass2d", "pendulum"])
+@pytest.mark.parametrize("scored", [False, True], ids=["env-reward", "disc-reward"])
+def test_block_rollout_matches_single_episodes(name, scored):
+    # B episodes in lockstep equal B one-episode rollouts bit for bit, with
+    # per-episode policies and warm whitening statistics
+    spec = make_env(name).spec
+    rng = Rng(11)
+    disc = disc_init(spec.state_dim, spec.action_dim, rng.derive(1)) if scored else None
+    norm = ObservationNormalizer.for_dim(spec.state_dim)
+    norm.add_states(np.array([[rng.gaussian() for _ in range(spec.state_dim)]
+                              for _ in range(20)]))
+    thetas = np.stack([0.5 * rng.derive(2, b).gaussian_matrix(spec.action_dim,
+                                                             spec.state_dim)
+                       for b in range(6)])
+    block = rollout(make_env(name), thetas, norm, disc,
+                    [rng.derive(3, b) for b in range(6)])
+    single = [rollout(make_env(name), thetas[b], norm, disc, [rng.derive(3, b)])
+              for b in range(6)]
+    assert _episode_bytes(*block) == [_episode_bytes(*one)[0] for one in single]
 
 
 def test_riccati_fixed_point_residual():
@@ -174,10 +242,11 @@ def test_riccati_gain_shape_and_sign():
 def test_riccati_beats_zero_policy_on_every_seed():
     pol, norm, _ = riccati_optimal(episodes=1)
     zero = LinearPolicy.zeros(1, 2)
-    for i in range(100):
-        _, _, opt = rollout(make_env("lqr2d"), pol, norm, None, episode_rng(0, i))
-        _, _, z = rollout(make_env("lqr2d"), zero, norm, None, episode_rng(0, i))
-        assert opt >= z
+    rngs = [episode_rng(0, i) for i in range(100)]
+    _, opt = rollout(make_env("lqr2d"), pol.theta, norm, None, rngs)
+    rngs = [episode_rng(0, i) for i in range(100)]
+    _, zero_returns = rollout(make_env("lqr2d"), zero.theta, norm, None, rngs)
+    assert np.all(opt >= zero_returns)
 
 
 def test_evaluate_policy_matches_riccati_estimate():

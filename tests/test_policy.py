@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ailsrs import envs
+from ailsrs.ars import evaluate_directions
 from ailsrs.envs import EnvSpec, rollout
 from ailsrs.numerics import Rng, RunningStats
-from ailsrs.policy import (BcDataset, LinearPolicy, ObservationNormalizer,
-                           act, bc_closed_form, bc_fit, bc_loss, perturb)
+from ailsrs.policy import (BcDataset, ObservationNormalizer, bc_closed_form,
+                           bc_fit, bc_loss)
 
 
 def _normalizer(mean, var, count=10):
@@ -15,31 +17,44 @@ def _normalizer(mean, var, count=10):
     return ObservationNormalizer(RunningStats(count, mean, var * count))
 
 
+class _ConstantStateEnv:
+    """A block env that stays at `state` whatever the action."""
+
+    def __init__(self, state, action_dim, horizon=1):
+        self.state = np.asarray(state, dtype=float)
+        self.spec = EnvSpec("constant", len(self.state), action_dim, horizon, 10.0)
+
+    def reset(self, rngs):
+        return np.tile(self.state, (len(rngs), 1))
+
+    def step(self, actions):
+        return np.tile(self.state, (len(actions), 1)), np.zeros(len(actions))
+
+
+def _first_actions(thetas, norm, state):
+    """The action each policy of `thetas` takes in `state`, via a one-step rollout."""
+    thetas = np.asarray(thetas, dtype=float)
+    env = _ConstantStateEnv(state, thetas.shape[-2])
+    n_episodes = len(thetas) if thetas.ndim == 3 else 1
+    trajs, _ = rollout(env, thetas, norm, None, [Rng(b) for b in range(n_episodes)])
+    return np.array([t.actions[0] for t in trajs])
+
+
 def test_act_identity_whitening():
-    pol = LinearPolicy(np.eye(2))
     norm = _normalizer([0.0, 0.0], [1.0, 1.0])
-    np.testing.assert_allclose(act(pol, norm, np.array([0.3, -0.2])), [0.3, -0.2])
+    np.testing.assert_allclose(_first_actions(np.eye(2), norm, [0.3, -0.2]),
+                               [[0.3, -0.2]])
 
 
 def test_act_shifts_and_scales():
     # whitening divides by the RMS sqrt(var + mu^2) = sqrt(4 + 1) and does
     # not centre, so [3, 1] maps to [3, 1] / sqrt(5)
-    pol = LinearPolicy(np.eye(2))
     norm = _normalizer([1.0, 1.0], [4.0, 4.0])
-    np.testing.assert_allclose(act(pol, norm, np.array([3.0, 1.0])),
-                               [3.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0)], rtol=1e-15)
-
-
-class _ZeroStateEnv:
-    """Stays at the origin whatever the action."""
-
-    spec = EnvSpec("zero", state_dim=2, action_dim=3, horizon=3, action_clip=10.0)
-
-    def reset(self, rng):
-        return np.zeros(2)
-
-    def step(self, action):
-        return np.zeros(2), 0.0, False
+    expect = [3.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0)]
+    np.testing.assert_allclose(norm.normalize(np.array([3.0, 1.0])), expect,
+                               rtol=1e-15)
+    np.testing.assert_allclose(_first_actions(np.eye(2), norm, [3.0, 1.0]),
+                               [expect], rtol=1e-15)
 
 
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=2),
@@ -47,56 +62,79 @@ class _ZeroStateEnv:
        st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=30)
 def test_zero_state_gives_zero_action(mean, var, seed):
-    # no constant action bias for any whitening statistics, in act and in
-    # the rollout's effective-weight path
-    pol = LinearPolicy(Rng(seed).gaussian_matrix(3, 2))
+    # no constant action bias for any whitening statistics, in the whitening
+    # and in the rollout's effective-weight path
+    theta = Rng(seed).gaussian_matrix(3, 2)
     norm = _normalizer(mean, var)
-    assert np.all(act(pol, norm, np.zeros(2)) == 0.0)
-    traj, _, _ = rollout(_ZeroStateEnv(), pol, norm, None, Rng(seed))
-    assert np.all(traj.actions == 0.0)
+    assert np.all(norm.normalize(np.zeros(2)) == 0.0)
+    trajs, _ = rollout(_ConstantStateEnv(np.zeros(2), 3, horizon=3), theta, norm,
+                       None, [Rng(seed)])
+    assert np.all(trajs[0].actions == 0.0)
 
 
 def test_act_linear_in_theta():
     norm = _normalizer([0.5, -0.5], [2.0, 3.0])
-    s = np.array([0.7, 1.3])
+    s = [0.7, 1.3]
     t1 = np.array([[1.0, 2.0]])
     t2 = np.array([[-0.3, 0.8]])
-    lhs = act(LinearPolicy(3.0 * t1 + 0.5 * t2), norm, s)
-    rhs = 3.0 * act(LinearPolicy(t1), norm, s) + 0.5 * act(LinearPolicy(t2), norm, s)
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+    lhs, a1, a2 = _first_actions([3.0 * t1 + 0.5 * t2, t1, t2], norm, s)
+    np.testing.assert_allclose(lhs, 3.0 * a1 + 0.5 * a2, rtol=1e-12)
 
 
 def test_act_identity_until_two_observations():
-    pol = LinearPolicy(np.array([[2.0, 0.0]]))
     norm = ObservationNormalizer.for_dim(2)
     norm.stats.update(np.array([5.0, 5.0]))  # count == 1: still identity
-    np.testing.assert_allclose(act(pol, norm, np.array([1.5, 9.0])), [3.0])
+    np.testing.assert_array_equal(norm.normalize(np.array([1.5, 9.0])), [1.5, 9.0])
+    np.testing.assert_allclose(_first_actions([[2.0, 0.0]], norm, [1.5, 9.0]),
+                               [[3.0]])
 
 
 def test_act_dim_mismatch():
-    with pytest.raises(ValueError):
-        act(LinearPolicy(np.eye(2)), ObservationNormalizer.for_dim(2), np.zeros(3))
+    with pytest.raises(ValueError, match=r"\(2, 3\)"):
+        _first_actions(np.eye(2), ObservationNormalizer.for_dim(2), np.zeros(3))
+
+
+class _BasisEnv:
+    """Visits the basis states e_0, ..., e_{n-1} in turn, so the actions of
+    an episode spell out the columns of its policy, exactly."""
+
+    def __init__(self, p, n):
+        self.spec = EnvSpec("basis", n, p, n, 1e9)
+
+    def reset(self, rngs):
+        self.s = np.tile(np.eye(self.spec.state_dim)[0], (len(rngs), 1))
+        return self.s
+
+    def step(self, actions):
+        self.s = np.roll(self.s, 1, axis=1)
+        return self.s, np.zeros(len(actions))
+
+
+def _perturbed_policies(theta, delta, nu):
+    """The (+, -) policies that evaluate_directions rolls out for `delta`."""
+    p, n = theta.shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(envs._ENV_CLASSES, "basis", lambda: _BasisEnv(p, n))
+        _, trajs = evaluate_directions(theta, delta[None], nu, "basis",
+                                       ObservationNormalizer.for_dim(n), None,
+                                       Rng(0))
+    return [t.actions.T for t in trajs]
 
 
 def test_perturb_basic():
-    pol = LinearPolicy(np.zeros((2, 2)))
-    out = perturb(pol, np.ones((2, 2)), 0.03, +1)
-    np.testing.assert_allclose(out.theta, 0.03 * np.ones((2, 2)))
-    assert np.all(pol.theta == 0.0)  # input untouched
+    theta = np.zeros((2, 2))
+    plus, minus = _perturbed_policies(theta, np.ones((2, 2)), 0.03)
+    np.testing.assert_allclose(plus, 0.03 * np.ones((2, 2)))
+    np.testing.assert_allclose(minus, -0.03 * np.ones((2, 2)))
+    assert np.all(theta == 0.0)  # input untouched
 
 
 def test_perturb_pair_averages_to_original():
     rng = Rng(3)
     theta = rng.gaussian_matrix(2, 3)
     delta = rng.gaussian_matrix(2, 3)
-    pol = LinearPolicy(theta)
-    avg = 0.5 * (perturb(pol, delta, 0.1, +1).theta + perturb(pol, delta, 0.1, -1).theta)
-    np.testing.assert_allclose(avg, theta, rtol=1e-15)
-
-
-def test_perturb_rejects_nonpositive_nu():
-    with pytest.raises(ValueError):
-        perturb(LinearPolicy(np.zeros((1, 1))), np.zeros((1, 1)), 0.0, +1)
+    plus, minus = _perturbed_policies(theta, delta, 0.1)
+    np.testing.assert_allclose(0.5 * (plus + minus), theta, rtol=1e-15)
 
 
 @given(st.floats(min_value=0.01, max_value=2.0),
@@ -104,11 +142,11 @@ def test_perturb_rejects_nonpositive_nu():
 @settings(max_examples=30)
 def test_perturb_antisymmetry(nu, seed):
     rng = Rng(seed)
-    pol = LinearPolicy(rng.gaussian_matrix(2, 2))
+    theta = rng.gaussian_matrix(2, 2)
     delta = rng.gaussian_matrix(2, 2)
-    up = perturb(pol, delta, nu, +1).theta - pol.theta
-    down = perturb(pol, delta, nu, -1).theta - pol.theta
-    np.testing.assert_allclose(up, -down, rtol=1e-12, atol=1e-15)
+    plus, minus = _perturbed_policies(theta, delta, nu)
+    np.testing.assert_allclose(plus - theta, -(minus - theta), rtol=1e-12,
+                               atol=1e-15)
 
 
 def _linear_expert_data(theta_star, n_samples, rng, noise=0.0):

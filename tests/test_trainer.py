@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ailsrs
 from ailsrs.ars import ArsConfig, evaluate_directions, sample_directions
 from ailsrs.demo_io import TrajectorySet, record
 from ailsrs.discriminator import disc_train, lsgan_loss
@@ -38,7 +42,6 @@ def test_trainer_config_defaults_match_documented_values():
     cfg = TrainerConfig()
     assert (cfg.ars.alpha, cfg.ars.nu, cfg.ars.n_directions) == (0.02, 0.03, 320)
     assert cfg.max_iterations == 100_000
-    assert cfg.rollout_max_steps == 1000
     assert cfg.disc_lr == 0.00025
     assert cfg.disc_iters == 3
     assert cfg.disc_batch is None  # resolved to the episode length
@@ -93,6 +96,49 @@ def test_search_stops_on_nonfinite_values(riccati_demos, imitate, weight, where)
     run = search("lqr2d", _small_cfg(), demos if imitate else None, init)
     with pytest.raises(FloatingPointError, match=where):
         next(run)
+
+
+def test_search_stops_on_nonfinite_discriminator(riccati_demos, monkeypatch):
+    def poisoned_train(disc, *args, **kwargs):
+        loss = disc_train(disc, *args, **kwargs)
+        disc.w2[3, 7] = np.nan
+        return loss
+
+    monkeypatch.setattr(ailsrs.trainer, "disc_train", poisoned_train)
+    demos, _ = riccati_demos
+    run = search("lqr2d", _small_cfg(), demos)
+    with pytest.raises(FloatingPointError, match="iteration 0: non-finite "
+                       "value in the discriminator parameters"):
+        next(run)
+
+
+_BLAS_DIGEST = """
+import hashlib
+import ailsrs  # first: it pins the BLAS threads before numpy loads
+pol, norm, _ = ailsrs.riccati_optimal(seed=0, episodes=1)
+demos = ailsrs.record(pol, norm, "lqr2d", 4, 0)
+cfg = ailsrs.TrainerConfig(ars=ailsrs.ArsConfig(n_directions=8),
+                           max_iterations=5, eval_every=5, eval_episodes=2,
+                           seed=1)
+policy, _, rows = ailsrs.train_ailsrs("lqr2d", demos, cfg)
+h = hashlib.sha256(policy.theta.tobytes())
+h.update(repr([(r.mean_disc_return, r.disc_loss) for r in rows]).encode())
+print(h.hexdigest())
+"""
+
+
+def test_artifacts_do_not_depend_on_blas_threads():
+    # threaded OpenBLAS rounds the discriminator's matmuls differently; the
+    # package pins one thread whatever the environment asks for
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ailsrs.__file__)))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _BLAS_DIGEST], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
 
 
 def test_discriminator_loss_decreases_on_first_iteration(riccati_demos):
