@@ -5,15 +5,20 @@ The digest covers:
 * `train_expert` on every built-in environment: the weights, the whitening
   statistics and a seeded evaluation of the result;
 * `train_ailsrs` on lqr2d demonstrations recorded from the lqr2d expert,
-  for two seeds: every metrics column except the measured `wall_ms`.
+  for two seeds: every metrics column except the measured `wall_ms`;
+* one short `train_ailsrs` run on pointmass2d demonstrations of a PD
+  controller with 20 discriminator Adam steps of 1000 rows per iteration,
+  which exercises the discriminator training path far more than the
+  lqr2d runs.
 
 Two checkouts whose training is bit-identical print the same digest, so a
 refactor that must not change any artifact is checked with
 
     python3 scripts/artifact_digest.py
 
-run once at each commit. It uses only `train_expert`, `train_ailsrs`,
-`record` and `evaluate_policy`, whose signatures are stable.
+run once at each commit, with the same copy of this script. It uses only
+`train_expert`, `train_ailsrs`, `record`, `evaluate_policy`, `LinearPolicy`
+and `ObservationNormalizer`, whose signatures are stable.
 """
 from __future__ import annotations
 
@@ -28,6 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 from ailsrs.ars import ArsConfig  # noqa: E402
 from ailsrs.demo_io import record  # noqa: E402
 from ailsrs.envs import evaluate_policy  # noqa: E402
+from ailsrs.policy import LinearPolicy, ObservationNormalizer  # noqa: E402
 from ailsrs.trainer import TrainerConfig, train_ailsrs, train_expert  # noqa: E402
 import numpy as np  # noqa: E402
 
@@ -36,12 +42,19 @@ EXPERT_ITERATIONS = 40
 IMITATION_SEEDS = (1, 2)
 ROW_COLUMNS = ("iteration", "mean_disc_return", "sigma_r", "disc_loss",
                "eval_env_return_mean", "eval_env_return_std")
+PD_GAINS = np.array([[-1.0, 0.0, -1.5, 0.0], [0.0, -1.0, 0.0, -1.5]])
 
 
 def add_policy(h, policy, normalizer) -> None:
     for a in (policy.theta, normalizer.mean, normalizer.variance()):
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     h.update(repr(normalizer.count).encode())
+
+
+def add_run(h, policy, normalizer, rows) -> None:
+    add_policy(h, policy, normalizer)
+    h.update(repr([tuple(getattr(r, c) for c in ROW_COLUMNS)
+                   for r in rows]).encode())
 
 
 def main() -> None:
@@ -57,10 +70,13 @@ def main() -> None:
     for seed in IMITATION_SEEDS:
         cfg = TrainerConfig(ars=ars, max_iterations=30, eval_every=10,
                             eval_episodes=5, seed=seed)
-        policy, normalizer, rows = train_ailsrs("lqr2d", demos, cfg)
-        add_policy(h, policy, normalizer)
-        h.update(repr([tuple(getattr(r, c) for c in ROW_COLUMNS)
-                       for r in rows]).encode())
+        add_run(h, *train_ailsrs("lqr2d", demos, cfg))
+    pd_demos = record(LinearPolicy(PD_GAINS), ObservationNormalizer.for_dim(4),
+                      "pointmass2d", 5, 0)
+    cfg = TrainerConfig(ars=ArsConfig(alpha=0.02, nu=0.03, n_directions=4),
+                        max_iterations=5, disc_iters=20, disc_batch=1000,
+                        eval_every=5, eval_episodes=5, seed=1)
+    add_run(h, *train_ailsrs("pointmass2d", pd_demos, cfg))
     print(h.hexdigest())
 
 

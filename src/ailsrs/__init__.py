@@ -13,11 +13,10 @@ from .ars import ArsConfig, ars_update, sample_directions
 from .demo_io import (TrajectorySet, load_policy, load_trajectories, record,
                       save_policy, save_trajectories)
 from .discriminator import (MlpDiscriminator, disc_init, disc_reward,
-                            disc_train, forward, load_discriminator,
-                            lsgan_grad, lsgan_loss, save_discriminator)
+                            disc_train, lsgan_grad, lsgan_loss)
 from .envs import (EnvSpec, Trajectory, env_names, evaluate_policy, make_env,
                    riccati_optimal, rollout)
-from .numerics import AdamState, Rng, RunningStats, adam_step, finite_diff
+from .numerics import AdamState, Rng, RunningStats, adam_step
 from .policy import (BcDataset, LinearPolicy, ObservationNormalizer,
                      bc_closed_form, bc_fit)
 from .trainer import (MetricsRow, TrainerConfig, return_target, search,
@@ -28,10 +27,9 @@ __all__ = [
     "MetricsRow", "MlpDiscriminator", "ObservationNormalizer", "Rng",
     "RunningStats", "TrainerConfig", "Trajectory", "TrajectorySet",
     "adam_step", "ars_update", "bc_closed_form", "bc_fit", "disc_init",
-    "disc_reward", "disc_train", "env_names", "evaluate_policy", "finite_diff",
-    "forward", "load_discriminator", "load_policy", "load_trajectories",
-    "lsgan_grad", "lsgan_loss", "make_env", "record",
-    "return_target", "riccati_optimal", "rollout", "sample_directions",
-    "save_discriminator", "save_policy", "save_trajectories", "search",
+    "disc_reward", "disc_train", "env_names", "evaluate_policy",
+    "load_policy", "load_trajectories", "lsgan_grad", "lsgan_loss",
+    "make_env", "record", "return_target", "riccati_optimal", "rollout",
+    "sample_directions", "save_policy", "save_trajectories", "search",
     "train_ailsrs", "train_expert", "write_metrics",
 ]

@@ -7,11 +7,12 @@ which keeps gradients alive even when the two distributions are far apart.
 Its score doubles as the reward signal: -log(1 - D).
 
 Layers: input(n+p) -> 100 tanh -> 100 tanh -> sigmoid scalar, all float64
-numpy; gradients are hand-derived backprop (no autodiff dependency).
+numpy, written once in `MlpDiscriminator._layers`. `lsgan_grad` returns the
+loss together with its hand-derived gradient from one forward pass (no
+autodiff dependency); `disc_train` takes Adam steps on minibatches drawn
+from two (M, n+p) arrays of [state, action] pairs.
 """
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -38,10 +39,14 @@ class MlpDiscriminator:
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected inputs of width {self.input_dim}, got shape {x.shape}")
+        return self._layers(x)[2]
+
+    def _layers(self, x: np.ndarray):
+        """(h1, h2, D) of a (B, n+p) block: both hidden activations and D."""
         h1 = np.tanh(x @ self.w1.T + self.b1)
         h2 = np.tanh(h1 @ self.w2.T + self.b2)
         z = h2 @ self.w3.T + self.b3
-        return 1.0 / (1.0 + np.exp(-z[:, 0]))
+        return h1, h2, 1.0 / (1.0 + np.exp(-z[:, 0]))
 
     def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Per-step rewards -log(1 - D) for an episode, clamped near D = 1."""
@@ -88,17 +93,11 @@ def disc_init(n: int, p: int, rng: Rng) -> MlpDiscriminator:
     )
 
 
-def forward(disc: MlpDiscriminator, state: np.ndarray, action: np.ndarray) -> float:
-    """Score one (state, action) pair."""
-    x = np.concatenate([np.asarray(state, dtype=float),
-                        np.asarray(action, dtype=float)])[None, :]
-    return float(disc.forward_batch(x)[0])
-
-
 def disc_reward(disc: MlpDiscriminator, state: np.ndarray,
                 action: np.ndarray) -> float:
-    d = min(forward(disc, state, action), REWARD_CLAMP)
-    return -float(np.log(1.0 - d))
+    """Reward of one (state, action) pair: `reward_batch` on a single row."""
+    return float(disc.reward_batch(np.asarray(state, dtype=float)[None],
+                                   np.asarray(action, dtype=float)[None])[0])
 
 
 def lsgan_loss(disc: MlpDiscriminator, expert_inputs: np.ndarray,
@@ -111,12 +110,9 @@ def lsgan_loss(disc: MlpDiscriminator, expert_inputs: np.ndarray,
     return 0.5 * float(np.mean((d_e - 1.0) ** 2)) + 0.5 * float(np.mean(d_s ** 2))
 
 
-def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float) -> list:
-    """Gradient of 0.5 * mean((D - target)^2) over one labelled batch."""
-    h1 = np.tanh(x @ disc.w1.T + disc.b1)
-    h2 = np.tanh(h1 @ disc.w2.T + disc.b2)
-    z = h2 @ disc.w3.T + disc.b3
-    d = 1.0 / (1.0 + np.exp(-z[:, 0]))
+def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float):
+    """0.5 * mean((D - target)^2) over one labelled batch, and its gradient."""
+    h1, h2, d = disc._layers(x)
     # dL/dz = (D - target) * D(1-D) / B   (the 0.5 cancels the square's 2)
     dz = ((d - target) * d * (1.0 - d) / len(x))[:, None]
     gw3 = dz.T @ h2
@@ -127,90 +123,42 @@ def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float) -> list
     d1 = (d2 @ disc.w2) * (1.0 - h1 * h1)
     gw1 = d1.T @ x
     gb1 = d1.sum(axis=0)
-    return [gw1, gb1, gw2, gb2, gw3, gb3]
+    return 0.5 * float(np.mean((d - target) ** 2)), [gw1, gb1, gw2, gb2, gw3, gb3]
 
 
 def lsgan_grad(disc: MlpDiscriminator, expert_inputs: np.ndarray,
-               sampled_inputs: np.ndarray) -> np.ndarray:
-    """Exact gradient of lsgan_loss, flattened in get_params order."""
+               sampled_inputs: np.ndarray) -> tuple[float, np.ndarray]:
+    """(lsgan_loss, its exact gradient flattened in get_params order), both
+    from one forward pass."""
     if len(expert_inputs) == 0 or len(sampled_inputs) == 0:
         raise ValueError("both batches must be nonempty")
-    ge = _backprop_half(disc, expert_inputs, 1.0)
-    gs = _backprop_half(disc, sampled_inputs, 0.0)
+    loss_e, ge = _backprop_half(disc, expert_inputs, 1.0)
+    loss_s, gs = _backprop_half(disc, sampled_inputs, 0.0)
     parts = [e + s for e, s in zip(ge, gs)]
-    return np.concatenate([parts[0].ravel(), parts[1], parts[2].ravel(),
-                           parts[3], parts[4].ravel(), [parts[5]]])
+    return loss_e + loss_s, np.concatenate([
+        parts[0].ravel(), parts[1], parts[2].ravel(), parts[3],
+        parts[4].ravel(), [parts[5]]])
 
 
-def _stack_pairs(trajectories) -> np.ndarray:
-    """All (state, action) pairs of an episode collection as one input block."""
-    blocks = [np.concatenate([t.states, t.actions], axis=1) for t in trajectories]
-    return np.concatenate(blocks, axis=0)
-
-
-_CHECKPOINT_VERSION = 1
-_LAYER_NAMES = ("w1", "b1", "w2", "b2", "w3")
-
-
-def save_discriminator(disc: MlpDiscriminator, path: str) -> None:
-    """Checkpoint: JSON text with per-layer shapes and nested weight arrays."""
-    doc = {"format_version": _CHECKPOINT_VERSION,
-           "shapes": {name: list(getattr(disc, name).shape)
-                      for name in _LAYER_NAMES},
-           "weights": {name: getattr(disc, name).tolist()
-                       for name in _LAYER_NAMES},
-           "b3": disc.b3}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
-
-
-def load_discriminator(path: str) -> MlpDiscriminator:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: bad JSON: {exc}") from None
-    if doc.get("format_version") != _CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: format_version {doc.get('format_version')!r}, "
-                         f"expected {_CHECKPOINT_VERSION}")
-    arrays = {}
-    for name in _LAYER_NAMES:
-        arr = np.array(doc["weights"][name], dtype=float)
-        if list(arr.shape) != doc["shapes"][name]:
-            raise ValueError(f"{path}: {name} has shape {list(arr.shape)}, "
-                             f"header says {doc['shapes'][name]}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: non-finite value in {name}")
-        arrays[name] = arr
-    if (arrays["w1"].shape[0] != HIDDEN or arrays["w2"].shape != (HIDDEN, HIDDEN)
-            or arrays["w3"].shape != (1, HIDDEN)):
-        raise ValueError(f"{path}: layer widths do not form a {HIDDEN}-unit net")
-    return MlpDiscriminator(arrays["w1"], arrays["b1"], arrays["w2"],
-                            arrays["b2"], arrays["w3"], float(doc["b3"]))
-
-
-def disc_train(disc: MlpDiscriminator, adam: AdamState, expert_set,
-               sampled_trajectories, iters: int, batch_size: int, rng: Rng,
+def disc_train(disc: MlpDiscriminator, adam: AdamState, expert_pairs: np.ndarray,
+               sampled_pairs: np.ndarray, iters: int, batch_size: int, rng: Rng,
                lr: float = 0.00025) -> float:
     """Adam steps on the LSGAN loss with resampled minibatches.
 
-    Each step draws `batch_size` pairs with replacement from the expert pool
-    and from the freshly sampled pool. Returns the mean of the per-step
-    losses (the full-pool loss when iters == 0). Mutates `disc` and `adam`.
+    `expert_pairs` and `sampled_pairs` are (M, n+p) arrays of [state, action]
+    rows. Each step draws `batch_size` rows with replacement from each.
+    Returns the mean of the per-step losses (the full-pool loss when
+    iters == 0). Mutates `disc` and `adam`.
     """
-    expert_pool = _stack_pairs(expert_set.trajectories)
-    sampled_pool = _stack_pairs(sampled_trajectories)
-    if len(expert_pool) == 0 or len(sampled_pool) == 0:
+    if len(expert_pairs) == 0 or len(sampled_pairs) == 0:
         raise ValueError("both the expert and sampled pools must be nonempty")
     if iters == 0:
-        return lsgan_loss(disc, expert_pool, sampled_pool)
+        return lsgan_loss(disc, expert_pairs, sampled_pairs)
     losses = []
     for _ in range(iters):
-        e_idx = rng.integers(len(expert_pool), batch_size)
-        s_idx = rng.integers(len(sampled_pool), batch_size)
-        e_batch = expert_pool[e_idx]
-        s_batch = sampled_pool[s_idx]
-        losses.append(lsgan_loss(disc, e_batch, s_batch))
-        grad = lsgan_grad(disc, e_batch, s_batch)
+        e_batch = expert_pairs[rng.integers(len(expert_pairs), batch_size)]
+        s_batch = sampled_pairs[rng.integers(len(sampled_pairs), batch_size)]
+        loss, grad = lsgan_grad(disc, e_batch, s_batch)
+        losses.append(loss)
         disc.set_params(adam_step(adam, disc.get_params(), grad, lr))
     return float(np.mean(losses))

@@ -176,15 +176,3 @@ class RunningStats:
     def copy(self) -> "RunningStats":
         return RunningStats(self.count, self.mean.copy(), self.m2.copy())
 
-
-def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function; test oracle only."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty(x.shape)
-    for i in range(x.size):
-        step = np.zeros(x.shape)
-        step.flat[i] = eps
-        grad.flat[i] = (f(x + step) - f(x - step)) / (2.0 * eps)
-    return grad

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import AdamState, Rng, RunningStats, adam_step
+from .numerics import AdamState, RunningStats, adam_step
 
 VAR_FLOOR = 1e-8
 
@@ -26,9 +26,6 @@ class LinearPolicy:
     @classmethod
     def zeros(cls, action_dim: int, state_dim: int) -> "LinearPolicy":
         return cls(np.zeros((action_dim, state_dim)))
-
-    def copy(self) -> "LinearPolicy":
-        return LinearPolicy(self.theta.copy())
 
 
 @dataclass
@@ -90,38 +87,24 @@ class BcDataset:
         return len(self.states)
 
 
-def bc_loss(theta: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared error of theta @ z_i against y_i."""
-    resid = z @ theta.T - y
-    return float(np.mean(np.sum(resid * resid, axis=1)))
-
-
 def bc_fit(dataset: BcDataset, normalizer: ObservationNormalizer,
-           epochs: int = 2000, lr: float = 0.01, rng: Rng | None = None,
-           batch_size: int | None = None) -> LinearPolicy:
-    """Fit a linear policy to the dataset by Adam on the exact MSE gradient.
+           epochs: int = 2000, lr: float = 0.01) -> LinearPolicy:
+    """Fit a linear policy to the dataset by full-batch Adam on the exact
+    MSE gradient.
 
     States are whitened through `normalizer` first, so the fitted weights
-    live in the same coordinates a trained policy would use. Full batch by
-    default; pass `batch_size` (and an rng) for minibatch mode.
+    live in the same coordinates a trained policy would use.
     """
     if len(dataset) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    z = np.stack([normalizer.normalize(s) for s in dataset.states])
+    z = normalizer.normalize(dataset.states)
     y = dataset.actions
     n, p = z.shape[1], y.shape[1]
     theta = np.zeros((p, n))
     state = AdamState.zeros(p * n)
     for _ in range(epochs):
-        if batch_size is None:
-            zb, yb = z, y
-        else:
-            if rng is None:
-                raise ValueError("minibatch mode needs an rng")
-            idx = rng.integers(len(z), batch_size)
-            zb, yb = z[idx], y[idx]
         # d/dtheta mean_i ||theta z_i - y_i||^2 = (2/B) sum_i (theta z_i - y_i) z_i^T
-        grad = (2.0 / len(zb)) * (zb @ theta.T - yb).T @ zb
+        grad = (2.0 / len(z)) * (z @ theta.T - y).T @ z
         flat = adam_step(state, theta.flatten(), grad.flatten(), lr)
         theta = flat.reshape(p, n)
     return LinearPolicy(theta)
@@ -137,7 +120,7 @@ def bc_closed_form(dataset: BcDataset, normalizer: ObservationNormalizer,
         raise ValueError("cannot fit on an empty dataset")
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    z = np.stack([normalizer.normalize(s) for s in dataset.states])
+    z = normalizer.normalize(dataset.states)
     y = dataset.actions
     gram = z.T @ z + ridge * np.eye(z.shape[1])
     rhs = z.T @ y

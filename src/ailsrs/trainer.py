@@ -105,6 +105,12 @@ def return_target(reference_return: float, fraction: float) -> float:
     return reference_return / fraction
 
 
+def _pairs(trajectories) -> np.ndarray:
+    """All (state, action) pairs of an episode collection as one (M, n+p) block."""
+    return np.concatenate([np.concatenate([t.states, t.actions], axis=1)
+                           for t in trajectories], axis=0)
+
+
 def search(env_name: str, cfg: TrainerConfig,
            expert: TrajectorySet | None = None,
            init: tuple[LinearPolicy, ObservationNormalizer] | None = None):
@@ -120,7 +126,7 @@ def search(env_name: str, cfg: TrainerConfig,
     """
     spec = make_env(env_name).spec
     root = Rng(cfg.seed)
-    disc = adam = None
+    disc = adam = expert_pairs = None
     if expert is not None:
         if expert.env_name != env_name or expert.state_dim != spec.state_dim \
                 or expert.action_dim != spec.action_dim:
@@ -128,6 +134,7 @@ def search(env_name: str, cfg: TrainerConfig,
                 f"demonstrations are for {expert.env_name!r} "
                 f"({expert.state_dim}, {expert.action_dim}); requested {env_name!r}")
         expert.validate()
+        expert_pairs = _pairs(expert.trajectories)
         disc = disc_init(spec.state_dim, spec.action_dim,
                          root.derive(DISC_INIT_STREAM))
         adam = AdamState.zeros(disc.n_params)
@@ -155,8 +162,9 @@ def search(env_name: str, cfg: TrainerConfig,
         disc_loss = None
         if expert is not None:
             batch = cfg.disc_batch if cfg.disc_batch is not None else len(trajs[0])
-            disc_loss = disc_train(disc, adam, expert, trajs, cfg.disc_iters,
-                                   batch, root.derive(DISC_BATCH_STREAM, t),
+            disc_loss = disc_train(disc, adam, expert_pairs, _pairs(trajs),
+                                   cfg.disc_iters, batch,
+                                   root.derive(DISC_BATCH_STREAM, t),
                                    lr=cfg.disc_lr)
             if not np.isfinite(disc.get_params()).all():
                 raise FloatingPointError(f"iteration {t}: non-finite value in "

@@ -1,0 +1,22 @@
+"""Reference computations that only the tests use: a generic
+finite-difference gradient and the behavior-cloning objective."""
+import numpy as np
+
+
+def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of a scalar function."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    x = np.asarray(x, dtype=float)
+    grad = np.empty(x.shape)
+    for i in range(x.size):
+        step = np.zeros(x.shape)
+        step.flat[i] = eps
+        grad.flat[i] = (f(x + step) - f(x - step)) / (2.0 * eps)
+    return grad
+
+
+def bc_loss(theta: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
+    """Mean squared error of theta @ z_i against y_i."""
+    resid = z @ theta.T - y
+    return float(np.mean(np.sum(resid * resid, axis=1)))

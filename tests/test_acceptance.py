@@ -111,7 +111,7 @@ def test_discriminator_gradient_oracle():
         disc = disc_init(2, 1, rng.derive(instance))
         xe = np.array([[rng.gaussian() for _ in range(3)] for _ in range(4)])
         xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(4)])
-        g_bp = lsgan_grad(disc, xe, xs)
+        g_bp = lsgan_grad(disc, xe, xs)[1]
         g_fd = _fd_gradient(disc, xe, xs, eps=1e-5)
         if instance == 0:
             # cross-check the vectorized sweep against the generic oracle

@@ -1,14 +1,13 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from _oracles import finite_diff
+
 from ailsrs.discriminator import (MlpDiscriminator, disc_init, disc_reward,
-                                  disc_train, forward, load_discriminator,
-                                  lsgan_grad, lsgan_loss, save_discriminator)
-from ailsrs.envs import Trajectory
-from ailsrs.numerics import AdamState, Rng, finite_diff
+                                  disc_train, lsgan_grad, lsgan_loss)
+from ailsrs.numerics import AdamState, Rng, adam_step
 
 
 def _zero_disc(n=2, p=1):
@@ -46,13 +45,13 @@ def test_disc_init_deterministic():
 
 def test_forward_zero_parameters_gives_half():
     disc = _zero_disc()
-    assert forward(disc, np.zeros(2), np.zeros(1)) == 0.5
+    assert disc.forward_batch(np.zeros((1, 3)))[0] == 0.5
 
 
 def test_forward_saturates_with_large_bias():
     disc = _zero_disc()
     disc.b3 = 20.0
-    assert forward(disc, np.zeros(2), np.zeros(1)) > 1.0 - 1e-8
+    assert disc.forward_batch(np.zeros((1, 3)))[0] > 1.0 - 1e-8
 
 
 def test_forward_strictly_inside_unit_interval():
@@ -61,14 +60,14 @@ def test_forward_strictly_inside_unit_interval():
     for _ in range(20):
         s = np.array([rng.gaussian(), rng.gaussian()])
         a = np.array([rng.gaussian()])
-        d = forward(disc, s, a)
+        d = disc.forward_batch(np.concatenate([s, a])[None])[0]
         assert 0.0 < d < 1.0
 
 
 def test_forward_is_pure():
     disc = disc_init(2, 1, Rng(5))
-    s, a = np.array([0.3, -0.7]), np.array([1.1])
-    assert forward(disc, s, a) == forward(disc, s, a)
+    x = np.array([[0.3, -0.7, 1.1]])
+    assert disc.forward_batch(x)[0] == disc.forward_batch(x)[0]
 
 
 def test_lsgan_loss_at_half_is_quarter():
@@ -112,7 +111,7 @@ def test_lsgan_grad_matches_generic_finite_differences():
         probe.set_params(flat)
         return lsgan_loss(probe, xe, xs)
 
-    g_bp = lsgan_grad(disc, xe, xs)
+    g_bp = lsgan_grad(disc, xe, xs)[1]
     g_fd = finite_diff(loss_at, disc.get_params(), 1e-5)
     scale = max(np.max(np.abs(g_bp)), np.max(np.abs(g_fd)))
     assert np.max(np.abs(g_bp - g_fd)) / scale <= 1e-4
@@ -125,7 +124,7 @@ def test_lsgan_grad_near_zero_at_perfect_separation():
     d_e = disc.forward_batch(plus)
     d_s = disc.forward_batch(minus)
     assert np.all(d_e > 1.0 - 1e-9) and np.all(d_s < 1e-9)
-    grad = lsgan_grad(disc, plus, minus)
+    grad = lsgan_grad(disc, plus, minus)[1]
     assert np.max(np.abs(grad)) <= 1e-6
 
 
@@ -138,17 +137,12 @@ def test_lsgan_grad_b3_matches_hand_derivation():
     d_s = disc.forward_batch(xs)[0]
     # chain rule by hand on the single pair of samples
     expect = (d_e - 1.0) * d_e * (1.0 - d_e) + d_s * d_s * (1.0 - d_s)
-    assert lsgan_grad(disc, xe, xs)[-1] == pytest.approx(expect, rel=1e-12)
+    assert lsgan_grad(disc, xe, xs)[1][-1] == pytest.approx(expect, rel=1e-12)
 
 
-def _toy_sets(n=2, p=1, episodes=2, steps=10):
+def _toy_sets(n=2, p=1, rows=20):
     """Expert pairs at +1^(n+p), sampled pairs at -1^(n+p)."""
-    def traj(sgn):
-        return Trajectory(sgn * np.ones((steps, n)), sgn * np.ones((steps, p)),
-                          np.zeros(steps))
-    expert = SimpleNamespace(trajectories=[traj(+1.0) for _ in range(episodes)])
-    sampled = [traj(-1.0) for _ in range(episodes)]
-    return expert, sampled
+    return np.ones((rows, n + p)), -np.ones((rows, n + p))
 
 
 def test_disc_train_separable_toy_converges():
@@ -169,6 +163,30 @@ def test_disc_train_zero_iters_is_identity():
     np.testing.assert_array_equal(disc.get_params(), before)
     assert loss == pytest.approx(
         lsgan_loss(disc, np.ones((20, 3)), -np.ones((20, 3))))
+
+
+def _gaussian_rows(rng, rows, width=3):
+    return np.array([[rng.gaussian() for _ in range(width)] for _ in range(rows)])
+
+
+def test_disc_train_returns_mean_minibatch_loss():
+    rng = Rng(43)
+    expert, sampled = _gaussian_rows(rng, 30), _gaussian_rows(rng, 25)
+    disc, replay = disc_init(2, 1, Rng(44)), disc_init(2, 1, Rng(44))
+    adam, replay_adam = AdamState.zeros(disc.n_params), AdamState.zeros(disc.n_params)
+    loss = disc_train(disc, adam, expert, sampled, iters=6, batch_size=8,
+                      rng=Rng(45), lr=0.01)
+    # the same minibatches, re-drawn from an identical stream
+    draws, losses = Rng(45), []
+    for _ in range(6):
+        e_batch = expert[draws.integers(len(expert), 8)]
+        s_batch = sampled[draws.integers(len(sampled), 8)]
+        losses.append(lsgan_loss(replay, e_batch, s_batch))
+        fused, grad = lsgan_grad(replay, e_batch, s_batch)
+        assert fused == losses[-1]
+        replay.set_params(adam_step(replay_adam, replay.get_params(), grad, 0.01))
+    assert loss == float(np.mean(losses))
+    np.testing.assert_array_equal(disc.get_params(), replay.get_params())
 
 
 def test_disc_train_descends_on_easy_data():
@@ -205,34 +223,6 @@ def test_disc_reward_monotone_in_score():
         disc.b3 = math.log(d_target / (1.0 - d_target))
         rewards.append(disc_reward(disc, np.zeros(2), np.zeros(1)))
     assert all(b > a for a, b in zip(rewards, rewards[1:]))
-
-
-def test_checkpoint_roundtrip_exact(tmp_path):
-    disc = disc_init(2, 1, Rng(12))
-    path = str(tmp_path / "d.disc")
-    save_discriminator(disc, path)
-    loaded = load_discriminator(path)
-    np.testing.assert_array_equal(loaded.get_params(), disc.get_params())
-    # behaviour identical, not just parameters
-    s, a = np.array([0.4, -1.2]), np.array([0.7])
-    assert forward(loaded, s, a) == forward(disc, s, a)
-
-
-def test_checkpoint_version_and_shape_validation(tmp_path):
-    disc = disc_init(2, 1, Rng(13))
-    path = str(tmp_path / "d.disc")
-    save_discriminator(disc, path)
-    import json
-    doc = json.load(open(path))
-    doc["format_version"] = 99
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(ValueError, match="format_version"):
-        load_discriminator(path)
-    doc["format_version"] = 1
-    doc["shapes"]["w1"] = [100, 7]
-    json.dump(doc, open(path, "w"))
-    with pytest.raises(ValueError, match="w1"):
-        load_discriminator(path)
 
 
 def test_reward_batch_matches_scalar_reward():

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ailsrs.numerics import AdamState, Rng, RunningStats, adam_step, finite_diff
+from _oracles import finite_diff
+
+from ailsrs.numerics import AdamState, Rng, RunningStats, adam_step
 
 # ---------------------------------------------------------------------------
 # Reference transcription of splitmix64, written independently of the

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import bc_loss
+
 from ailsrs import envs
 from ailsrs.ars import evaluate_directions
 from ailsrs.envs import EnvSpec, rollout
 from ailsrs.numerics import Rng, RunningStats
 from ailsrs.policy import (BcDataset, ObservationNormalizer, bc_closed_form,
-                           bc_fit, bc_loss)
+                           bc_fit)
 
 
 def _normalizer(mean, var, count=10):
@@ -228,16 +230,6 @@ def test_bc_fit_empty_dataset_errors():
     data = BcDataset(np.zeros((0, 2)), np.zeros((0, 1)))
     with pytest.raises(ValueError):
         bc_fit(data, ObservationNormalizer.for_dim(2))
-
-
-def test_bc_fit_minibatch_mode():
-    theta_star = np.array([[0.5, 1.5]])
-    data = _linear_expert_data(theta_star, 100, Rng(16))
-    norm = ObservationNormalizer.for_dim(2)
-    fitted = bc_fit(data, norm, epochs=4000, lr=0.01, rng=Rng(17), batch_size=16)
-    np.testing.assert_allclose(fitted.theta, theta_star, atol=0.05)
-    with pytest.raises(ValueError, match="rng"):
-        bc_fit(data, norm, epochs=10, lr=0.01, batch_size=16)
 
 
 def test_bc_fit_loss_monotone_full_batch():

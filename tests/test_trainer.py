@@ -156,7 +156,7 @@ def test_discriminator_loss_decreases_on_first_iteration(riccati_demos):
         [np.concatenate([t.states, t.actions], axis=1) for t in trajs])
     before = lsgan_loss(disc, epool, spool)
     adam = AdamState.zeros(disc.n_params)
-    disc_train(disc, adam, demos, trajs, iters=3, batch_size=100, rng=Rng(7))
+    disc_train(disc, adam, epool, spool, iters=3, batch_size=100, rng=Rng(7))
     after = lsgan_loss(disc, epool, spool)
     assert after < before
 
