@@ -83,8 +83,7 @@ def disc_init(n: int, p: int, rng: Rng) -> MlpDiscriminator:
 
     def glorot(rows, cols):  # drawn in row-major order
         s = np.sqrt(6.0 / (rows + cols))
-        return np.array([rng.uniform_in(-s, s)
-                         for _ in range(rows * cols)]).reshape(rows, cols)
+        return rng.uniforms(-s, s, rows * cols).reshape(rows, cols)
 
     return MlpDiscriminator(
         glorot(HIDDEN, n + p), np.zeros(HIDDEN),

@@ -26,6 +26,11 @@ from .policy import LinearPolicy, ObservationNormalizer
 # that promises "same seed, same episodes" (evaluate, record, riccati)
 EPISODE_STREAM = 100
 
+# step constants as numpy scalars: a ufunc converts a Python float operand
+# on every call, which costs more than the arithmetic at desk-scale batches
+_PI, _TWO_PI, _TWO = np.float64(math.pi), np.float64(2.0 * math.pi), np.float64(2.0)
+_0_1, _MINUS_0_1, _MINUS_0_001 = np.float64(0.1), np.float64(-0.1), np.float64(-0.001)
+
 
 @dataclass(frozen=True)
 class EnvSpec:
@@ -53,13 +58,21 @@ class Lqr2dEnv:
         return self.s.copy()
 
     def step(self, actions: np.ndarray):
-        s, a = self.s, actions
-        rewards = -(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1]
-                    + 0.1 * (a[:, 0] * a[:, 0]))
-        # s' = A s + B a with A = [[1, .1], [0, 1]], B = [[0], [.1]]
-        self.s = np.stack([s[:, 0] + 0.1 * s[:, 1], s[:, 1] + 0.1 * a[:, 0]],
-                          axis=1)
-        return self.s.copy(), rewards
+        s, a = self.s, actions[:, 0]
+        # -(x x + v v + 0.1 (a a)) as -0.1 (a a) - (x x + v v)
+        sq = s * s
+        rewards = a * a
+        rewards *= _MINUS_0_1
+        rewards -= sq[:, 0] + sq[:, 1]
+        # s' = A s + B a with A = [[1, .1], [0, 1]], B = [[0], [.1]]:
+        # s' = s + 0.1 (v, a)
+        s_next = np.empty_like(s)
+        s_next[:, 0] = s[:, 1]
+        s_next[:, 1] = a
+        s_next *= _0_1
+        s_next += s
+        self.s = s_next  # never written in place, so the caller may keep it
+        return s_next, rewards
 
 
 class PointMass2dEnv:
@@ -88,11 +101,16 @@ class PendulumEnv:
     """Torque-limited pendulum held upright; observation (cos phi, sin phi, phidot)."""
 
     spec = EnvSpec("pendulum", 3, 1, 200, 2.0)
-    g, l, m, dt = 10.0, 1.0, 1.0, 0.05
-    max_speed = 8.0
+    # g, dt and max_speed enter the step's ufuncs, so they are numpy scalars
+    g, l, m, dt = np.float64(10.0), 1.0, 1.0, np.float64(0.05)
+    max_speed = np.float64(8.0)
 
     def _obs(self) -> np.ndarray:
-        return np.stack([np.cos(self.phi), np.sin(self.phi), self.phidot], axis=1)
+        obs = np.empty((len(self.phi), 3))
+        np.cos(self.phi, obs[:, 0])
+        np.sin(self.phi, obs[:, 1])
+        obs[:, 2] = self.phidot
+        return obs
 
     def reset(self, rngs) -> np.ndarray:
         draws = np.array([[rng.uniform_in(-math.pi, math.pi),
@@ -101,15 +119,32 @@ class PendulumEnv:
         return self._obs()
 
     def step(self, actions: np.ndarray):
-        u = actions[:, 0]
-        wrapped = (self.phi + math.pi) % (2.0 * math.pi) - math.pi
-        # np.float_power is libm pow: the rounding of a Python float's x ** 2
-        rewards = -(np.float_power(wrapped, 2) + 0.1 * np.float_power(self.phidot, 2)
-                    + 0.001 * u * u)
-        acc = (self.g / self.l) * np.sin(self.phi) + u / (self.m * self.l ** 2)
-        self.phidot = np.minimum(np.maximum(self.phidot + self.dt * acc,
-                                            -self.max_speed), self.max_speed)
-        self.phi = self.phi + self.dt * self.phidot
+        phi, phidot, u = self.phi, self.phidot, actions[:, 0]
+        # -(wrapped^2 + 0.1 phidot^2 + 0.001 u u), negated term by term:
+        # (-0.1 phidot^2 - wrapped^2) + (-0.001 u) u. np.float_power is libm
+        # pow, the rounding of a Python float's x ** 2
+        wrapped = phi + _PI
+        np.remainder(wrapped, _TWO_PI, wrapped)
+        wrapped -= _PI
+        np.float_power(wrapped, _TWO, wrapped)
+        rewards = np.float_power(phidot, _TWO)
+        rewards *= _MINUS_0_1
+        rewards -= wrapped
+        np.multiply(u, _MINUS_0_001, wrapped)
+        wrapped *= u
+        rewards += wrapped
+        # phidot' = clamp(phidot + dt acc), phi' = phi + dt phidot', where
+        # acc = (g / l) sin(phi) + u / (m l^2) = 10 sin(phi) + u exactly
+        acc = np.sin(phi)
+        acc *= self.g
+        acc += u
+        acc *= self.dt
+        acc += phidot
+        np.maximum(acc, -self.max_speed, out=acc)
+        np.minimum(acc, self.max_speed, out=acc)
+        self.phidot = acc
+        self.phi = acc * self.dt
+        self.phi += phi
         return self._obs(), rewards
 
 
@@ -162,12 +197,16 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     inv_rms = normalizer.snapshot()
     # theta @ (s * inv_rms) == (theta * inv_rms) @ s
     thetas = thetas if inv_rms is None else thetas * inv_rms
+    hi = np.float64(spec.action_clip)
+    lo = -hi
     s = env.reset(rngs)
     returns, steps = np.zeros(len(s)), []
     for _ in range(spec.horizon):
         # a stacked matmul rounds like one episode's theta @ s
-        a = np.clip((thetas @ s[:, :, None])[:, :, 0],
-                    -spec.action_clip, spec.action_clip)
+        a = (thetas @ s[:, :, None])[:, :, 0]
+        # clip the fresh matmul output in place; NaN stays NaN, as in np.clip
+        np.maximum(a, lo, out=a)
+        np.minimum(a, hi, out=a)
         s_next, r = env.step(a)
         returns += r  # step by step, like a scalar running sum
         steps.append((s, a, r))

@@ -1,8 +1,10 @@
 """Deterministic numeric substrate: seeded RNG, Adam, running statistics.
 
 Everything here is driven by a splitmix64 generator so that any quantity in
-the toolkit is a pure function of (seed, label path). Matrices and vectors
-are plain float64 numpy arrays, row-major.
+the toolkit is a pure function of (seed, label path). Integer and uniform
+draws come in numpy blocks, bit-identical to the scalar draws they stand
+for; Gaussians are drawn one at a time. Matrices and vectors are plain
+float64 numpy arrays, row-major.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 def _mix64(z: int) -> int:
@@ -23,6 +26,17 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_block(z: np.ndarray) -> np.ndarray:
+    """`_mix64` of every element of a uint64 array, in place; numpy uint64
+    arithmetic wraps modulo 2^64, as the masks do above."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 class Rng:
     """splitmix64 stream addressed by (seed, labels).
 
@@ -31,6 +45,12 @@ class Rng:
     Deriving sub-streams with fresh labels is how concurrent or repeated
     tasks get independent, reproducible randomness. Instances are cheap
     and must not be shared across tasks (drawing advances the state).
+
+    splitmix64 is counter-based: draw k after the state is mix64(state +
+    k * golden). So `integers` and `uniforms` compute a whole block of draws
+    in numpy, bit-identical to as many scalar draws, and advance the state
+    past it. Gaussians stay scalar: their Box-Muller step needs libm's
+    log, which np.log does not round like.
     """
 
     __slots__ = ("_key", "_state", "_gauss_cache")
@@ -58,12 +78,27 @@ class Rng:
     def uniform_in(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.uniform()
 
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        return self.next_u64() % n
+    def _u64_block(self, size: int) -> np.ndarray:
+        """The next `size` draws of `next_u64` as one uint64 array."""
+        if size < 0:
+            raise ValueError(f"size must be >= 0, got {size}")
+        counters = np.arange(1, size + 1, dtype=np.uint64)
+        counters *= np.uint64(_GOLDEN)
+        counters += np.uint64(self._state)
+        self._state = (self._state + size * _GOLDEN) & _MASK64
+        return _mix64_block(counters)
+
+    def uniforms(self, lo: float, hi: float, size: int) -> np.ndarray:
+        """`size` draws of `uniform_in(lo, hi)`, as one array."""
+        u = ((self._u64_block(size) >> np.uint64(11)) + np.uint64(1)).astype(float)
+        u *= 2.0 ** -53
+        return lo + (hi - lo) * u
 
     def integers(self, n: int, size: int) -> np.ndarray:
-        return np.array([self.below(n) for _ in range(size)], dtype=np.intp)
+        """`size` uniform integers in [0, n): each is next_u64() % n."""
+        if not 1 <= n <= _INTP_MAX + 1:
+            raise ValueError(f"n must be in [1, {_INTP_MAX + 1}], got {n}")
+        return (self._u64_block(size) % np.uint64(n)).astype(np.intp)
 
     def gaussian(self) -> float:
         """Standard normal via Box-Muller; the sine mate is cached."""

@@ -10,6 +10,8 @@ from ailsrs.envs import (LQR_A, LQR_B, LQR_Q, LQR_R, Trajectory, env_names,
 from ailsrs.numerics import Rng
 from ailsrs.policy import LinearPolicy, ObservationNormalizer
 
+ENVS = ("lqr2d", "pointmass2d", "pendulum")
+
 
 def test_make_env_specs():
     assert (make_env("lqr2d").spec.state_dim,
@@ -163,19 +165,29 @@ def _scalar_episode(name, theta_eff, rng):
     return Trajectory(np.array(states), np.array(actions), np.array(rewards)), ret
 
 
-@pytest.mark.parametrize("name", ["lqr2d", "pointmass2d", "pendulum"])
-def test_block_rollout_matches_scalar_reference(name):
+@pytest.mark.parametrize("name, scale", [
+    *(pytest.param(name, 0.3, id=name) for name in ENVS),
+    *(pytest.param(name, 30.0, id=f"{name}-saturating") for name in ENVS)])
+def test_block_rollout_matches_scalar_reference(name, scale):
+    # small weights leave most actions inside the actuator range; large ones
+    # drive them to +-action_clip and the pendulum to +-max_speed
     spec = make_env(name).spec
     rng = Rng(12)
     norm = ObservationNormalizer.for_dim(spec.state_dim)
     norm.add_states(np.array([[rng.gaussian() for _ in range(spec.state_dim)]
                               for _ in range(20)]))
-    # small weights, so that few actions saturate the actuator
-    thetas = np.stack([0.3 * rng.derive(2, b).gaussian_matrix(spec.action_dim,
-                                                             spec.state_dim)
+    thetas = np.stack([scale * rng.derive(2, b).gaussian_matrix(spec.action_dim,
+                                                               spec.state_dim)
                        for b in range(16)])
     trajs, returns = rollout(make_env(name), thetas, norm, None,
                              [rng.derive(3, b) for b in range(16)])
+    if scale > 1.0:
+        actions = np.concatenate([t.actions for t in trajs])
+        assert np.any(actions == spec.action_clip)
+        assert np.any(actions == -spec.action_clip)
+        if name == "pendulum":
+            phidot = np.concatenate([t.states[:, 2] for t in trajs])
+            assert np.any(phidot == 8.0) and np.any(phidot == -8.0)
     for b in range(16):
         ref, ref_ret = _scalar_episode(name, thetas[b] * norm.snapshot(),
                                        rng.derive(3, b))
@@ -190,7 +202,7 @@ def _episode_bytes(trajectories, returns):
              r.tobytes()) for t, r in zip(trajectories, returns)]
 
 
-@pytest.mark.parametrize("name", ["lqr2d", "pointmass2d", "pendulum"])
+@pytest.mark.parametrize("name", ENVS)
 @pytest.mark.parametrize("scored", [False, True], ids=["env-reward", "disc-reward"])
 def test_block_rollout_matches_single_episodes(name, scored):
     # B episodes in lockstep equal B one-episode rollouts bit for bit, with

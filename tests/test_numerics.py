@@ -116,6 +116,70 @@ def test_gaussian_matrix_1x1():
     assert Rng(5).gaussian_matrix(1, 1)[0, 0] == Rng(5).gaussian()
 
 
+_BLOCK_SEEDS = (0, 1, -5, 2**64 - 1, 123456789)
+_BLOCK_LABELS = ((), (3,), (1, 2, 3))
+_BLOCK_SIZES = (0, 1, 2, 7, 999)
+
+
+def _twin_streams(seed, labels, pending_mate):
+    """Two identical streams, advanced past three scalar draws and, when
+    `pending_mate`, left holding a cached Box-Muller sine mate."""
+    pair = Rng(seed, labels), Rng(seed, labels)
+    for rng in pair:
+        for _ in range(3):
+            rng.next_u64()
+        if pending_mate:
+            rng.gaussian()
+    return pair
+
+
+def _assert_same_stream_after(block, scalar):
+    # the pending mate (if any) survives, then the raw streams line up
+    assert block.gaussian() == scalar.gaussian()
+    assert [block.next_u64() for _ in range(5)] == [scalar.next_u64() for _ in range(5)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 2**32 + 1, 2**40 + 7, 2**63])
+def test_integers_block_matches_scalar_draws(n):
+    for i, (seed, labels, size) in enumerate(
+            (seed, labels, size) for seed in _BLOCK_SEEDS
+            for labels in _BLOCK_LABELS for size in _BLOCK_SIZES):
+        block, scalar = _twin_streams(seed, labels, pending_mate=i % 2 == 0)
+        got = block.integers(n, size)
+        assert got.dtype == np.intp and got.shape == (size,)
+        assert got.tolist() == [scalar.next_u64() % n for _ in range(size)]
+        _assert_same_stream_after(block, scalar)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (-math.pi, math.pi),
+                                    (-np.sqrt(6.0 / 106), np.sqrt(6.0 / 106))])
+def test_uniforms_block_matches_scalar_draws(lo, hi):
+    for i, (seed, labels, size) in enumerate(
+            (seed, labels, size) for seed in _BLOCK_SEEDS
+            for labels in _BLOCK_LABELS for size in _BLOCK_SIZES):
+        block, scalar = _twin_streams(seed, labels, pending_mate=i % 2 == 1)
+        got = block.uniforms(lo, hi, size)
+        assert got.dtype == np.float64 and got.shape == (size,)
+        assert got.tobytes() == np.array([scalar.uniform_in(lo, hi)
+                                          for _ in range(size)]).tobytes()
+        _assert_same_stream_after(block, scalar)
+
+
+@pytest.mark.parametrize("n", [0, -1, -2**70, 2**63 + 1, 2**64])
+def test_integers_rejects_out_of_range_n(n):
+    rng = Rng(1)
+    with pytest.raises(ValueError, match=r"\bn\b"):
+        rng.integers(n, 3)
+    assert rng.next_u64() == Rng(1).next_u64()  # nothing was drawn
+
+
+def test_block_draws_reject_negative_size():
+    with pytest.raises(ValueError, match="size"):
+        Rng(1).integers(5, -1)
+    with pytest.raises(ValueError, match="size"):
+        Rng(1).uniforms(0.0, 1.0, -1)
+
+
 def test_adam_first_step_magnitude_is_lr():
     state = AdamState.zeros(3)
     params = np.array([1.0, -2.0, 0.5])
