@@ -80,7 +80,13 @@ def run_bench(tree: str, args: list[str]):
             headers[workload] = header
         elif (match := ITER_MS.match(line)) is not None:
             iter_ms[workload] = float(match.group(1))
-    return headers, json.loads(child.stdout.splitlines()[-1]), iter_ms
+    result = json.loads(child.stdout.splitlines()[-1])
+    if not result["correct"]:
+        # a run with a failed operation reports no metrics to compare
+        raise RuntimeError(f"bench/run.py {' '.join(args)} in {tree}: "
+                           f"{result['failed']} of {result['attempted']} "
+                           "operations failed")
+    return headers, result, iter_ms
 
 
 def tier1(tree: str) -> dict:
