@@ -7,8 +7,9 @@ directories whose paths have the same length (one tree can measure 15-20%
 differently from one directory to another, see CHANGES.md), then runs, in
 each exported tree and with the tree's own, unchanged benchmark:
 
-* `bench/run.py --workload all --trace 0` in `--pairs` alternating pairs
-  (the parent first in even pairs, the change first in odd ones);
+* `bench/run.py --workload all --trace 0` in ten alternating pairs (the
+  parent first in even pairs, the change first in odd ones), each run at
+  BENCHMARK.json's `run_seconds`;
 * one `bench/run.py --workload expert-pendulum --trace 1` run per side,
   for the per-layer table;
 * the tier-1 suite, `PYTHONPATH=src python -m pytest -q
@@ -19,8 +20,9 @@ The JSON holds both commits, the thread pins, host and library versions
 (from the benchmark's header line), and per workload the median, quartiles
 and IQR of every end-to-end metric of BENCHMARK.json plus the plain ms per
 iteration, with every run's value and the number of pairs the change wins
-(ties count for neither side). It is written to the repository root as
-BENCH_<short sha of the change>.json unless `--out` says otherwise.
+(ties count for neither side). The trees live in a temporary directory
+that is removed afterwards; the JSON is written to the repository root as
+BENCH_<short sha of the change>.json.
 """
 from __future__ import annotations
 
@@ -38,6 +40,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 3600
+# a claimed gain is judged over ten alternating pairs
+PAIRS = 10
 ITER_MS = re.compile(r"^iter_ms \(median of untraced calls\) ([0-9.eE+-]+) ms")
 TIER1_COUNTS = re.compile(r"(\d+) (passed|failed|errors?)\b")
 TRACE_WORKLOAD = "expert-pendulum"
@@ -98,6 +102,10 @@ def tier1(tree: str) -> dict:
     wall_s = time.monotonic() - start
     summary = child.stdout.strip().splitlines()[-1] if child.stdout.strip() else ""
     counts = {kind.rstrip("s"): int(n) for n, kind in TIER1_COUNTS.findall(summary)}
+    # pytest exits 1 when tests fail, which is still a result to record
+    if child.returncode not in (0, 1) or not counts:
+        raise RuntimeError(f"tier-1 in {tree} exited {child.returncode} with "
+                           f"summary {summary!r}:\n{child.stderr[-2000:]}")
     return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
             "errors": counts.get("error", 0), "wall_s": round(wall_s, 2),
             "summary": summary}
@@ -105,8 +113,7 @@ def tier1(tree: str) -> dict:
 
 def spread(values: list[float]) -> dict:
     """Median, quartiles (inclusive method) and IQR of one side's runs."""
-    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
             "runs": values}
 
@@ -142,31 +149,22 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD~1")
     parser.add_argument("--change", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length per workload; default: run_seconds "
-                             "of BENCHMARK.json")
-    parser.add_argument("--workdir", default=None,
-                        help="directory for the two exported trees "
-                             "(default: a temporary one, removed afterwards)")
-    parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seed < 0 or (args.seconds is not None
-                                           and args.seconds <= 0):
-        parser.error("--pairs must be >= 1, --seed >= 0, seconds > 0")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     metrics = {m["name"]: m for m in benchmark["end_to_end"]}
     metrics["iter_ms"] = {"unit": "ms/iter", "better": "lower"}
     commits = {"parent": git("rev-parse", "--verify", args.parent + "^{commit}"),
                "change": git("rev-parse", "--verify", args.change + "^{commit}")}
     short = git("rev-parse", "--short=7", commits["change"])
-    out_path = args.out or os.path.join(ROOT, f"BENCH_{short}.json")
+    out_path = os.path.join(ROOT, f"BENCH_{short}.json")
 
-    workdir = args.workdir or tempfile.mkdtemp(prefix="bench-record-")
+    workdir = tempfile.mkdtemp(prefix="bench-record-")
     # "parent" and "change" have the same length, so both trees sit at
     # paths of equal length and depth
     trees = {side: os.path.join(workdir, side) for side in commits}
@@ -177,10 +175,10 @@ def main(argv=None) -> int:
                       "--seconds", str(seconds), "--trace", "0"]
         runs = {"parent": [], "change": []}
         headers = {}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                progress(f"pair {pair + 1}/{args.pairs}: {side}")
+                progress(f"pair {pair + 1}/{PAIRS}: {side}")
                 hdrs, result, iter_ms = run_bench(trees[side], bench_args)
                 headers.setdefault(side, hdrs)
                 runs[side].append({**result, "iter_ms": iter_ms})
@@ -196,14 +194,13 @@ def main(argv=None) -> int:
             progress(f"tier-1: {side}")
             tier1_results[side] = tier1(trees[side])
     finally:
-        if args.workdir is None:
-            shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir, ignore_errors=True)
 
     first_header = next(iter(headers["change"].values()))
     record = {
         "commits": commits,
         "command": "python3 bench/run.py " + " ".join(bench_args),
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "thread_pins": first_header["thread_pins"],
         "host": {"nproc": first_header["nproc"], "machine": platform.machine(),
                  "system": platform.system(), "python": first_header["python"],

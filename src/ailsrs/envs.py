@@ -26,10 +26,21 @@ from .policy import LinearPolicy, ObservationNormalizer
 # that promises "same seed, same episodes" (evaluate, record, riccati)
 EPISODE_STREAM = 100
 
-# step constants as numpy scalars: a ufunc converts a Python float operand
-# on every call, which costs more than the arithmetic at desk-scale batches
-_PI, _TWO_PI, _TWO = np.float64(math.pi), np.float64(2.0 * math.pi), np.float64(2.0)
-_0_1, _MINUS_0_1, _MINUS_0_001 = np.float64(0.1), np.float64(-0.1), np.float64(-0.001)
+# Step constants, named by the term they enter. They are numpy scalars: a
+# ufunc converts a Python float operand on every call, which costs more than
+# the arithmetic at desk-scale batches. Cost weights carry the reward's sign.
+_LQR_DT = np.float64(0.1)                # s' = s + dt (v, a)
+_LQR_ACTION_COST = np.float64(-0.1)      # -0.1 a a
+_POINTMASS_DT = np.float64(0.1)
+_PEND_PI = np.float64(math.pi)
+_PEND_TWO_PI = np.float64(2.0 * math.pi)
+_PEND_SQUARE = np.float64(2.0)           # exponent of the libm-pow squares
+_PEND_SPEED_COST = np.float64(-0.1)      # -0.1 phidot^2
+_PEND_ACTION_COST = np.float64(-0.001)   # -0.001 u u
+# the rod has length 1 and mass 1, so g / l is exactly 10 and m l^2 exactly 1
+_PEND_G_OVER_L = np.float64(10.0)
+_PEND_DT = np.float64(0.05)
+_PEND_MAX_SPEED = np.float64(8.0)
 
 
 @dataclass(frozen=True)
@@ -62,14 +73,14 @@ class Lqr2dEnv:
         # -(x x + v v + 0.1 (a a)) as -0.1 (a a) - (x x + v v)
         sq = s * s
         rewards = a * a
-        rewards *= _MINUS_0_1
+        rewards *= _LQR_ACTION_COST
         rewards -= sq[:, 0] + sq[:, 1]
         # s' = A s + B a with A = [[1, .1], [0, 1]], B = [[0], [.1]]:
         # s' = s + 0.1 (v, a)
         s_next = np.empty_like(s)
         s_next[:, 0] = s[:, 1]
         s_next[:, 1] = a
-        s_next *= _0_1
+        s_next *= _LQR_DT
         s_next += s
         self.s = s_next  # never written in place, so the caller may keep it
         return s_next, rewards
@@ -79,7 +90,6 @@ class PointMass2dEnv:
     """Planar double integrator, dt=0.1; state (px, py, vx, vy)."""
 
     spec = EnvSpec("pointmass2d", 4, 2, 200, 1.0)
-    dt = 0.1
 
     def reset(self, rngs) -> np.ndarray:
         self.s = np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0),
@@ -92,8 +102,8 @@ class PointMass2dEnv:
         rewards = -(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1]
                     + 0.01 * (a[:, None, :] @ a[:, :, None])[:, 0, 0])
         # semi-implicit Euler: velocity first, then position
-        s[:, 2:] += self.dt * a
-        s[:, :2] += self.dt * s[:, 2:]
+        s[:, 2:] += _POINTMASS_DT * a
+        s[:, :2] += _POINTMASS_DT * s[:, 2:]
         return s.copy(), rewards
 
 
@@ -101,9 +111,6 @@ class PendulumEnv:
     """Torque-limited pendulum held upright; observation (cos phi, sin phi, phidot)."""
 
     spec = EnvSpec("pendulum", 3, 1, 200, 2.0)
-    # g, dt and max_speed enter the step's ufuncs, so they are numpy scalars
-    g, l, m, dt = np.float64(10.0), 1.0, 1.0, np.float64(0.05)
-    max_speed = np.float64(8.0)
 
     def _obs(self) -> np.ndarray:
         obs = np.empty((len(self.phi), 3))
@@ -123,27 +130,27 @@ class PendulumEnv:
         # -(wrapped^2 + 0.1 phidot^2 + 0.001 u u), negated term by term:
         # (-0.1 phidot^2 - wrapped^2) + (-0.001 u) u. np.float_power is libm
         # pow, the rounding of a Python float's x ** 2
-        wrapped = phi + _PI
-        np.remainder(wrapped, _TWO_PI, wrapped)
-        wrapped -= _PI
-        np.float_power(wrapped, _TWO, wrapped)
-        rewards = np.float_power(phidot, _TWO)
-        rewards *= _MINUS_0_1
+        wrapped = phi + _PEND_PI
+        np.remainder(wrapped, _PEND_TWO_PI, wrapped)
+        wrapped -= _PEND_PI
+        np.float_power(wrapped, _PEND_SQUARE, wrapped)
+        rewards = np.float_power(phidot, _PEND_SQUARE)
+        rewards *= _PEND_SPEED_COST
         rewards -= wrapped
-        np.multiply(u, _MINUS_0_001, wrapped)
+        np.multiply(u, _PEND_ACTION_COST, wrapped)
         wrapped *= u
         rewards += wrapped
         # phidot' = clamp(phidot + dt acc), phi' = phi + dt phidot', where
         # acc = (g / l) sin(phi) + u / (m l^2) = 10 sin(phi) + u exactly
         acc = np.sin(phi)
-        acc *= self.g
+        acc *= _PEND_G_OVER_L
         acc += u
-        acc *= self.dt
+        acc *= _PEND_DT
         acc += phidot
-        np.maximum(acc, -self.max_speed, out=acc)
-        np.minimum(acc, self.max_speed, out=acc)
+        np.maximum(acc, -_PEND_MAX_SPEED, out=acc)
+        np.minimum(acc, _PEND_MAX_SPEED, out=acc)
         self.phidot = acc
-        self.phi = acc * self.dt
+        self.phi = acc * _PEND_DT
         self.phi += phi
         return self._obs(), rewards
 
