@@ -9,7 +9,9 @@ The digest covers:
 * one short `train_ailsrs` run on pointmass2d demonstrations of a PD
   controller with 20 discriminator Adam steps of 1000 rows per iteration,
   which exercises the discriminator training path far more than the
-  lqr2d runs.
+  lqr2d runs;
+* both recorded demonstration sets: the states, actions and environment
+  rewards of every episode.
 
 Two checkouts whose training is bit-identical print the same digest, so a
 refactor that must not change any artifact is checked with
@@ -17,8 +19,9 @@ refactor that must not change any artifact is checked with
     python3 scripts/artifact_digest.py
 
 run once at each commit, with the same copy of this script. It uses only
-`train_expert`, `train_ailsrs`, `record`, `evaluate_policy`, `LinearPolicy`
-and `ObservationNormalizer`, whose signatures are stable.
+`train_expert`, `train_ailsrs`, `record` and the episodes of the set it
+returns, `evaluate_policy`, `LinearPolicy` and `ObservationNormalizer`,
+whose signatures are stable.
 """
 from __future__ import annotations
 
@@ -51,6 +54,12 @@ def add_policy(h, policy, normalizer) -> None:
     h.update(repr(normalizer.count).encode())
 
 
+def add_demos(h, demos) -> None:
+    for t in demos.trajectories:
+        for a in (t.states, t.actions, t.env_rewards):
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+
+
 def add_run(h, policy, normalizer, rows) -> None:
     add_policy(h, policy, normalizer)
     h.update(repr([tuple(getattr(r, c) for c in ROW_COLUMNS)
@@ -67,12 +76,14 @@ def main() -> None:
         add_policy(h, policy, normalizer)
         h.update(repr(evaluate_policy(policy, normalizer, env, 20, 0)).encode())
     demos = record(*experts["lqr2d"], "lqr2d", 10, 0)
+    add_demos(h, demos)
     for seed in IMITATION_SEEDS:
         cfg = TrainerConfig(ars=ars, max_iterations=30, eval_every=10,
                             eval_episodes=5, seed=seed)
         add_run(h, *train_ailsrs("lqr2d", demos, cfg))
     pd_demos = record(LinearPolicy(PD_GAINS), ObservationNormalizer.for_dim(4),
                       "pointmass2d", 5, 0)
+    add_demos(h, pd_demos)
     cfg = TrainerConfig(ars=ArsConfig(alpha=0.02, nu=0.03, n_directions=4),
                         max_iterations=5, disc_iters=20, disc_batch=1000,
                         eval_every=5, eval_episodes=5, seed=1)

@@ -10,12 +10,12 @@ import os
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 from .ars import ArsConfig, ars_update, sample_directions
-from .demo_io import (TrajectorySet, load_policy, load_trajectories, record,
-                      save_policy, save_trajectories)
+from .demo_io import (Trajectory, TrajectorySet, load_policy, load_trajectories,
+                      record, save_policy, save_trajectories)
 from .discriminator import (MlpDiscriminator, disc_init, disc_reward,
                             disc_train, lsgan_grad, lsgan_loss)
-from .envs import (EnvSpec, Trajectory, env_names, evaluate_policy, make_env,
-                   riccati_optimal, rollout)
+from .envs import (EnvSpec, env_names, evaluate_policy, make_env, riccati_optimal,
+                   rollout)
 from .numerics import AdamState, Rng, RunningStats, adam_step
 from .policy import (BcDataset, LinearPolicy, ObservationNormalizer,
                      bc_closed_form, bc_fit)

@@ -65,21 +65,16 @@ def evaluate_directions(theta: np.ndarray, deltas: np.ndarray, nu: float,
                         reward_source, rng: Rng):
     """Roll out the +/- perturbation pair of every direction in one batch.
 
-    Returns (returns, trajectories): row i of the (N, 2) `returns` holds the
-    + and - return of direction i, `trajectories` all 2N episodes in
-    (direction, sign) order. Each episode draws from its own
-    (direction, sign)-labelled stream, so results do not depend on
-    execution order.
+    Returns (returns, states, actions): row i of the (N, 2) `returns` holds
+    the + and - return of direction i; `states` (2N, T, n) and `actions`
+    (2N, T, p) hold all 2N episodes in (direction, sign) order. Each episode
+    draws from its own (direction, sign)-labelled stream, so results do not
+    depend on execution order.
     """
     offsets = nu * deltas
     thetas = np.stack([theta + offsets, theta - offsets], axis=1)
     rngs = [rng.derive(i, sign_idx) for i in range(len(deltas)) for sign_idx in (0, 1)]
-    trajectories, returns = rollout(make_env(env_name),
-                                    thetas.reshape(-1, *theta.shape),
-                                    normalizer, reward_source, rngs)
-    return returns.reshape(-1, 2), trajectories
-
-
-def visited_states(trajectories) -> np.ndarray:
-    """All raw states of an episode batch, stacked for normalizer updates."""
-    return np.concatenate([t.states for t in trajectories], axis=0)
+    states, actions, _, returns = rollout(make_env(env_name),
+                                          thetas.reshape(-1, *theta.shape),
+                                          normalizer, reward_source, rngs)
+    return returns.reshape(-1, 2), states, actions

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import Trajectory, episode_rng, make_env, rollout
+from .envs import episode_rng, make_env, rollout
 from .numerics import RunningStats
 from .policy import LinearPolicy, ObservationNormalizer
 
@@ -47,6 +47,17 @@ def _check_version(path: str, doc: dict, expected: int) -> None:
 
 
 @dataclass
+class Trajectory:
+    """One episode of raw states, executed (clipped) actions and env rewards.
+    Rollouts are (B, T, .) array blocks; episodes take this form only in a
+    demonstrations file, where their lengths may differ."""
+
+    states: np.ndarray       # (T, n)
+    actions: np.ndarray      # (T, p)
+    env_rewards: np.ndarray  # (T,)
+
+
+@dataclass
 class TrajectorySet:
     """Recorded demonstration episodes for one environment."""
 
@@ -62,24 +73,31 @@ class TrajectorySet:
         return float(np.mean([t.env_rewards.sum() for t in self.trajectories]))
 
     def validate(self) -> None:
+        self._validate(lambda k, fault: f"episode {k}: {fault}")
+
+    def _validate(self, message) -> None:
+        """Raise at the first bad episode, described by message(k, fault)."""
         if not self.trajectories:
             raise DimensionMismatchError("a trajectory set needs >= 1 episode")
         for k, t in enumerate(self.trajectories):
+            if t.states.ndim != 2 or t.actions.ndim != 2 or t.env_rewards.ndim != 1:
+                raise DimensionMismatchError(message(
+                    k, "states and actions must be 2-D arrays, env_rewards 1-D"))
             if not (len(t.states) == len(t.actions) == len(t.env_rewards)):
-                raise DimensionMismatchError(f"episode {k}: ragged lengths")
+                raise DimensionMismatchError(message(k, "ragged lengths"))
             if len(t.states) < 1:
-                raise DimensionMismatchError(f"episode {k}: empty")
+                raise DimensionMismatchError(message(k, "empty"))
             if t.states.shape[1] != self.state_dim:
-                raise DimensionMismatchError(
-                    f"episode {k}: states are {t.states.shape[1]}-dim, "
-                    f"expected {self.state_dim}")
+                raise DimensionMismatchError(message(
+                    k, f"states are {t.states.shape[1]}-dim, "
+                    f"expected {self.state_dim}"))
             if t.actions.shape[1] != self.action_dim:
-                raise DimensionMismatchError(
-                    f"episode {k}: actions are {t.actions.shape[1]}-dim, "
-                    f"expected {self.action_dim}")
+                raise DimensionMismatchError(message(
+                    k, f"actions are {t.actions.shape[1]}-dim, "
+                    f"expected {self.action_dim}"))
             for arr in (t.states, t.actions, t.env_rewards):
                 if not np.all(np.isfinite(arr)):
-                    raise NonFiniteValueError(f"episode {k}: non-finite value")
+                    raise NonFiniteValueError(message(k, "non-finite value"))
 
 
 def record(policy: LinearPolicy, normalizer: ObservationNormalizer,
@@ -92,10 +110,10 @@ def record(policy: LinearPolicy, normalizer: ObservationNormalizer,
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     env = make_env(env_name)
-    trajectories, _ = rollout(env, policy.theta, normalizer, None,
-                              [episode_rng(seed, i) for i in range(episodes)])
+    *block, _ = rollout(env, policy.theta, normalizer, None,
+                        [episode_rng(seed, i) for i in range(episodes)])
     return TrajectorySet(env_name, env.spec.state_dim, env.spec.action_dim,
-                         trajectories)
+                         [Trajectory(*episode) for episode in zip(*block)])
 
 
 def save_trajectories(demo_set: TrajectorySet, path: str) -> None:
@@ -141,18 +159,14 @@ def load_trajectories(path: str) -> TrajectorySet:
     for k in range(episodes):
         obj = parse(k + 2, lines[k + 1])
         try:
-            traj = Trajectory(np.array(obj["states"], dtype=float),
-                              np.array(obj["actions"], dtype=float),
-                              np.array(obj["env_rewards"], dtype=float))
+            trajectories.append(Trajectory(np.array(obj["states"], dtype=float),
+                                           np.array(obj["actions"], dtype=float),
+                                           np.array(obj["env_rewards"], dtype=float)))
         except (KeyError, ValueError) as exc:
             raise FormatError(f"{path}: bad episode on line {k + 2}: {exc}") from None
-        if traj.states.ndim != 2 or traj.actions.ndim != 2:
-            raise DimensionMismatchError(
-                f"{path}: ragged episode arrays on line {k + 2}")
-        trajectories.append(traj)
     out = TrajectorySet(header["env"], header["state_dim"],
                         header["action_dim"], trajectories)
-    out.validate()
+    out._validate(lambda k, fault: f"{path}: {fault} on line {k + 2}")
     return out
 
 

@@ -175,27 +175,17 @@ def make_env(name: str):
         ) from None
 
 
-@dataclass
-class Trajectory:
-    """One episode of raw states, executed (clipped) actions and env rewards."""
-
-    states: np.ndarray       # (T, n)
-    actions: np.ndarray      # (T, p)
-    env_rewards: np.ndarray  # (T,)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
 def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
             reward_source, rngs):
-    """Run len(rngs) episodes in lockstep to the horizon, episode b reset
-    from rngs[b]; returns (trajectories, returns (B,)).
+    """Run B = len(rngs) episodes in lockstep to the horizon T, episode b
+    reset from rngs[b]; returns raw states (B, T, n), actions (B, T, p),
+    env_rewards (B, T) and returns (B,).
 
     `thetas` is (B, p, n), one policy per episode, or one (p, n) for all;
     actions are clipped to the actuator range. `reward_source` is None for
-    environment reward, or an object whose `reward_batch(states, actions)`
-    scores each finished episode. The normalizer is read, never written.
+    environment reward, or an object whose `reward_batch(states[b],
+    actions[b])` scores each finished episode. The normalizer is read,
+    never written.
     """
     spec = env.spec
     if np.shape(thetas)[-2:] != (spec.action_dim, spec.state_dim):
@@ -218,12 +208,12 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
         returns += r  # step by step, like a scalar running sum
         steps.append((s, a, r))
         s = s_next
-    trajectories = [Trajectory(*episode) for episode in
-                    zip(*(np.stack(column, axis=1) for column in zip(*steps)))]
+    states, actions, env_rewards = (np.stack(column, axis=1)
+                                    for column in zip(*steps))
     if reward_source is not None:
-        returns = np.array([np.sum(reward_source.reward_batch(t.states, t.actions))
-                            for t in trajectories])
-    return trajectories, returns
+        returns = np.array([np.sum(reward_source.reward_batch(s, a))
+                            for s, a in zip(states, actions)])
+    return states, actions, env_rewards, returns
 
 
 def episode_rng(seed: int, index: int) -> Rng:
@@ -236,8 +226,8 @@ def evaluate_policy(policy: LinearPolicy, normalizer: ObservationNormalizer,
     """Mean and population std of environment return over seeded episodes."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    _, returns = rollout(make_env(env_name), policy.theta, normalizer, None,
-                         [episode_rng(seed, i) for i in range(episodes)])
+    *_, returns = rollout(make_env(env_name), policy.theta, normalizer, None,
+                          [episode_rng(seed, i) for i in range(episodes)])
     return float(returns.mean()), float(returns.std())
 
 

@@ -156,25 +156,11 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
 
 @dataclass
 class RunningStats:
-    """Welford accumulator for per-coordinate mean and population variance."""
+    """Per-coordinate mean and population variance, merged a block at a time."""
 
     count: int = 0
     mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
     m2: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def update(self, x: np.ndarray) -> None:
-        """Fold one observation vector in (Welford's recurrence)."""
-        x = np.asarray(x, dtype=float)
-        if self.count == 0 and self.mean.size == 0:
-            self.mean = np.zeros(x.shape)
-            self.m2 = np.zeros(x.shape)
-        if x.shape != self.mean.shape:
-            raise ValueError(
-                f"observation shape {x.shape} != stats shape {self.mean.shape}")
-        self.count += 1
-        delta = x - self.mean
-        self.mean = self.mean + delta / self.count
-        self.m2 = self.m2 + delta * (x - self.mean)
 
     def merge_batch(self, xs: np.ndarray) -> None:
         """Fold a (B, n) block of observations in one pairwise merge."""

@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ars import (ArsConfig, ars_update, evaluate_directions,
-                  sample_directions, visited_states)
+from .ars import ArsConfig, ars_update, evaluate_directions, sample_directions
 from .demo_io import TrajectorySet
 from .discriminator import disc_init, disc_train
 from .envs import evaluate_policy, make_env
@@ -43,7 +42,7 @@ class TrainerConfig:
     max_iterations: int = 100_000
     disc_lr: float = 0.00025
     disc_iters: int = 3
-    disc_batch: int | None = None   # None: episode length of each rollout
+    disc_batch: int | None = None   # None: the environment's horizon
     eval_every: int = 10
     eval_episodes: int = 10
     seed: int = 0
@@ -105,12 +104,6 @@ def return_target(reference_return: float, fraction: float) -> float:
     return reference_return / fraction
 
 
-def _pairs(trajectories) -> np.ndarray:
-    """All (state, action) pairs of an episode collection as one (M, n+p) block."""
-    return np.concatenate([np.concatenate([t.states, t.actions], axis=1)
-                           for t in trajectories], axis=0)
-
-
 def search(env_name: str, cfg: TrainerConfig,
            expert: TrajectorySet | None = None,
            init: tuple[LinearPolicy, ObservationNormalizer] | None = None):
@@ -134,7 +127,9 @@ def search(env_name: str, cfg: TrainerConfig,
                 f"demonstrations are for {expert.env_name!r} "
                 f"({expert.state_dim}, {expert.action_dim}); requested {env_name!r}")
         expert.validate()
-        expert_pairs = _pairs(expert.trajectories)
+        # (M, n+p) [state, action] rows; demonstration episodes may be ragged
+        expert_pairs = np.concatenate([np.concatenate([t.states, t.actions], axis=1)
+                                       for t in expert.trajectories])
         disc = disc_init(spec.state_dim, spec.action_dim,
                          root.derive(DISC_INIT_STREAM))
         adam = AdamState.zeros(disc.n_params)
@@ -150,7 +145,7 @@ def search(env_name: str, cfg: TrainerConfig,
         deltas = sample_directions(root.derive(DIRECTIONS_STREAM, t),
                                    cfg.ars.n_directions, spec.action_dim,
                                    spec.state_dim)
-        returns, trajs = evaluate_directions(
+        returns, states, actions = evaluate_directions(
             theta, deltas, cfg.ars.nu, env_name, normalizer, disc,
             root.derive(ROLLOUT_STREAM, t))
         theta = ars_update(theta, deltas, returns, cfg.ars.alpha)
@@ -161,15 +156,17 @@ def search(env_name: str, cfg: TrainerConfig,
             raise FloatingPointError(f"iteration {t}: non-finite value in {where}")
         disc_loss = None
         if expert is not None:
-            batch = cfg.disc_batch if cfg.disc_batch is not None else len(trajs[0])
-            disc_loss = disc_train(disc, adam, expert_pairs, _pairs(trajs),
+            batch = cfg.disc_batch if cfg.disc_batch is not None else spec.horizon
+            sampled_pairs = np.concatenate([states, actions], axis=2).reshape(
+                -1, spec.state_dim + spec.action_dim)
+            disc_loss = disc_train(disc, adam, expert_pairs, sampled_pairs,
                                    cfg.disc_iters, batch,
                                    root.derive(DISC_BATCH_STREAM, t),
                                    lr=cfg.disc_lr)
             if not np.isfinite(disc.get_params()).all():
                 raise FloatingPointError(f"iteration {t}: non-finite value in "
                                          "the discriminator parameters")
-        normalizer.add_states(visited_states(trajs))
+        normalizer.add_states(states.reshape(-1, spec.state_dim))
         wall_ms = (time.perf_counter() - started) * 1000.0
         yield theta, normalizer, MetricsRow(
             t, float(returns.mean()), float(returns.std()), disc_loss,

@@ -1,5 +1,6 @@
 """Reference computations that only the tests use: a generic
-finite-difference gradient and the behavior-cloning objective."""
+finite-difference gradient, the behavior-cloning objective and the
+single-row Welford step."""
 import numpy as np
 
 
@@ -20,3 +21,16 @@ def bc_loss(theta: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
     """Mean squared error of theta @ z_i against y_i."""
     resid = z @ theta.T - y
     return float(np.mean(np.sum(resid * resid, axis=1)))
+
+
+def welford_update(stats, x: np.ndarray) -> None:
+    """Fold one observation vector into a RunningStats by Welford's
+    recurrence, the one-row-at-a-time reference for `merge_batch`."""
+    x = np.asarray(x, dtype=float)
+    if stats.count == 0 and stats.mean.size == 0:
+        stats.mean = np.zeros(x.shape)
+        stats.m2 = np.zeros(x.shape)
+    stats.count += 1
+    delta = x - stats.mean
+    stats.mean = stats.mean + delta / stats.count
+    stats.m2 = stats.m2 + delta * (x - stats.mean)

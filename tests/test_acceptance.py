@@ -210,7 +210,7 @@ def test_welford_matches_batch_statistics():
     xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(1000)])
     stats = RunningStats()
     for row in xs:
-        stats.update(row)
+        stats.merge_batch(row[None])
     bm = xs.mean(axis=0)
     bv = ((xs - bm) ** 2).mean(axis=0)
     rel_mean = np.max(np.abs(stats.mean - bm) / (1.0 + np.abs(bm)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ailsrs.ars import (ArsConfig, ars_update, evaluate_directions,
-                        sample_directions, visited_states)
+                        sample_directions)
 from ailsrs.discriminator import MlpDiscriminator
 from ailsrs.envs import riccati_optimal
 from ailsrs.numerics import Rng
@@ -136,10 +136,10 @@ def test_ars_config_validation():
 def test_evaluate_directions_counts_and_optimality():
     pol, norm, optimal = riccati_optimal(episodes=20)
     deltas = sample_directions(Rng(4), 6, 1, 2)
-    returns, trajs = evaluate_directions(pol.theta, deltas, 0.03, "lqr2d",
-                                         norm, None, Rng(5))
-    assert returns.shape == (6, 2) and len(trajs) == 12
-    assert len(visited_states(trajs)) == sum(len(t) for t in trajs)
+    returns, states, actions = evaluate_directions(pol.theta, deltas, 0.03, "lqr2d",
+                                                   norm, None, Rng(5))
+    assert returns.shape == (6, 2)
+    assert states.shape == (12, 100, 2) and actions.shape == (12, 100, 1)
     # perturbed copies of the optimal policy cannot beat it on average
     mean_perturbed = np.mean(returns)
     per_seed_opt = np.mean([optimal])
@@ -150,8 +150,8 @@ def test_evaluate_directions_order_independent():
     norm = ObservationNormalizer.for_dim(2)
     theta = np.zeros((1, 2))
     deltas = sample_directions(Rng(6), 5, 1, 2)
-    returns, _ = evaluate_directions(theta, deltas, 0.03, "lqr2d", norm,
-                                     None, Rng(7))
+    returns, _, _ = evaluate_directions(theta, deltas, 0.03, "lqr2d", norm,
+                                        None, Rng(7))
     # shuffled evaluation order: run each (direction, sign) rollout by hand
     from ailsrs.envs import make_env, rollout
     order = [(3, 1), (0, 0), (4, 0), (1, 1), (2, 0), (0, 1), (3, 0),
@@ -159,8 +159,8 @@ def test_evaluate_directions_order_independent():
     got = {}
     for i, sign_idx in order:
         sign = +1 if sign_idx == 0 else -1
-        _, (ret,) = rollout(make_env("lqr2d"), theta + sign * 0.03 * deltas[i],
-                            norm, None, [Rng(7).derive(i, sign_idx)])
+        *_, (ret,) = rollout(make_env("lqr2d"), theta + sign * 0.03 * deltas[i],
+                             norm, None, [Rng(7).derive(i, sign_idx)])
         got[(i, sign_idx)] = ret
     for i, (r_plus, r_minus) in enumerate(returns):
         assert got[(i, 0)] == r_plus
@@ -181,9 +181,9 @@ def test_constant_discriminator_freezes_theta():
     theta = np.array([[0.25, -0.5]])
     root = Rng(1)
     deltas = sample_directions(root.derive(DIRECTIONS_STREAM, 0), 4, 1, 2)
-    returns, _ = evaluate_directions(theta, deltas, 0.03, "lqr2d",
-                                     ObservationNormalizer.for_dim(2), disc,
-                                     root.derive(ROLLOUT_STREAM, 0))
+    returns, _, _ = evaluate_directions(theta, deltas, 0.03, "lqr2d",
+                                        ObservationNormalizer.for_dim(2), disc,
+                                        root.derive(ROLLOUT_STREAM, 0))
     assert returns.mean() == pytest.approx(100 * math.log(2.0), rel=1e-12)
     assert returns.std() == 0.0
     np.testing.assert_array_equal(ars_update(theta, deltas, returns, 0.02),

@@ -1,12 +1,17 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
+from _oracles import welford_update
+
 from ailsrs.demo_io import (DimensionMismatchError, FormatError,
-                            NonFiniteValueError, TrajectorySet,
+                            NonFiniteValueError, Trajectory, TrajectorySet,
                             VersionMismatchError, load_policy,
                             load_trajectories, record, save_policy,
                             save_trajectories)
-from ailsrs.envs import Trajectory, evaluate_policy, make_env, riccati_optimal
+from ailsrs.envs import evaluate_policy, make_env, riccati_optimal
 from ailsrs.numerics import Rng, RunningStats
 from ailsrs.policy import LinearPolicy, ObservationNormalizer
 
@@ -21,7 +26,7 @@ def test_record_shapes(riccati):
     pol, norm = riccati
     demos = record(pol, norm, "lqr2d", episodes=10, seed=0)
     assert len(demos) == 10
-    assert all(len(t) == 100 for t in demos.trajectories)
+    assert all(len(t.states) == 100 for t in demos.trajectories)
     assert demos.state_dim == 2 and demos.action_dim == 1
 
 
@@ -77,6 +82,23 @@ def test_corrupt_json_line_named(tmp_path, riccati):
         fh.write("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="line 2"):
         load_trajectories(path)
+
+
+@pytest.mark.parametrize("key, value, error", [
+    pytest.param("actions", [[0.0], [0.0]], DimensionMismatchError, id="ragged"),
+    pytest.param("states", [[0.0, 0.0, 0.0]], DimensionMismatchError, id="width"),
+    pytest.param("states", [[0.0, float("nan")]], NonFiniteValueError, id="nan"),
+    pytest.param("env_rewards", [[-1.0]], DimensionMismatchError, id="2d-rewards"),
+])
+def test_bad_episode_names_path_and_line(tmp_path, key, value, error):
+    header = {"format_version": 1, "env": "lqr2d", "state_dim": 2,
+              "action_dim": 1, "episodes": 2}
+    good = {"states": [[0.0, 0.0]], "actions": [[0.0]], "env_rewards": [-1.0]}
+    path = tmp_path / "demos.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n"
+                            for doc in (header, good, {**good, key: value})))
+    with pytest.raises(error, match=re.escape(f"{path}: ") + ".* on line 3$"):
+        load_trajectories(str(path))
 
 
 def test_wrong_state_width_rejected(tmp_path):
@@ -149,7 +171,7 @@ def test_policy_count_preserved_exactly(tmp_path):
     norm = ObservationNormalizer.for_dim(2)
     rng = Rng(5)
     for _ in range(1234):
-        norm.stats.update(np.array([rng.gaussian(), rng.gaussian()]))
+        welford_update(norm.stats, np.array([rng.gaussian(), rng.gaussian()]))
     path = str(tmp_path / "p.policy")
     save_policy(pol, norm, "lqr2d", path)
     _, norm2, _ = load_policy(path)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from ailsrs.discriminator import disc_init
-from ailsrs.envs import (LQR_A, LQR_B, LQR_Q, LQR_R, Trajectory, env_names,
-                         episode_rng, evaluate_policy, make_env,
-                         riccati_optimal, rollout)
+from ailsrs.envs import (LQR_A, LQR_B, LQR_Q, LQR_R, env_names, episode_rng,
+                         evaluate_policy, make_env, riccati_optimal, rollout)
 from ailsrs.numerics import Rng
 from ailsrs.policy import LinearPolicy, ObservationNormalizer
 
@@ -84,7 +83,7 @@ def test_rollout_zero_policy_matches_drift_oracle():
     rng = Rng(42)
     pol = LinearPolicy.zeros(1, 2)
     norm = ObservationNormalizer.for_dim(2)
-    (traj,), (ret,) = rollout(env, pol.theta, norm, None, [Rng(42)])
+    _, _, (env_rewards,), (ret,) = rollout(env, pol.theta, norm, None, [Rng(42)])
 
     s = make_env("lqr2d").reset([rng])[0]
     expect = 0.0
@@ -93,16 +92,16 @@ def test_rollout_zero_policy_matches_drift_oracle():
         s = LQR_A @ s
     assert ret == pytest.approx(expect, rel=1e-12)
     # the environment return is the running sum of the recorded rewards
-    assert ret == sum(traj.env_rewards)
-    assert len(traj) == 100
+    assert ret == sum(env_rewards)
+    assert len(env_rewards) == 100
 
 
 def test_rollout_respects_horizon():
     env = make_env("lqr2d")
     pol = LinearPolicy.zeros(1, 2)
     norm = ObservationNormalizer.for_dim(2)
-    trajs, returns = rollout(env, pol.theta, norm, None, [Rng(1), Rng(2)])
-    assert [len(t) for t in trajs] == [100, 100] and returns.shape == (2,)
+    states, _, _, returns = rollout(env, pol.theta, norm, None, [Rng(1), Rng(2)])
+    assert states.shape[:2] == (2, 100) and returns.shape == (2,)
 
 
 def test_episodes_run_exactly_to_horizon():
@@ -110,25 +109,28 @@ def test_episodes_run_exactly_to_horizon():
         env = make_env(name)
         pol = LinearPolicy.zeros(env.spec.action_dim, env.spec.state_dim)
         norm = ObservationNormalizer.for_dim(env.spec.state_dim)
-        (traj,), _ = rollout(env, pol.theta, norm, None, [Rng(2)])
-        assert len(traj) == env.spec.horizon
+        states, actions, env_rewards, returns = rollout(env, pol.theta, norm, None,
+                                                        [Rng(2), Rng(3)])
+        n, p, horizon = env.spec.state_dim, env.spec.action_dim, env.spec.horizon
+        assert states.shape == (2, horizon, n) and actions.shape == (2, horizon, p)
+        assert env_rewards.shape == (2, horizon) and returns.shape == (2,)
 
 
 def test_rollout_deterministic():
     pol = LinearPolicy(np.array([[0.3, -0.2]]))
     norm = ObservationNormalizer.for_dim(2)
-    (t1,), r1 = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(9)])
-    (t2,), r2 = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(9)])
+    s1, a1, _, r1 = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(9)])
+    s2, a2, _, r2 = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(9)])
     assert r1.tobytes() == r2.tobytes()
-    assert t1.states.tobytes() == t2.states.tobytes()
-    assert t1.actions.tobytes() == t2.actions.tobytes()
+    assert s1.tobytes() == s2.tobytes()
+    assert a1.tobytes() == a2.tobytes()
 
 
 def test_rollout_records_clipped_actions():
     pol = LinearPolicy(np.array([[100.0, 0.0]]))  # saturates the actuator
     norm = ObservationNormalizer.for_dim(2)
-    (traj,), _ = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(3)])
-    assert np.max(np.abs(traj.actions)) <= 10.0
+    _, actions, _, _ = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(3)])
+    assert np.max(np.abs(actions)) <= 10.0
 
 
 def _scalar_episode(name, theta_eff, rng):
@@ -162,7 +164,7 @@ def _scalar_episode(name, theta_eff, rng):
             phi = phi + 0.05 * phidot
         rewards.append(r)
         ret += r
-    return Trajectory(np.array(states), np.array(actions), np.array(rewards)), ret
+    return (np.array(states), np.array(actions), np.array(rewards)), ret
 
 
 @pytest.mark.parametrize("name, scale", [
@@ -179,27 +181,26 @@ def test_block_rollout_matches_scalar_reference(name, scale):
     thetas = np.stack([scale * rng.derive(2, b).gaussian_matrix(spec.action_dim,
                                                                spec.state_dim)
                        for b in range(16)])
-    trajs, returns = rollout(make_env(name), thetas, norm, None,
-                             [rng.derive(3, b) for b in range(16)])
+    states, actions, env_rewards, returns = rollout(
+        make_env(name), thetas, norm, None, [rng.derive(3, b) for b in range(16)])
     if scale > 1.0:
-        actions = np.concatenate([t.actions for t in trajs])
         assert np.any(actions == spec.action_clip)
         assert np.any(actions == -spec.action_clip)
         if name == "pendulum":
-            phidot = np.concatenate([t.states[:, 2] for t in trajs])
+            phidot = states[:, :, 2]
             assert np.any(phidot == 8.0) and np.any(phidot == -8.0)
     for b in range(16):
-        ref, ref_ret = _scalar_episode(name, thetas[b] * norm.snapshot(),
-                                       rng.derive(3, b))
-        assert trajs[b].states.tobytes() == ref.states.tobytes()
-        assert trajs[b].actions.tobytes() == ref.actions.tobytes()
-        assert trajs[b].env_rewards.tobytes() == ref.env_rewards.tobytes()
+        (ref_states, ref_actions, ref_rewards), ref_ret = _scalar_episode(
+            name, thetas[b] * norm.snapshot(), rng.derive(3, b))
+        assert states[b].tobytes() == ref_states.tobytes()
+        assert actions[b].tobytes() == ref_actions.tobytes()
+        assert env_rewards[b].tobytes() == ref_rewards.tobytes()
         assert returns[b] == ref_ret
 
 
-def _episode_bytes(trajectories, returns):
-    return [(t.states.tobytes(), t.actions.tobytes(), t.env_rewards.tobytes(),
-             r.tobytes()) for t, r in zip(trajectories, returns)]
+def _episode_bytes(states, actions, env_rewards, returns):
+    return [tuple(x.tobytes() for x in episode)
+            for episode in zip(states, actions, env_rewards, returns)]
 
 
 @pytest.mark.parametrize("name", ENVS)
@@ -255,9 +256,9 @@ def test_riccati_beats_zero_policy_on_every_seed():
     pol, norm, _ = riccati_optimal(episodes=1)
     zero = LinearPolicy.zeros(1, 2)
     rngs = [episode_rng(0, i) for i in range(100)]
-    _, opt = rollout(make_env("lqr2d"), pol.theta, norm, None, rngs)
+    *_, opt = rollout(make_env("lqr2d"), pol.theta, norm, None, rngs)
     rngs = [episode_rng(0, i) for i in range(100)]
-    _, zero_returns = rollout(make_env("lqr2d"), zero.theta, norm, None, rngs)
+    *_, zero_returns = rollout(make_env("lqr2d"), zero.theta, norm, None, rngs)
     assert np.all(opt >= zero_returns)
 
 

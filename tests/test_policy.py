@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import bc_loss
+from _oracles import bc_loss, welford_update
 
 from ailsrs import envs
 from ailsrs.ars import evaluate_directions
@@ -38,8 +38,9 @@ def _first_actions(thetas, norm, state):
     thetas = np.asarray(thetas, dtype=float)
     env = _ConstantStateEnv(state, thetas.shape[-2])
     n_episodes = len(thetas) if thetas.ndim == 3 else 1
-    trajs, _ = rollout(env, thetas, norm, None, [Rng(b) for b in range(n_episodes)])
-    return np.array([t.actions[0] for t in trajs])
+    _, actions, _, _ = rollout(env, thetas, norm, None,
+                               [Rng(b) for b in range(n_episodes)])
+    return actions[:, 0]
 
 
 def test_act_identity_whitening():
@@ -69,9 +70,9 @@ def test_zero_state_gives_zero_action(mean, var, seed):
     theta = Rng(seed).gaussian_matrix(3, 2)
     norm = _normalizer(mean, var)
     assert np.all(norm.normalize(np.zeros(2)) == 0.0)
-    trajs, _ = rollout(_ConstantStateEnv(np.zeros(2), 3, horizon=3), theta, norm,
-                       None, [Rng(seed)])
-    assert np.all(trajs[0].actions == 0.0)
+    _, actions, _, _ = rollout(_ConstantStateEnv(np.zeros(2), 3, horizon=3), theta,
+                               norm, None, [Rng(seed)])
+    assert np.all(actions == 0.0)
 
 
 def test_act_linear_in_theta():
@@ -85,7 +86,7 @@ def test_act_linear_in_theta():
 
 def test_act_identity_until_two_observations():
     norm = ObservationNormalizer.for_dim(2)
-    norm.stats.update(np.array([5.0, 5.0]))  # count == 1: still identity
+    welford_update(norm.stats, np.array([5.0, 5.0]))  # count == 1: still identity
     np.testing.assert_array_equal(norm.normalize(np.array([1.5, 9.0])), [1.5, 9.0])
     np.testing.assert_allclose(_first_actions([[2.0, 0.0]], norm, [1.5, 9.0]),
                                [[3.0]])
@@ -117,10 +118,10 @@ def _perturbed_policies(theta, delta, nu):
     p, n = theta.shape
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(envs._ENV_CLASSES, "basis", lambda: _BasisEnv(p, n))
-        _, trajs = evaluate_directions(theta, delta[None], nu, "basis",
-                                       ObservationNormalizer.for_dim(n), None,
-                                       Rng(0))
-    return [t.actions.T for t in trajs]
+        _, _, actions = evaluate_directions(theta, delta[None], nu, "basis",
+                                            ObservationNormalizer.for_dim(n), None,
+                                            Rng(0))
+    return list(actions.transpose(0, 2, 1))
 
 
 def test_perturb_basic():

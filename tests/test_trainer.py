@@ -148,12 +148,11 @@ def test_discriminator_loss_decreases_on_first_iteration(riccati_demos):
     from ailsrs.discriminator import disc_init
     disc = disc_init(2, 1, root.derive(3))
     deltas = sample_directions(root.derive(DIRECTIONS_STREAM, 0), 8, 1, 2)
-    _, trajs = evaluate_directions(np.zeros((1, 2)), deltas, 0.03, "lqr2d",
-                                   norm, disc, root.derive(ROLLOUT_STREAM, 0))
+    _, states, actions = evaluate_directions(np.zeros((1, 2)), deltas, 0.03, "lqr2d",
+                                             norm, disc, root.derive(ROLLOUT_STREAM, 0))
     epool = np.concatenate(
         [np.concatenate([t.states, t.actions], axis=1) for t in demos.trajectories])
-    spool = np.concatenate(
-        [np.concatenate([t.states, t.actions], axis=1) for t in trajs])
+    spool = np.concatenate([states, actions], axis=2).reshape(-1, 3)
     before = lsgan_loss(disc, epool, spool)
     adam = AdamState.zeros(disc.n_params)
     disc_train(disc, adam, epool, spool, iters=3, batch_size=100, rng=Rng(7))
