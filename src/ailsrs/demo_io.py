@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import episode_rng, make_env, rollout
+from .envs import env_names, episode_rng, make_env, rollout
 from .numerics import RunningStats
 from .policy import LinearPolicy, ObservationNormalizer
 
@@ -130,6 +130,11 @@ def save_trajectories(demo_set: TrajectorySet, path: str) -> None:
                                  "env_rewards": t.env_rewards.tolist()}) + "\n")
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bools, which are ints to Python
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_trajectories(path: str) -> TrajectorySet:
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -150,7 +155,24 @@ def load_trajectories(path: str) -> TrajectorySet:
     for key in ("env", "state_dim", "action_dim", "episodes"):
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r} (line 1)")
-    episodes = header["episodes"]
+    episodes, env_name = header["episodes"], header["env"]
+    # a set needs >= 1 episode, so 0 is rejected here, where the line is known
+    if not _is_int(episodes) or episodes < 1:
+        raise FormatError(f"{path}: header episodes {episodes!r} is not a "
+                          "positive integer (line 1)")
+    if env_name not in env_names():
+        raise FormatError(f"{path}: unknown environment {env_name!r}; valid "
+                          f"names: {', '.join(env_names())} (line 1)")
+    spec = make_env(env_name).spec
+    for key, expected in (("state_dim", spec.state_dim),
+                          ("action_dim", spec.action_dim)):
+        if not _is_int(header[key]):
+            raise FormatError(f"{path}: header {key} {header[key]!r} is not an "
+                              "integer (line 1)")
+        if header[key] != expected:
+            raise DimensionMismatchError(
+                f"{path}: header {key} {header[key]} does not match "
+                f"{env_name}'s {expected} (line 1)")
     if len(lines) - 1 != episodes:
         raise FormatError(
             f"{path}: header promises {episodes} episodes but file has "
@@ -164,8 +186,7 @@ def load_trajectories(path: str) -> TrajectorySet:
                                            np.array(obj["env_rewards"], dtype=float)))
         except (KeyError, ValueError) as exc:
             raise FormatError(f"{path}: bad episode on line {k + 2}: {exc}") from None
-    out = TrajectorySet(header["env"], header["state_dim"],
-                        header["action_dim"], trajectories)
+    out = TrajectorySet(env_name, spec.state_dim, spec.action_dim, trajectories)
     out._validate(lambda k, fault: f"{path}: {fault} on line {k + 2}")
     return out
 

@@ -6,11 +6,20 @@ Three pure-cost tasks stand in for the usual physics benchmarks:
 * pointmass2d - planar double integrator driven to the origin
 * pendulum    - torque-limited pendulum stabilized upright
 
-Each environment advances a (B, n) block of independent episodes:
-`reset(rngs)` draws row b from rngs[b] and `step(actions)` returns the next
-states and the (B,) rewards. `rollout` owns the fixed horizon (there is no
-early termination, so lockstep is exact); rewards are never positive.
-Reward for a step is charged on the state where the action was taken.
+Each environment holds no episode state. It is four pure functions on a
+(B, k) block of internal states x, one row per independent episode:
+
+* `reset(rngs) -> x` draws row b from rngs[b];
+* `observe(x) -> (B, n)` is what the policy sees and what is recorded;
+* `step(x, actions) -> x_next` is the dynamics only, into a fresh array;
+* `rewards(xs, actions)` is elementwise over any leading shape, so one call
+  on the finished (B, T, k) and (B, T, p) blocks equals T per-step calls.
+
+`rollout` owns the fixed horizon. There is no early termination, so
+lockstep is exact, and a reward never changes control flow: the loop runs
+only what feeds the next action, and rewards and returns are computed once
+per finished block. Rewards are never positive; the reward for a step is
+charged on the state where the action was taken.
 """
 from __future__ import annotations
 
@@ -64,26 +73,30 @@ class Lqr2dEnv:
     spec = EnvSpec("lqr2d", 2, 1, 100, 10.0)
 
     def reset(self, rngs) -> np.ndarray:
-        self.s = np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)]
-                           for rng in rngs])
-        return self.s.copy()
+        return np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)]
+                         for rng in rngs])
 
-    def step(self, actions: np.ndarray):
-        s, a = self.s, actions[:, 0]
-        # -(x x + v v + 0.1 (a a)) as -0.1 (a a) - (x x + v v)
-        sq = s * s
-        rewards = a * a
-        rewards *= _LQR_ACTION_COST
-        rewards -= sq[:, 0] + sq[:, 1]
+    def observe(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def step(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # s' = A s + B a with A = [[1, .1], [0, 1]], B = [[0], [.1]]:
         # s' = s + 0.1 (v, a)
-        s_next = np.empty_like(s)
-        s_next[:, 0] = s[:, 1]
-        s_next[:, 1] = a
-        s_next *= _LQR_DT
-        s_next += s
-        self.s = s_next  # never written in place, so the caller may keep it
-        return s_next, rewards
+        x_next = np.empty_like(x)
+        x_next[:, 0] = x[:, 1]
+        x_next[:, 1] = actions[:, 0]
+        x_next *= _LQR_DT
+        x_next += x
+        return x_next
+
+    def rewards(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        # -(x x + v v + 0.1 (a a)) as -0.1 (a a) - (x x + v v)
+        sq = xs * xs
+        a = actions[..., 0]
+        rewards = a * a
+        rewards *= _LQR_ACTION_COST
+        rewards -= sq[..., 0] + sq[..., 1]
+        return rewards
 
 
 class PointMass2dEnv:
@@ -92,67 +105,76 @@ class PointMass2dEnv:
     spec = EnvSpec("pointmass2d", 4, 2, 200, 1.0)
 
     def reset(self, rngs) -> np.ndarray:
-        self.s = np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0),
-                            0.0, 0.0] for rng in rngs])
-        return self.s.copy()
+        return np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0),
+                          0.0, 0.0] for rng in rngs])
 
-    def step(self, actions: np.ndarray):
-        s, a = self.s, actions
-        # a @ a as a stacked matmul rounds like a 1-d dot product
-        rewards = -(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1]
-                    + 0.01 * (a[:, None, :] @ a[:, :, None])[:, 0, 0])
+    def observe(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def step(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # semi-implicit Euler: velocity first, then position
-        s[:, 2:] += _POINTMASS_DT * a
-        s[:, :2] += _POINTMASS_DT * s[:, 2:]
-        return s.copy(), rewards
+        x_next = x.copy()
+        x_next[:, 2:] += _POINTMASS_DT * actions
+        x_next[:, :2] += _POINTMASS_DT * x_next[:, 2:]
+        return x_next
+
+    def rewards(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        # a @ a as a stacked matmul rounds like a 1-d dot product
+        a = actions
+        return -(xs[..., 0] * xs[..., 0] + xs[..., 1] * xs[..., 1]
+                 + 0.01 * (a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 
 class PendulumEnv:
-    """Torque-limited pendulum held upright; observation (cos phi, sin phi, phidot)."""
+    """Torque-limited pendulum held upright; state (phi, phidot), unwrapped,
+    observation (cos phi, sin phi, phidot)."""
 
     spec = EnvSpec("pendulum", 3, 1, 200, 2.0)
 
-    def _obs(self) -> np.ndarray:
-        obs = np.empty((len(self.phi), 3))
-        np.cos(self.phi, obs[:, 0])
-        np.sin(self.phi, obs[:, 1])
-        obs[:, 2] = self.phidot
+    def reset(self, rngs) -> np.ndarray:
+        return np.array([[rng.uniform_in(-math.pi, math.pi),
+                          rng.uniform_in(-1.0, 1.0)] for rng in rngs])
+
+    def observe(self, x: np.ndarray) -> np.ndarray:
+        obs = np.empty((len(x), 3))
+        np.cos(x[:, 0], obs[:, 0])
+        np.sin(x[:, 0], obs[:, 1])
+        obs[:, 2] = x[:, 1]
         return obs
 
-    def reset(self, rngs) -> np.ndarray:
-        draws = np.array([[rng.uniform_in(-math.pi, math.pi),
-                           rng.uniform_in(-1.0, 1.0)] for rng in rngs])
-        self.phi, self.phidot = draws[:, 0], draws[:, 1]
-        return self._obs()
+    def step(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        # phidot' = clamp(phidot + dt acc), phi' = phi + dt phidot', where
+        # acc = (g / l) sin(phi) + u / (m l^2) = 10 sin(phi) + u exactly
+        acc = np.sin(x[:, 0])
+        acc *= _PEND_G_OVER_L
+        acc += actions[:, 0]
+        acc *= _PEND_DT
+        acc += x[:, 1]
+        np.maximum(acc, -_PEND_MAX_SPEED, out=acc)
+        np.minimum(acc, _PEND_MAX_SPEED, out=acc)
+        x_next = np.empty_like(x)
+        x_next[:, 1] = acc
+        acc *= _PEND_DT
+        acc += x[:, 0]
+        x_next[:, 0] = acc
+        return x_next
 
-    def step(self, actions: np.ndarray):
-        phi, phidot, u = self.phi, self.phidot, actions[:, 0]
+    def rewards(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # -(wrapped^2 + 0.1 phidot^2 + 0.001 u u), negated term by term:
         # (-0.1 phidot^2 - wrapped^2) + (-0.001 u) u. np.float_power is libm
         # pow, the rounding of a Python float's x ** 2
-        wrapped = phi + _PEND_PI
+        u = actions[..., 0]
+        wrapped = xs[..., 0] + _PEND_PI
         np.remainder(wrapped, _PEND_TWO_PI, wrapped)
         wrapped -= _PEND_PI
         np.float_power(wrapped, _PEND_SQUARE, wrapped)
-        rewards = np.float_power(phidot, _PEND_SQUARE)
+        rewards = np.float_power(xs[..., 1], _PEND_SQUARE)
         rewards *= _PEND_SPEED_COST
         rewards -= wrapped
         np.multiply(u, _PEND_ACTION_COST, wrapped)
         wrapped *= u
         rewards += wrapped
-        # phidot' = clamp(phidot + dt acc), phi' = phi + dt phidot', where
-        # acc = (g / l) sin(phi) + u / (m l^2) = 10 sin(phi) + u exactly
-        acc = np.sin(phi)
-        acc *= _PEND_G_OVER_L
-        acc += u
-        acc *= _PEND_DT
-        acc += phidot
-        np.maximum(acc, -_PEND_MAX_SPEED, out=acc)
-        np.minimum(acc, _PEND_MAX_SPEED, out=acc)
-        self.phidot = acc
-        self.phi = acc * _PEND_DT
-        self.phi += phi
-        return self._obs(), rewards
+        return rewards
 
 
 _ENV_CLASSES = {
@@ -178,8 +200,8 @@ def make_env(name: str):
 def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
             reward_source, rngs):
     """Run B = len(rngs) episodes in lockstep to the horizon T, episode b
-    reset from rngs[b]; returns raw states (B, T, n), actions (B, T, p),
-    env_rewards (B, T) and returns (B,).
+    reset from rngs[b]; returns the raw observed states (B, T, n), actions
+    (B, T, p), env_rewards (B, T) and returns (B,).
 
     `thetas` is (B, p, n), one policy per episode, or one (p, n) for all;
     actions are clipped to the actuator range. `reward_source` is None for
@@ -196,21 +218,30 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     thetas = thetas if inv_rms is None else thetas * inv_rms
     hi = np.float64(spec.action_clip)
     lo = -hi
-    s = env.reset(rngs)
-    returns, steps = np.zeros(len(s)), []
+    x = env.reset(rngs)
+    xs, observed, taken = [], [], []
     for _ in range(spec.horizon):
+        s = env.observe(x)
         # a stacked matmul rounds like one episode's theta @ s
         a = (thetas @ s[:, :, None])[:, :, 0]
         # clip the fresh matmul output in place; NaN stays NaN, as in np.clip
         np.maximum(a, lo, out=a)
         np.minimum(a, hi, out=a)
-        s_next, r = env.step(a)
-        returns += r  # step by step, like a scalar running sum
-        steps.append((s, a, r))
-        s = s_next
-    states, actions, env_rewards = (np.stack(column, axis=1)
-                                    for column in zip(*steps))
-    if reward_source is not None:
+        xs.append(x)
+        observed.append(s)
+        taken.append(a)
+        x = env.step(x, a)
+    # the steps' (B, .) arrays side by side are the (B, T, .) block: one
+    # copy, where np.stack would first reshape each of the T arrays
+    shape = (len(x), spec.horizon, -1)
+    states = np.concatenate(observed, axis=1).reshape(shape)
+    actions = np.concatenate(taken, axis=1).reshape(shape)
+    env_rewards = env.rewards(np.concatenate(xs, axis=1).reshape(shape), actions)
+    if reward_source is None:
+        # cumsum adds in step order, like a scalar running sum; + 0.0 gives
+        # the +0.0 that a sum started from 0.0 leaves when every reward is -0.0
+        returns = np.cumsum(env_rewards, axis=1)[:, -1] + 0.0
+    else:
         returns = np.array([np.sum(reward_source.reward_batch(s, a))
                             for s, a in zip(states, actions)])
     return states, actions, env_rewards, returns

@@ -101,6 +101,31 @@ def test_bad_episode_names_path_and_line(tmp_path, key, value, error):
         load_trajectories(str(path))
 
 
+@pytest.mark.parametrize("key, value, error", [
+    pytest.param("episodes", "1", FormatError, id="episodes-str"),
+    pytest.param("episodes", 1.0, FormatError, id="episodes-float"),
+    pytest.param("episodes", True, FormatError, id="episodes-bool"),
+    pytest.param("episodes", -1, FormatError, id="episodes-negative"),
+    pytest.param("episodes", 0, FormatError, id="episodes-zero"),
+    pytest.param("env", "nosuchenv", FormatError, id="env-unknown"),
+    pytest.param("env", ["lqr2d"], FormatError, id="env-list"),
+    pytest.param("state_dim", True, FormatError, id="state_dim-bool"),
+    pytest.param("state_dim", 2.0, FormatError, id="state_dim-float"),
+    pytest.param("state_dim", 3, DimensionMismatchError, id="state_dim-spec"),
+    pytest.param("action_dim", "1", FormatError, id="action_dim-str"),
+    pytest.param("action_dim", 2, DimensionMismatchError, id="action_dim-spec"),
+])
+def test_bad_header_names_path_and_line(tmp_path, key, value, error):
+    header = {"format_version": 1, "env": "lqr2d", "state_dim": 2,
+              "action_dim": 1, "episodes": 1}
+    good = {"states": [[0.0, 0.0]], "actions": [[0.0]], "env_rewards": [-1.0]}
+    path = tmp_path / "demos.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n"
+                            for doc in ({**header, key: value}, good)))
+    with pytest.raises(error, match=re.escape(f"{path}: ") + r".* \(line 1\)$"):
+        load_trajectories(str(path))
+
+
 def test_wrong_state_width_rejected(tmp_path):
     trajs = [Trajectory(np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(4))]
     demos = TrajectorySet("lqr2d", 2, 1, trajs)  # claims state_dim 2

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ailsrs.discriminator import disc_init
-from ailsrs.envs import (LQR_A, LQR_B, LQR_Q, LQR_R, env_names, episode_rng,
-                         evaluate_policy, make_env, riccati_optimal, rollout)
+from ailsrs.envs import (LQR_A, LQR_B, LQR_Q, LQR_R, EnvSpec, env_names,
+                         episode_rng, evaluate_policy, make_env, riccati_optimal,
+                         rollout)
 from ailsrs.numerics import Rng
 from ailsrs.policy import LinearPolicy, ObservationNormalizer
 
@@ -49,32 +50,89 @@ def test_reset_ranges():
 
 def test_lqr_step_arithmetic():
     env = make_env("lqr2d")
-    env.reset([Rng(0), Rng(1)])
-    env.s = np.array([[1.0, 0.0], [0.0, 1.0]])
-    s, r = env.step(np.array([[0.0], [0.0]]))
-    np.testing.assert_allclose(s, [[1.0, 0.0], [0.1, 1.0]])
-    np.testing.assert_array_equal(r, [-1.0, -1.0])
+    x = np.array([[1.0, 0.0], [0.0, 1.0]])
+    a = np.array([[0.0], [0.0]])
+    np.testing.assert_allclose(env.step(x, a), [[1.0, 0.0], [0.1, 1.0]])
+    np.testing.assert_array_equal(env.rewards(x, a), [-1.0, -1.0])
 
 
 def test_pendulum_equilibrium():
     env = make_env("pendulum")
-    env.reset([Rng(0)])
-    env.phi, env.phidot = np.zeros(1), np.zeros(1)
-    s, r = env.step(np.array([[0.0]]))
-    np.testing.assert_allclose(s, [[1.0, 0.0, 0.0]])
-    assert r[0] == 0.0
+    x, a = np.zeros((1, 2)), np.array([[0.0]])
+    np.testing.assert_allclose(env.observe(env.step(x, a)), [[1.0, 0.0, 0.0]])
+    assert env.rewards(x, a)[0] == 0.0
 
 
 def test_rewards_never_positive():
     for name in env_names():
         env = make_env(name)
         rng = Rng(17)
-        env.reset([Rng(17), Rng(18)])
+        x = env.reset([Rng(17), Rng(18)])
         for _ in range(env.spec.horizon):
             a = np.array([[rng.gaussian() for _ in range(env.spec.action_dim)]
                           for _ in range(2)])
-            _, r = env.step(a)
+            r = env.rewards(x, a)
             assert r.shape == (2,) and np.all(r <= 0.0)
+            x = env.step(x, a)
+
+
+@pytest.mark.parametrize("name", ENVS)
+def test_step_leaves_state_untouched(name):
+    # the engine keeps every x it is handed, so step must return a fresh array
+    env = make_env(name)
+    x = env.reset([Rng(4), Rng(5)])
+    before = x.tobytes()
+    x_next = env.step(x, np.full((2, env.spec.action_dim), 0.5))
+    assert x.tobytes() == before
+    assert x_next.shape == x.shape and not np.shares_memory(x_next, x)
+
+
+@pytest.mark.parametrize("name, scale", [
+    *(pytest.param(name, 0.3, id=name) for name in ENVS),
+    *(pytest.param(name, 30.0, id=f"{name}-saturating") for name in ENVS)])
+def test_block_rewards_match_step_slices(name, scale):
+    # rollout calls rewards once on the (B, T, .) blocks; that must equal,
+    # bit for bit, one call per (B, .) step slice
+    env = make_env(name)
+    spec = env.spec
+    rng = Rng(21)
+    width = env.reset([rng]).shape[1]
+    xs = np.stack([scale * rng.derive(1, b).gaussian_matrix(30, width)
+                   for b in range(8)])
+    actions = np.stack([scale * rng.derive(2, b).gaussian_matrix(30, spec.action_dim)
+                        for b in range(8)])
+    np.clip(actions, -spec.action_clip, spec.action_clip, out=actions)
+    block = env.rewards(xs, actions)
+    assert block.shape == (8, 30)
+    for t in range(30):
+        assert block[:, t].tobytes() == env.rewards(xs[:, t], actions[:, t]).tobytes()
+
+
+class _NegativeZeroEnv:
+    """A block env whose every reward is -0.0."""
+
+    spec = EnvSpec("negzero", 1, 1, 5, 1.0)
+
+    def reset(self, rngs):
+        return np.zeros((len(rngs), 1))
+
+    def observe(self, x):
+        return x
+
+    def step(self, x, actions):
+        return x.copy()
+
+    def rewards(self, xs, actions):
+        return np.full(xs.shape[:-1], -0.0)
+
+
+def test_all_negative_zero_rewards_return_positive_zero():
+    # a running sum started from 0.0 gives +0.0 for all--0.0 rewards
+    *_, env_rewards, returns = rollout(_NegativeZeroEnv(), np.zeros((1, 1)),
+                                       ObservationNormalizer.for_dim(1), None,
+                                       [Rng(0), Rng(1)])
+    assert env_rewards.tobytes() == np.full((2, 5), -0.0).tobytes()
+    assert returns.tobytes() == np.zeros(2).tobytes()
 
 
 def test_rollout_zero_policy_matches_drift_oracle():

@@ -29,8 +29,14 @@ class _ConstantStateEnv:
     def reset(self, rngs):
         return np.tile(self.state, (len(rngs), 1))
 
-    def step(self, actions):
-        return np.tile(self.state, (len(actions), 1)), np.zeros(len(actions))
+    def observe(self, x):
+        return x
+
+    def step(self, x, actions):
+        return np.tile(self.state, (len(actions), 1))
+
+    def rewards(self, xs, actions):
+        return np.zeros(xs.shape[:-1])
 
 
 def _first_actions(thetas, norm, state):
@@ -105,12 +111,16 @@ class _BasisEnv:
         self.spec = EnvSpec("basis", n, p, n, 1e9)
 
     def reset(self, rngs):
-        self.s = np.tile(np.eye(self.spec.state_dim)[0], (len(rngs), 1))
-        return self.s
+        return np.tile(np.eye(self.spec.state_dim)[0], (len(rngs), 1))
 
-    def step(self, actions):
-        self.s = np.roll(self.s, 1, axis=1)
-        return self.s, np.zeros(len(actions))
+    def observe(self, x):
+        return x
+
+    def step(self, x, actions):
+        return np.roll(x, 1, axis=1)
+
+    def rewards(self, xs, actions):
+        return np.zeros(xs.shape[:-1])
 
 
 def _perturbed_policies(theta, delta, nu):
