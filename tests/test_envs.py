@@ -105,7 +105,9 @@ def test_block_rewards_match_step_slices(name, scale):
     block = env.rewards(xs, actions)
     assert block.shape == (8, 30)
     for t in range(30):
-        assert block[:, t].tobytes() == env.rewards(xs[:, t], actions[:, t]).tobytes()
+        # contiguous (B, .) arrays, as a step produces them
+        step = env.rewards(xs[:, t].copy(), actions[:, t].copy())
+        assert block[:, t].tobytes() == step.tobytes()
 
 
 class _NegativeZeroEnv:
@@ -127,7 +129,7 @@ class _NegativeZeroEnv:
 
 
 def test_all_negative_zero_rewards_return_positive_zero():
-    # a running sum started from 0.0 gives +0.0 for all--0.0 rewards
+    # a running sum started from 0.0 gives +0.0 when every reward is -0.0
     *_, env_rewards, returns = rollout(_NegativeZeroEnv(), np.zeros((1, 1)),
                                        ObservationNormalizer.for_dim(1), None,
                                        [Rng(0), Rng(1)])
