@@ -10,8 +10,10 @@ The digest covers:
   controller with 20 discriminator Adam steps of 1000 rows per iteration,
   which exercises the discriminator training path far more than the
   lqr2d runs;
-* both recorded demonstration sets: the states, actions and environment
-  rewards of every episode.
+* the recorded demonstration sets, of the lqr2d and pendulum experts and
+  of the pointmass2d PD controller: the states, actions and environment
+  rewards of every episode. The pendulum's states are its observations
+  (cos phi, sin phi, phidot), which no other term hashes directly.
 
 Two checkouts whose training is bit-identical print the same digest, so a
 refactor that must not change any artifact is checked with
@@ -77,6 +79,7 @@ def main() -> None:
         h.update(repr(evaluate_policy(policy, normalizer, env, 20, 0)).encode())
     demos = record(*experts["lqr2d"], "lqr2d", 10, 0)
     add_demos(h, demos)
+    add_demos(h, record(*experts["pendulum"], "pendulum", 10, 0))
     for seed in IMITATION_SEEDS:
         cfg = TrainerConfig(ars=ars, max_iterations=30, eval_every=10,
                             eval_episodes=5, seed=seed)

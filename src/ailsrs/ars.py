@@ -9,6 +9,7 @@ meaningful whatever the reward scale.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,11 @@ class ArsConfig:
     n_directions: int = 320
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.nu <= 0 or self.n_directions < 1:
-            raise ValueError("alpha, nu must be positive; n_directions >= 1")
+        # written so that NaN fails too
+        if not (0 < self.alpha < math.inf and 0 < self.nu < math.inf) \
+                or self.n_directions < 1:
+            raise ValueError("alpha, nu must be positive and finite; "
+                             "n_directions >= 1")
 
 
 def ars_update(theta: np.ndarray, deltas: np.ndarray, returns: np.ndarray,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import env_names, episode_rng, make_env, rollout
+from .envs import EnvSpec, env_names, episode_rng, make_env, rollout
 from .numerics import RunningStats
 from .policy import LinearPolicy, ObservationNormalizer
 
@@ -43,7 +43,7 @@ def _check_version(path: str, doc: dict, expected: int) -> None:
     if doc.get("format_version") != expected:
         raise VersionMismatchError(
             f"{path}: format_version {doc.get('format_version')!r}, "
-            f"expected {expected}")
+            f"expected {expected} (line 1)")
 
 
 @dataclass
@@ -135,31 +135,25 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_trajectories(path: str) -> TrajectorySet:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FormatError(f"{path}: empty file (line 1)")
+def _parse_object(path: str, line_no: int, text: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: bad JSON on line {line_no}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: expected an object on line {line_no}")
+    return obj
 
-    def parse(line_no: int, text: str) -> dict:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: bad JSON on line {line_no}: {exc}") from None
-        if not isinstance(obj, dict):
-            raise FormatError(f"{path}: expected an object on line {line_no}")
-        return obj
 
-    header = parse(1, lines[0])
-    _check_version(path, header, FORMAT_VERSION)
-    for key in ("env", "state_dim", "action_dim", "episodes"):
+def _check_header(path: str, header: dict, version: int, keys) -> EnvSpec:
+    """Check a file's first-line header: its version, the presence of `keys`
+    beside env, state_dim and action_dim, and that the env is built in with
+    exactly these dims. Returns the env's spec."""
+    _check_version(path, header, version)
+    for key in ("env", "state_dim", "action_dim", *keys):
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r} (line 1)")
-    episodes, env_name = header["episodes"], header["env"]
-    # a set needs >= 1 episode, so 0 is rejected here, where the line is known
-    if not _is_int(episodes) or episodes < 1:
-        raise FormatError(f"{path}: header episodes {episodes!r} is not a "
-                          "positive integer (line 1)")
+    env_name = header["env"]
     if env_name not in env_names():
         raise FormatError(f"{path}: unknown environment {env_name!r}; valid "
                           f"names: {', '.join(env_names())} (line 1)")
@@ -173,20 +167,35 @@ def load_trajectories(path: str) -> TrajectorySet:
             raise DimensionMismatchError(
                 f"{path}: header {key} {header[key]} does not match "
                 f"{env_name}'s {expected} (line 1)")
+    return spec
+
+
+def load_trajectories(path: str) -> TrajectorySet:
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise FormatError(f"{path}: empty file (line 1)")
+    header = _parse_object(path, 1, lines[0])
+    spec = _check_header(path, header, FORMAT_VERSION, ("episodes",))
+    episodes = header["episodes"]
+    # a set needs >= 1 episode, so 0 is rejected here, where the line is known
+    if not _is_int(episodes) or episodes < 1:
+        raise FormatError(f"{path}: header episodes {episodes!r} is not a "
+                          "positive integer (line 1)")
     if len(lines) - 1 != episodes:
         raise FormatError(
             f"{path}: header promises {episodes} episodes but file has "
             f"{len(lines) - 1} (line {len(lines)})")
     trajectories = []
     for k in range(episodes):
-        obj = parse(k + 2, lines[k + 1])
+        obj = _parse_object(path, k + 2, lines[k + 1])
         try:
             trajectories.append(Trajectory(np.array(obj["states"], dtype=float),
                                            np.array(obj["actions"], dtype=float),
                                            np.array(obj["env_rewards"], dtype=float)))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad episode on line {k + 2}: {exc}") from None
-    out = TrajectorySet(env_name, spec.state_dim, spec.action_dim, trajectories)
+    out = TrajectorySet(spec.name, spec.state_dim, spec.action_dim, trajectories)
     out._validate(lambda k, fault: f"{path}: {fault} on line {k + 2}")
     return out
 
@@ -207,38 +216,38 @@ def save_policy(policy: LinearPolicy, normalizer: ObservationNormalizer,
 def load_policy(path: str, expect_env=None):
     """Read a policy file; returns (policy, normalizer, env_name).
 
-    Pass an EnvSpec as `expect_env` to reject mismatched files.
+    Pass an EnvSpec as `expect_env` to reject files of another environment.
     """
     with open(path) as fh:
-        text = fh.read()
+        doc = _parse_object(path, 1, fh.read())
+    spec = _check_header(path, doc, POLICY_FORMAT_VERSION,
+                         ("theta", "mu", "var", "count"))
+    count = doc["count"]
+    if not _is_int(count) or count < 0:
+        raise FormatError(f"{path}: count {count!r} is not a non-negative "
+                          "integer (line 1)")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: bad JSON: {exc}") from None
-    _check_version(path, doc, POLICY_FORMAT_VERSION)
-    theta = np.array(doc["theta"], dtype=float)
-    mu = np.array(doc["mu"], dtype=float)
-    var = np.array(doc["var"], dtype=float)
-    count = int(doc["count"])
-    if theta.ndim != 2 or theta.shape != (doc["action_dim"], doc["state_dim"]):
+        theta, mu, var = (np.array(doc[key], dtype=float)
+                          for key in ("theta", "mu", "var"))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad array on line 1: {exc}") from None
+    if theta.shape != (spec.action_dim, spec.state_dim):
         raise DimensionMismatchError(
-            f"{path}: theta shape {theta.shape} does not match header dims")
-    if mu.shape != (doc["state_dim"],) or var.shape != (doc["state_dim"],):
-        raise DimensionMismatchError(f"{path}: mu/var must be state_dim vectors")
+            f"{path}: theta shape {theta.shape} does not match header dims "
+            "(line 1)")
+    if mu.shape != (spec.state_dim,) or var.shape != (spec.state_dim,):
+        raise DimensionMismatchError(
+            f"{path}: mu/var must be state_dim vectors (line 1)")
     for arr in (theta, mu, var):
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteValueError(f"{path}: non-finite value")
-    if expect_env is not None:
-        if doc["env"] != expect_env.name:
-            raise DimensionMismatchError(
-                f"{path}: policy was trained for {doc['env']!r}, "
-                f"not {expect_env.name!r}")
-        if (doc["state_dim"], doc["action_dim"]) != (expect_env.state_dim,
-                                                     expect_env.action_dim):
-            raise DimensionMismatchError(
-                f"{path}: dims {(doc['state_dim'], doc['action_dim'])} do not "
-                f"match {expect_env.name}")
+            raise NonFiniteValueError(f"{path}: non-finite value (line 1)")
+    if np.any(var < 0):
+        raise FormatError(f"{path}: negative variance (line 1)")
+    if expect_env is not None and spec.name != expect_env.name:
+        raise DimensionMismatchError(
+            f"{path}: policy was trained for {spec.name!r}, "
+            f"not {expect_env.name!r} (line 1)")
     # the accumulator is reconstructed as var * count; observable stats
     # (mean, variance, count) are what the format preserves
     normalizer = ObservationNormalizer(RunningStats(count, mu, var * count))
-    return LinearPolicy(theta), normalizer, doc["env"]
+    return LinearPolicy(theta), normalizer, spec.name

@@ -6,19 +6,20 @@ Three pure-cost tasks stand in for the usual physics benchmarks:
 * pointmass2d - planar double integrator driven to the origin
 * pendulum    - torque-limited pendulum stabilized upright
 
-Each environment holds no episode state. It is four pure functions on a
+Each environment holds no episode state. It is three pure functions on a
 (B, k) block of internal states x, one row per independent episode:
 
 * `reset(rngs) -> x` draws row b from rngs[b];
-* `observe(x) -> (B, n)` is what the policy sees and what is recorded;
 * `step(x, actions) -> x_next` is the dynamics only, into a fresh array;
 * `rewards(xs, actions)` is elementwise over any leading shape, so one call
   on the finished (B, T, k) and (B, T, p) blocks equals T per-step calls.
 
-`rollout` owns the fixed horizon. There is no early termination, so
-lockstep is exact, and a reward never changes control flow: the loop runs
-only what feeds the next action, and rewards and returns are computed once
-per finished block. Rewards are never positive; the reward for a step is
+The observation, what the policy sees and what is recorded, is the leading
+`spec.state_dim` columns of x; any private columns follow it. `rollout`
+owns the fixed horizon. There is no early termination, so lockstep is
+exact, and a reward never changes control flow: the loop runs only what
+feeds the next action, and rewards and returns are computed once per
+finished block. Rewards are never positive; the reward for a step is
 charged on the state where the action was taken.
 """
 from __future__ import annotations
@@ -76,9 +77,6 @@ class Lqr2dEnv:
         return np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)]
                          for rng in rngs])
 
-    def observe(self, x: np.ndarray) -> np.ndarray:
-        return x
-
     def step(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # s' = A s + B a with A = [[1, .1], [0, 1]], B = [[0], [.1]]:
         # s' = s + 0.1 (v, a)
@@ -108,9 +106,6 @@ class PointMass2dEnv:
         return np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0),
                           0.0, 0.0] for rng in rngs])
 
-    def observe(self, x: np.ndarray) -> np.ndarray:
-        return x
-
     def step(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # semi-implicit Euler: velocity first, then position
         x_next = x.copy()
@@ -126,37 +121,36 @@ class PointMass2dEnv:
 
 
 class PendulumEnv:
-    """Torque-limited pendulum held upright; state (phi, phidot), unwrapped,
-    observation (cos phi, sin phi, phidot)."""
+    """Torque-limited pendulum held upright; state (cos phi, sin phi, phidot,
+    phi) with phi unwrapped, observation its first three columns."""
 
     spec = EnvSpec("pendulum", 3, 1, 200, 2.0)
 
     def reset(self, rngs) -> np.ndarray:
-        return np.array([[rng.uniform_in(-math.pi, math.pi),
-                          rng.uniform_in(-1.0, 1.0)] for rng in rngs])
-
-    def observe(self, x: np.ndarray) -> np.ndarray:
-        obs = np.empty((len(x), 3))
-        np.cos(x[:, 0], obs[:, 0])
-        np.sin(x[:, 0], obs[:, 1])
-        obs[:, 2] = x[:, 1]
-        return obs
+        x = np.empty((len(rngs), 4))
+        # each row draws phi, then phidot, into columns 3 and 2
+        x[:, 3:1:-1] = [(rng.uniform_in(-math.pi, math.pi),
+                         rng.uniform_in(-1.0, 1.0)) for rng in rngs]
+        np.cos(x[:, 3], x[:, 0])
+        np.sin(x[:, 3], x[:, 1])
+        return x
 
     def step(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # phidot' = clamp(phidot + dt acc), phi' = phi + dt phidot', where
         # acc = (g / l) sin(phi) + u / (m l^2) = 10 sin(phi) + u exactly
-        acc = np.sin(x[:, 0])
-        acc *= _PEND_G_OVER_L
+        acc = x[:, 1] * _PEND_G_OVER_L
         acc += actions[:, 0]
         acc *= _PEND_DT
-        acc += x[:, 1]
+        acc += x[:, 2]
         np.maximum(acc, -_PEND_MAX_SPEED, out=acc)
         np.minimum(acc, _PEND_MAX_SPEED, out=acc)
         x_next = np.empty_like(x)
-        x_next[:, 1] = acc
+        x_next[:, 2] = acc
         acc *= _PEND_DT
-        acc += x[:, 0]
-        x_next[:, 0] = acc
+        acc += x[:, 3]
+        x_next[:, 3] = acc
+        np.cos(x_next[:, 3], x_next[:, 0])
+        np.sin(x_next[:, 3], x_next[:, 1])
         return x_next
 
     def rewards(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
@@ -164,11 +158,11 @@ class PendulumEnv:
         # (-0.1 phidot^2 - wrapped^2) + (-0.001 u) u. np.float_power is libm
         # pow, the rounding of a Python float's x ** 2
         u = actions[..., 0]
-        wrapped = xs[..., 0] + _PEND_PI
+        wrapped = xs[..., 3] + _PEND_PI
         np.remainder(wrapped, _PEND_TWO_PI, wrapped)
         wrapped -= _PEND_PI
         np.float_power(wrapped, _PEND_SQUARE, wrapped)
-        rewards = np.float_power(xs[..., 1], _PEND_SQUARE)
+        rewards = np.float_power(xs[..., 2], _PEND_SQUARE)
         rewards *= _PEND_SPEED_COST
         rewards -= wrapped
         np.multiply(u, _PEND_ACTION_COST, wrapped)
@@ -218,25 +212,27 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     thetas = thetas if inv_rms is None else thetas * inv_rms
     hi = np.float64(spec.action_clip)
     lo = -hi
+    n = spec.state_dim
     x = env.reset(rngs)
-    xs, observed, taken = [], [], []
+    xs, taken = [], []
     for _ in range(spec.horizon):
-        s = env.observe(x)
+        s = x[:, :n]
         # a stacked matmul rounds like one episode's theta @ s
         a = (thetas @ s[:, :, None])[:, :, 0]
         # clip the fresh matmul output in place; NaN stays NaN, as in np.clip
         np.maximum(a, lo, out=a)
         np.minimum(a, hi, out=a)
         xs.append(x)
-        observed.append(s)
         taken.append(a)
         x = env.step(x, a)
     # the steps' (B, .) arrays side by side are the (B, T, .) block: one
     # copy, where np.stack would first reshape each of the T arrays
     shape = (len(x), spec.horizon, -1)
-    states = np.concatenate(observed, axis=1).reshape(shape)
+    x_block = np.concatenate(xs, axis=1).reshape(shape)
     actions = np.concatenate(taken, axis=1).reshape(shape)
-    env_rewards = env.rewards(np.concatenate(xs, axis=1).reshape(shape), actions)
+    # the block itself when x holds only the observation
+    states = np.ascontiguousarray(x_block[..., :n])
+    env_rewards = env.rewards(x_block, actions)
     if reward_source is None:
         # cumsum adds in step order, like a scalar running sum; + 0.0 gives
         # the +0.0 that a sum started from 0.0 leaves when every reward is -0.0

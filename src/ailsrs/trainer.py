@@ -17,6 +17,7 @@ reach the policy update.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -51,8 +52,9 @@ class TrainerConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.disc_lr <= 0 or self.disc_iters < 0:
-            raise ValueError("disc_lr must be positive, disc_iters >= 0")
+        if not 0 < self.disc_lr < math.inf or self.disc_iters < 0:
+            raise ValueError("disc_lr must be positive and finite, "
+                             "disc_iters >= 0")
         if self.disc_batch is not None and self.disc_batch < 1:
             raise ValueError("disc_batch must be >= 1")
         if self.eval_every < 1 or self.eval_episodes < 1:

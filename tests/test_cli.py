@@ -115,6 +115,21 @@ def test_negative_or_nonfinite_ridge_exits_2(value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("alpha", "inf"), ("nu", "nan"),
+                                        ("disc_lr", "nan"), ("disc_lr", "inf")])
+def test_nonfinite_config_value_exits_2(key, value, demos_file, tmp_path, capsys):
+    # the same value as a flag is a usage error; so it is from a config file
+    out = tmp_path / "out"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\nmax_iterations = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--env", "lqr2d", "--demos", demos_file,
+              "--config", str(cfg), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_ridge_is_accepted():
     args = build_parser().parse_args(["bc", "--demos", "d", "--out", "o",
                                       "--ridge", "0"])

@@ -101,6 +101,16 @@ def test_bad_episode_names_path_and_line(tmp_path, key, value, error):
         load_trajectories(str(path))
 
 
+def test_non_numeric_episode_names_path_and_line(tmp_path):
+    header = {"format_version": 1, "env": "lqr2d", "state_dim": 2,
+              "action_dim": 1, "episodes": 1}
+    bad = {"states": {"x": 0.0}, "actions": [[0.0]], "env_rewards": [-1.0]}
+    path = tmp_path / "demos.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in (header, bad)))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: bad episode on line 2")):
+        load_trajectories(str(path))
+
+
 @pytest.mark.parametrize("key, value, error", [
     pytest.param("episodes", "1", FormatError, id="episodes-str"),
     pytest.param("episodes", 1.0, FormatError, id="episodes-float"),
@@ -201,3 +211,37 @@ def test_policy_count_preserved_exactly(tmp_path):
     save_policy(pol, norm, "lqr2d", path)
     _, norm2, _ = load_policy(path)
     assert norm2.count == 1234
+
+
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _with(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+@pytest.mark.parametrize("edit, error", [
+    pytest.param(lambda doc: [doc], FormatError, id="not-object"),
+    pytest.param(_without("theta"), FormatError, id="theta-missing"),
+    pytest.param(_without("count"), FormatError, id="count-missing"),
+    pytest.param(_with("action_dim", True), FormatError, id="action_dim-bool"),
+    pytest.param(_with("state_dim", 2.0), FormatError, id="state_dim-float"),
+    pytest.param(_with("count", True), FormatError, id="count-bool"),
+    pytest.param(_with("count", 2.7), FormatError, id="count-float"),
+    pytest.param(_with("count", -3), FormatError, id="count-negative"),
+    pytest.param(_with("var", [-1.0, 0.5]), FormatError, id="var-negative"),
+    pytest.param(_with("env", "nosuchenv"), FormatError, id="env-unknown"),
+    pytest.param(_with("theta", [["x", 0.0]]), FormatError, id="theta-str"),
+    pytest.param(lambda doc: {**doc, "state_dim": 3, "theta": [[0.0] * 3],
+                              "mu": [0.0] * 3, "var": [1.0] * 3},
+                 DimensionMismatchError, id="state_dim-spec"),
+])
+def test_bad_policy_names_path_and_line(tmp_path, edit, error):
+    path = tmp_path / "p.policy"
+    norm = ObservationNormalizer(RunningStats(4, np.array([0.5, -0.5]),
+                                              np.array([4.0, 8.0])))
+    save_policy(LinearPolicy(np.zeros((1, 2))), norm, "lqr2d", str(path))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))) + "\n")
+    with pytest.raises(error, match=re.escape(f"{path}: ") + r".*\bline 1\b"):
+        load_policy(str(path))

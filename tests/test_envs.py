@@ -58,8 +58,9 @@ def test_lqr_step_arithmetic():
 
 def test_pendulum_equilibrium():
     env = make_env("pendulum")
-    x, a = np.zeros((1, 2)), np.array([[0.0]])
-    np.testing.assert_allclose(env.observe(env.step(x, a)), [[1.0, 0.0, 0.0]])
+    # upright at rest: (cos phi, sin phi, phidot, phi) = (1, 0, 0, 0)
+    x, a = np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0.0]])
+    np.testing.assert_allclose(env.step(x, a)[:, :3], [[1.0, 0.0, 0.0]])
     assert env.rewards(x, a)[0] == 0.0
 
 
@@ -110,6 +111,27 @@ def test_block_rewards_match_step_slices(name, scale):
         assert block[:, t].tobytes() == step.tobytes()
 
 
+@pytest.mark.parametrize("name", ENVS)
+def test_observation_is_leading_columns_of_state(name):
+    # rollout records the first state_dim columns of the x that reset and
+    # step reach; the pendulum keeps cos and sin of its angle in columns 0, 1
+    env = make_env(name)
+    n, p = env.spec.state_dim, env.spec.action_dim
+    rng = Rng(8)
+    thetas = np.stack([3.0 * rng.derive(2, b).gaussian_matrix(p, n)
+                       for b in range(4)])
+    states, actions, _, _ = rollout(env, thetas, ObservationNormalizer.for_dim(n),
+                                    None, [rng.derive(3, b) for b in range(4)])
+    x = env.reset([rng.derive(3, b) for b in range(4)])
+    assert x.ndim == 2 and x.shape[1] >= n
+    for t in range(env.spec.horizon):
+        assert states[:, t].tobytes() == np.ascontiguousarray(x[:, :n]).tobytes()
+        if name == "pendulum":
+            assert x[:, 0].tobytes() == np.cos(x[:, 3]).tobytes()
+            assert x[:, 1].tobytes() == np.sin(x[:, 3]).tobytes()
+        x = env.step(x, actions[:, t].copy())
+
+
 class _NegativeZeroEnv:
     """A block env whose every reward is -0.0."""
 
@@ -117,9 +139,6 @@ class _NegativeZeroEnv:
 
     def reset(self, rngs):
         return np.zeros((len(rngs), 1))
-
-    def observe(self, x):
-        return x
 
     def step(self, x, actions):
         return x.copy()

@@ -29,9 +29,6 @@ class _ConstantStateEnv:
     def reset(self, rngs):
         return np.tile(self.state, (len(rngs), 1))
 
-    def observe(self, x):
-        return x
-
     def step(self, x, actions):
         return np.tile(self.state, (len(actions), 1))
 
@@ -112,9 +109,6 @@ class _BasisEnv:
 
     def reset(self, rngs):
         return np.tile(np.eye(self.spec.state_dim)[0], (len(rngs), 1))
-
-    def observe(self, x):
-        return x
 
     def step(self, x, actions):
         return np.roll(x, 1, axis=1)
