@@ -13,7 +13,9 @@ The digest covers:
 * the recorded demonstration sets, of the lqr2d and pendulum experts and
   of the pointmass2d PD controller: the states, actions and environment
   rewards of every episode. The pendulum's states are its observations
-  (cos phi, sin phi, phidot), which no other term hashes directly.
+  (cos phi, sin phi, phidot), which no other term hashes directly;
+* the policy files that the `bc` command writes from the lqr2d
+  demonstrations, in closed-form (`--ridge 1e-8`) and Adam mode.
 
 Two checkouts whose training is bit-identical print the same digest, so a
 refactor that must not change any artifact is checked with
@@ -22,21 +24,26 @@ refactor that must not change any artifact is checked with
 
 run once at each commit, with the same copy of this script. It uses only
 `train_expert`, `train_ailsrs`, `record` and the episodes of the set it
-returns, `evaluate_policy`, `LinearPolicy` and `ObservationNormalizer`,
-whose signatures are stable.
+returns, `save_trajectories`, `evaluate_policy`, `LinearPolicy`,
+`ObservationNormalizer` and the `bc` command line, whose signatures are
+stable.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 # ailsrs before numpy, so the package's BLAS thread pin takes effect
+from ailsrs import cli  # noqa: E402
 from ailsrs.ars import ArsConfig  # noqa: E402
-from ailsrs.demo_io import record  # noqa: E402
+from ailsrs.demo_io import record, save_trajectories  # noqa: E402
 from ailsrs.envs import evaluate_policy  # noqa: E402
 from ailsrs.policy import LinearPolicy, ObservationNormalizer  # noqa: E402
 from ailsrs.trainer import TrainerConfig, train_ailsrs, train_expert  # noqa: E402
@@ -68,6 +75,21 @@ def add_run(h, policy, normalizer, rows) -> None:
                    for r in rows]).encode())
 
 
+def add_cloned(h, demos) -> None:
+    """Hash the policy files `bc` writes from `demos`, in both modes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        demos_path = os.path.join(tmp, "demos.jsonl")
+        save_trajectories(demos, demos_path)
+        for mode in (["--ridge", "1e-8"], []):
+            out = os.path.join(tmp, "bc.policy")
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["bc", "--demos", demos_path, "--out", out, *mode])
+            if rc != 0:
+                raise SystemExit(f"bc {' '.join(mode)} exited with {rc}")
+            with open(out, "rb") as fh:
+                h.update(fh.read())
+
+
 def main() -> None:
     h = hashlib.sha256()
     ars = ArsConfig(alpha=0.02, nu=0.03, n_directions=8)
@@ -80,6 +102,7 @@ def main() -> None:
     demos = record(*experts["lqr2d"], "lqr2d", 10, 0)
     add_demos(h, demos)
     add_demos(h, record(*experts["pendulum"], "pendulum", 10, 0))
+    add_cloned(h, demos)
     for seed in IMITATION_SEEDS:
         cfg = TrainerConfig(ars=ars, max_iterations=30, eval_every=10,
                             eval_episodes=5, seed=seed)

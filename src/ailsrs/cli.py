@@ -18,7 +18,7 @@ from .ars import ArsConfig
 from .demo_io import (load_policy, load_trajectories, record, save_policy,
                       save_trajectories)
 from .envs import env_names, evaluate_policy, make_env
-from .policy import BcDataset, ObservationNormalizer, bc_closed_form, bc_fit
+from .policy import ObservationNormalizer, bc_closed_form, bc_fit
 from .trainer import (TrainerConfig, return_target, train_ailsrs, train_expert,
                       write_metrics)
 
@@ -124,17 +124,16 @@ def cmd_bc(args, parser) -> int:
     demos = load_trajectories(args.demos)
     states = np.concatenate([t.states for t in demos.trajectories])
     actions = np.concatenate([t.actions for t in demos.trajectories])
-    dataset = BcDataset(states, actions)
     # whiten against the demonstration states so the cloned weights live in
     # the same coordinates a trained policy would use
     normalizer = ObservationNormalizer.for_dim(demos.state_dim)
     normalizer.add_states(states)
     if args.ridge is not None:
-        policy = bc_closed_form(dataset, normalizer, ridge=args.ridge)
+        policy = bc_closed_form(states, actions, normalizer, ridge=args.ridge)
     else:
         epochs = args.epochs if args.epochs is not None else 2000
         lr = args.lr if args.lr is not None else 0.01
-        policy = bc_fit(dataset, normalizer, epochs=epochs, lr=lr)
+        policy = bc_fit(states, actions, normalizer, epochs=epochs, lr=lr)
     save_policy(policy, normalizer, demos.env_name, args.out)
     mean, std = evaluate_policy(policy, normalizer, demos.env_name, 100, 0)
     print(f"cloned policy from {len(demos)} episodes: eval return "

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .envs import EnvSpec, env_names, episode_rng, make_env, rollout
-from .numerics import RunningStats
 from .policy import LinearPolicy, ObservationNormalizer
 
 FORMAT_VERSION = 1
@@ -135,6 +135,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _floats(value) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array. Unlike
+    np.array(..., dtype=float) alone, it rejects numeric strings and bools."""
+    leaves = [value]
+    while (types := set(map(type, leaves))) == {list}:
+        leaves = list(chain.from_iterable(leaves))
+    if not types <= {int, float}:  # a bool's type is bool, not int
+        wrong = ", ".join(sorted(t.__name__ for t in types - {int, float}))
+        raise TypeError(f"expected numbers, found {wrong}")
+    return np.array(value, dtype=float)
+
+
 def _parse_object(path: str, line_no: int, text: str) -> dict:
     try:
         obj = json.loads(text)
@@ -190,10 +202,9 @@ def load_trajectories(path: str) -> TrajectorySet:
     for k in range(episodes):
         obj = _parse_object(path, k + 2, lines[k + 1])
         try:
-            trajectories.append(Trajectory(np.array(obj["states"], dtype=float),
-                                           np.array(obj["actions"], dtype=float),
-                                           np.array(obj["env_rewards"], dtype=float)))
-        except (KeyError, TypeError, ValueError) as exc:
+            trajectories.append(Trajectory(*(
+                _floats(obj[key]) for key in ("states", "actions", "env_rewards"))))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad episode on line {k + 2}: {exc}") from None
     out = TrajectorySet(spec.name, spec.state_dim, spec.action_dim, trajectories)
     out._validate(lambda k, fault: f"{path}: {fault} on line {k + 2}")
@@ -227,9 +238,8 @@ def load_policy(path: str, expect_env=None):
         raise FormatError(f"{path}: count {count!r} is not a non-negative "
                           "integer (line 1)")
     try:
-        theta, mu, var = (np.array(doc[key], dtype=float)
-                          for key in ("theta", "mu", "var"))
-    except (TypeError, ValueError) as exc:
+        theta, mu, var = (_floats(doc[key]) for key in ("theta", "mu", "var"))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: bad array on line 1: {exc}") from None
     if theta.shape != (spec.action_dim, spec.state_dim):
         raise DimensionMismatchError(
@@ -249,5 +259,5 @@ def load_policy(path: str, expect_env=None):
             f"not {expect_env.name!r} (line 1)")
     # the accumulator is reconstructed as var * count; observable stats
     # (mean, variance, count) are what the format preserves
-    normalizer = ObservationNormalizer(RunningStats(count, mu, var * count))
+    normalizer = ObservationNormalizer(count, mu, var * count)
     return LinearPolicy(theta), normalizer, spec.name

@@ -92,13 +92,6 @@ def disc_init(n: int, p: int, rng: Rng) -> MlpDiscriminator:
     )
 
 
-def disc_reward(disc: MlpDiscriminator, state: np.ndarray,
-                action: np.ndarray) -> float:
-    """Reward of one (state, action) pair: `reward_batch` on a single row."""
-    return float(disc.reward_batch(np.asarray(state, dtype=float)[None],
-                                   np.asarray(action, dtype=float)[None])[0])
-
-
 def lsgan_loss(disc: MlpDiscriminator, expert_inputs: np.ndarray,
                sampled_inputs: np.ndarray) -> float:
     """0.5 E_expert[(D-1)^2] + 0.5 E_sampled[D^2]."""

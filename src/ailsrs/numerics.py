@@ -1,4 +1,4 @@
-"""Deterministic numeric substrate: seeded RNG, Adam, running statistics.
+"""Deterministic numeric substrate: seeded RNG and Adam.
 
 Everything here is driven by a splitmix64 generator so that any quantity in
 the toolkit is a pure function of (seed, label path). Integer and uniform
@@ -9,13 +9,18 @@ float64 numpy arrays, row-major.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INTP_MAX = int(np.iinfo(np.intp).max)
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _mix64(z: int) -> int:
@@ -130,9 +135,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, n_params: int) -> "AdamState":
@@ -147,53 +149,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     if lr <= 0:
         raise ValueError("learning rate must be positive")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-
-
-@dataclass
-class RunningStats:
-    """Per-coordinate mean and population variance, merged a block at a time."""
-
-    count: int = 0
-    mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    m2: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def merge_batch(self, xs: np.ndarray) -> None:
-        """Fold a (B, n) block of observations in one pairwise merge."""
-        xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            return
-        if xs.ndim != 2:
-            raise ValueError("merge_batch expects a 2-D (batch, dim) array")
-        if self.count == 0 and self.mean.size == 0:
-            self.mean = np.zeros(xs.shape[1])
-            self.m2 = np.zeros(xs.shape[1])
-        if xs.shape[1] != self.mean.shape[0]:
-            raise ValueError(
-                f"observation width {xs.shape[1]} != stats shape {self.mean.shape}")
-        nb = xs.shape[0]
-        mb = xs.mean(axis=0)
-        m2b = ((xs - mb) ** 2).sum(axis=0)
-        if self.count == 0:
-            self.count, self.mean, self.m2 = nb, mb, m2b
-            return
-        na = self.count
-        delta = mb - self.mean
-        tot = na + nb
-        self.mean = self.mean + delta * (nb / tot)
-        self.m2 = self.m2 + m2b + delta * delta * (na * nb / tot)
-        self.count = tot
-
-    def variance(self) -> np.ndarray:
-        """Population variance; zeros until the first observation."""
-        if self.count == 0:
-            return np.zeros(self.mean.shape)
-        return self.m2 / self.count
-
-    def copy(self) -> "RunningStats":
-        return RunningStats(self.count, self.mean.copy(), self.m2.copy())
-
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

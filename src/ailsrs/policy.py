@@ -5,14 +5,16 @@ a = theta @ (s / sqrt(max(var + mu**2, 1e-8))): scaled by the running root
 mean square, never centred, so a zero state gives a zero action (centring
 would add a constant action bias that no optimal linear controller has).
 Whitening is the identity until at least two states have been observed.
+The normalizer merges its statistics a block of states at a time. Behavior
+cloning fits theta to (state, action) arrays, by Adam or in closed form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import AdamState, RunningStats, adam_step
+from .numerics import AdamState, adam_step
 
 VAR_FLOOR = 1e-8
 
@@ -30,28 +32,26 @@ class LinearPolicy:
 
 @dataclass
 class ObservationNormalizer:
-    """Running mean / diagonal variance of visited states.
+    """Running per-coordinate mean and population variance of visited
+    states, merged a (B, n) block at a time.
 
     Whitening divides by the RMS sqrt(var + mu**2), uncentred yet O(1) even
     for a large-mean, tiny-spread coordinate (pendulum's cos(phi) upright).
     """
 
-    stats: RunningStats = field(default_factory=RunningStats)
+    count: int
+    mean: np.ndarray  # (n,)
+    m2: np.ndarray    # (n,) sum of squared deviations from the mean
 
     @classmethod
     def for_dim(cls, n: int) -> "ObservationNormalizer":
-        return cls(RunningStats(0, np.zeros(n), np.zeros(n)))
-
-    @property
-    def count(self) -> int:
-        return self.stats.count
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.stats.mean
+        return cls(0, np.zeros(n), np.zeros(n))
 
     def variance(self) -> np.ndarray:
-        return self.stats.variance()
+        """Population variance; zeros until the first observation."""
+        if self.count == 0:
+            return np.zeros(self.mean.shape)
+        return self.m2 / self.count
 
     def snapshot(self) -> np.ndarray | None:
         """Frozen per-coordinate inverse RMS for a rollout; None while inactive."""
@@ -64,41 +64,53 @@ class ObservationNormalizer:
         return state if inv_rms is None else state * inv_rms
 
     def add_states(self, states: np.ndarray) -> None:
-        self.stats.merge_batch(states)
+        """Fold a (B, n) block of states in one pairwise merge."""
+        xs = np.asarray(states, dtype=float)
+        if xs.size == 0:
+            return
+        if xs.ndim != 2:
+            raise ValueError("add_states expects a 2-D (batch, dim) array")
+        if xs.shape[1] != self.mean.shape[0]:
+            raise ValueError(
+                f"state width {xs.shape[1]} != normalizer shape {self.mean.shape}")
+        nb = xs.shape[0]
+        mb = xs.mean(axis=0)
+        m2b = ((xs - mb) ** 2).sum(axis=0)
+        if self.count == 0:
+            self.count, self.mean, self.m2 = nb, mb, m2b
+            return
+        na = self.count
+        delta = mb - self.mean
+        tot = na + nb
+        self.mean = self.mean + delta * (nb / tot)
+        self.m2 = self.m2 + m2b + delta * delta * (na * nb / tot)
+        self.count = tot
 
     def copy(self) -> "ObservationNormalizer":
-        return ObservationNormalizer(self.stats.copy())
+        return ObservationNormalizer(self.count, self.mean.copy(), self.m2.copy())
 
 
-@dataclass
-class BcDataset:
-    """Paired (state, action) regression data for cloning."""
-
-    states: np.ndarray   # (B, n)
-    actions: np.ndarray  # (B, p)
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=float)
-        self.actions = np.asarray(self.actions, dtype=float)
-        if len(self.states) != len(self.actions):
-            raise ValueError("states and actions must pair up")
-
-    def __len__(self) -> int:
-        return len(self.states)
+def _whitened_pairs(states, actions, normalizer: ObservationNormalizer):
+    """(whitened states, actions) of a nonempty set of paired rows."""
+    states = np.asarray(states, dtype=float)
+    actions = np.asarray(actions, dtype=float)
+    if len(states) != len(actions):
+        raise ValueError("states and actions must pair up")
+    if len(states) == 0:
+        raise ValueError("cannot fit on an empty dataset")
+    return normalizer.normalize(states), actions
 
 
-def bc_fit(dataset: BcDataset, normalizer: ObservationNormalizer,
-           epochs: int = 2000, lr: float = 0.01) -> LinearPolicy:
-    """Fit a linear policy to the dataset by full-batch Adam on the exact
-    MSE gradient.
+def bc_fit(states: np.ndarray, actions: np.ndarray,
+           normalizer: ObservationNormalizer, epochs: int = 2000,
+           lr: float = 0.01) -> LinearPolicy:
+    """Fit a linear policy to (B, n) states and (B, p) actions by full-batch
+    Adam on the exact MSE gradient.
 
     States are whitened through `normalizer` first, so the fitted weights
     live in the same coordinates a trained policy would use.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot fit on an empty dataset")
-    z = normalizer.normalize(dataset.states)
-    y = dataset.actions
+    z, y = _whitened_pairs(states, actions, normalizer)
     n, p = z.shape[1], y.shape[1]
     theta = np.zeros((p, n))
     state = AdamState.zeros(p * n)
@@ -110,18 +122,16 @@ def bc_fit(dataset: BcDataset, normalizer: ObservationNormalizer,
     return LinearPolicy(theta)
 
 
-def bc_closed_form(dataset: BcDataset, normalizer: ObservationNormalizer,
+def bc_closed_form(states: np.ndarray, actions: np.ndarray,
+                   normalizer: ObservationNormalizer,
                    ridge: float = 0.0) -> LinearPolicy:
     """Exact ridge least-squares solution of the cloning objective.
 
     Solves (Z^T Z + ridge I) A = Z^T Y for A and returns theta = A^T.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot fit on an empty dataset")
+    z, y = _whitened_pairs(states, actions, normalizer)
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    z = normalizer.normalize(dataset.states)
-    y = dataset.actions
     gram = z.T @ z + ridge * np.eye(z.shape[1])
     rhs = z.T @ y
     try:

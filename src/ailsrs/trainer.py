@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -72,22 +72,13 @@ class MetricsRow:
     wall_ms: float
 
 
-METRICS_HEADER = ("iteration,mean_disc_return,sigma_r,disc_loss,"
-                  "eval_env_return_mean,eval_env_return_std,wall_ms")
-
-
 def write_metrics(rows: list[MetricsRow], path: str) -> None:
-    def cell(v):
-        return "" if v is None else repr(v)
-
+    """One CSV column per MetricsRow field: repr of the value, empty for None."""
     with open(path, "w") as fh:
-        fh.write(METRICS_HEADER + "\n")
+        fh.write(",".join(f.name for f in fields(MetricsRow)) + "\n")
         for r in rows:
-            fh.write(",".join([str(r.iteration), repr(r.mean_disc_return),
-                               repr(r.sigma_r), cell(r.disc_loss),
-                               cell(r.eval_env_return_mean),
-                               cell(r.eval_env_return_std),
-                               repr(r.wall_ms)]) + "\n")
+            fh.write(",".join("" if v is None else repr(v)
+                              for v in astuple(r)) + "\n")
 
 
 def return_target(reference_return: float, fraction: float) -> float:

@@ -24,12 +24,9 @@ def bc_loss(theta: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
 
 
 def welford_update(stats, x: np.ndarray) -> None:
-    """Fold one observation vector into a RunningStats by Welford's
-    recurrence, the one-row-at-a-time reference for `merge_batch`."""
+    """Fold one observation vector into an ObservationNormalizer by
+    Welford's recurrence, the one-row-at-a-time reference for `add_states`."""
     x = np.asarray(x, dtype=float)
-    if stats.count == 0 and stats.mean.size == 0:
-        stats.mean = np.zeros(x.shape)
-        stats.m2 = np.zeros(x.shape)
     stats.count += 1
     delta = x - stats.mean
     stats.mean = stats.mean + delta / stats.count

@@ -18,10 +18,10 @@ import _acceptance_report
 import ailsrs
 from ailsrs.ars import ars_update
 from ailsrs.cli import main as cli_main
-from ailsrs.discriminator import disc_init, disc_reward, lsgan_grad, lsgan_loss
+from ailsrs.discriminator import disc_init, lsgan_grad, lsgan_loss
 from ailsrs.envs import env_names
-from ailsrs.numerics import Rng, RunningStats
-from ailsrs.policy import BcDataset, ObservationNormalizer, bc_closed_form, bc_fit
+from ailsrs.numerics import Rng
+from ailsrs.policy import ObservationNormalizer, bc_closed_form, bc_fit
 from ailsrs.trainer import return_target
 
 HIDDEN = 100
@@ -165,9 +165,9 @@ def test_reward_anchors():
     half = ailsrs.MlpDiscriminator(np.zeros((HIDDEN, 3)), np.zeros(HIDDEN),
                                    np.zeros((HIDDEN, HIDDEN)), np.zeros(HIDDEN),
                                    np.zeros((1, HIDDEN)), 0.0)
-    at_half = disc_reward(half, np.zeros(2), np.zeros(1))
+    at_half = half.reward_batch(np.zeros((1, 2)), np.zeros((1, 1)))[0]
     half.b3 = 60.0  # saturates the score to 1.0: clamp takes over
-    at_ceiling = disc_reward(half, np.zeros(2), np.zeros(1))
+    at_ceiling = half.reward_batch(np.zeros((1, 2)), np.zeros((1, 1)))[0]
     ok = abs(at_half - math.log(2.0)) <= 1e-12
     ok &= abs(at_ceiling - (-math.log(1e-6))) <= 1e-9
     assert _report("reward anchors", ok,
@@ -208,9 +208,9 @@ def test_ars_invariances():
 def test_welford_matches_batch_statistics():
     rng = Rng(314)
     xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(1000)])
-    stats = RunningStats()
+    stats = ObservationNormalizer.for_dim(3)
     for row in xs:
-        stats.merge_batch(row[None])
+        stats.add_states(row[None])
     bm = xs.mean(axis=0)
     bv = ((xs - bm) ** 2).mean(axis=0)
     rel_mean = np.max(np.abs(stats.mean - bm) / (1.0 + np.abs(bm)))
@@ -246,12 +246,11 @@ def test_bc_oracle(riccati_demos_50, riccati_expert):
     _, _, expert_mean = riccati_expert
     states = np.concatenate([t.states for t in riccati_demos_50.trajectories])
     actions = np.concatenate([t.actions for t in riccati_demos_50.trajectories])
-    dataset = BcDataset(states, actions)
     norm = ObservationNormalizer.for_dim(2)
     norm.add_states(states)
-    closed = bc_closed_form(dataset, norm, ridge=1e-8)
+    closed = bc_closed_form(states, actions, norm, ridge=1e-8)
     mean, _ = ailsrs.evaluate_policy(closed, norm, "lqr2d", 100, 0)
-    fitted = bc_fit(dataset, norm, epochs=3000, lr=0.01)
+    fitted = bc_fit(states, actions, norm, epochs=3000, lr=0.01)
     gap = float(np.max(np.abs(fitted.theta - closed.theta)))
     ok = mean >= return_target(expert_mean, 0.95) and gap <= 1e-2
     assert _report("behavior cloning recovers the demonstrator", ok,
@@ -356,7 +355,7 @@ def test_bc_init_accelerates_imitation(e2e_runs, riccati_demos_50):
     actions = np.concatenate([t.actions for t in riccati_demos_50.trajectories])
     norm = ObservationNormalizer.for_dim(2)
     norm.add_states(states)
-    bc_policy = bc_closed_form(BcDataset(states, actions), norm, ridge=1e-8)
+    bc_policy = bc_closed_form(states, actions, norm, ridge=1e-8)
     cfg = ailsrs.TrainerConfig(
         ars=ailsrs.ArsConfig(alpha=0.02, nu=0.03, n_directions=32),
         max_iterations=2000, eval_every=10, eval_episodes=10, seed=1,

@@ -12,7 +12,7 @@ from ailsrs.demo_io import (DimensionMismatchError, FormatError,
                             load_trajectories, record, save_policy,
                             save_trajectories)
 from ailsrs.envs import evaluate_policy, make_env, riccati_optimal
-from ailsrs.numerics import Rng, RunningStats
+from ailsrs.numerics import Rng
 from ailsrs.policy import LinearPolicy, ObservationNormalizer
 
 
@@ -165,8 +165,8 @@ def test_nonfinite_rejected(tmp_path):
 def test_policy_roundtrip(tmp_path):
     rng = Rng(21)
     pol = LinearPolicy(rng.gaussian_matrix(1, 2))
-    norm = ObservationNormalizer(RunningStats(
-        57, np.array([0.25, -1.5]), np.array([3.0, 0.125]) * 57))
+    norm = ObservationNormalizer(57, np.array([0.25, -1.5]),
+                                 np.array([3.0, 0.125]) * 57)
     path = str(tmp_path / "p.policy")
     save_policy(pol, norm, "lqr2d", path)
     pol2, norm2, env_name = load_policy(path)
@@ -206,7 +206,7 @@ def test_policy_count_preserved_exactly(tmp_path):
     norm = ObservationNormalizer.for_dim(2)
     rng = Rng(5)
     for _ in range(1234):
-        welford_update(norm.stats, np.array([rng.gaussian(), rng.gaussian()]))
+        welford_update(norm, np.array([rng.gaussian(), rng.gaussian()]))
     path = str(tmp_path / "p.policy")
     save_policy(pol, norm, "lqr2d", path)
     _, norm2, _ = load_policy(path)
@@ -239,9 +239,42 @@ def _with(key, value):
 ])
 def test_bad_policy_names_path_and_line(tmp_path, edit, error):
     path = tmp_path / "p.policy"
-    norm = ObservationNormalizer(RunningStats(4, np.array([0.5, -0.5]),
-                                              np.array([4.0, 8.0])))
+    norm = ObservationNormalizer(4, np.array([0.5, -0.5]), np.array([4.0, 8.0]))
     save_policy(LinearPolicy(np.zeros((1, 2))), norm, "lqr2d", str(path))
     path.write_text(json.dumps(edit(json.loads(path.read_text()))) + "\n")
     with pytest.raises(error, match=re.escape(f"{path}: ") + r".*\bline 1\b"):
         load_policy(str(path))
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("theta", [[10 ** 400, 0.0]], id="theta-int-overflow"),
+    pytest.param("states", [[10 ** 400, 0.2]], id="states-int-overflow"),
+    pytest.param("theta", [["0.5", True]], id="theta-str-bool"),
+    pytest.param("theta", [[0.5, True]], id="theta-bool"),
+    pytest.param("mu", ["0.5", -0.5], id="mu-str"),
+    pytest.param("var", [False, 2.0], id="var-bool"),
+    pytest.param("states", [["0.1", 0.2]], id="states-str"),
+    pytest.param("states", [[True, 0.2]], id="states-bool"),
+    pytest.param("actions", [["0.0"]], id="actions-str"),
+    pytest.param("actions", [[False]], id="actions-bool"),
+    pytest.param("env_rewards", ["-1.0"], id="env_rewards-str"),
+    pytest.param("env_rewards", [True], id="env_rewards-bool"),
+])
+def test_non_number_array_entry_names_path_and_line(tmp_path, key, value):
+    # np.array(..., dtype=float) parses "0.5" and true, so these would load;
+    # an integer beyond float range raises OverflowError, not a ValueError
+    if key in ("theta", "mu", "var"):
+        path, load, line = tmp_path / "p.policy", load_policy, 1
+        save_policy(LinearPolicy(np.zeros((1, 2))), ObservationNormalizer.for_dim(2),
+                    "lqr2d", str(path))
+        docs = [{**json.loads(path.read_text()), key: value}]
+    else:
+        path, load, line = tmp_path / "demos.jsonl", load_trajectories, 2
+        docs = [{"format_version": 1, "env": "lqr2d", "state_dim": 2,
+                 "action_dim": 1, "episodes": 1},
+                {"states": [[0.1, 0.2]], "actions": [[0.0]], "env_rewards": [-1.0],
+                 key: value}]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    where = re.escape(f"{path}: ") + rf".*\bline {line}\b"
+    with pytest.raises(FormatError, match=where):
+        load(str(path))

@@ -5,8 +5,8 @@ import pytest
 
 from _oracles import finite_diff
 
-from ailsrs.discriminator import (MlpDiscriminator, disc_init, disc_reward,
-                                  disc_train, lsgan_grad, lsgan_loss)
+from ailsrs.discriminator import (MlpDiscriminator, disc_init, disc_train,
+                                  lsgan_grad, lsgan_loss)
 from ailsrs.numerics import AdamState, Rng, adam_step
 
 
@@ -200,28 +200,29 @@ def test_disc_train_descends_on_easy_data():
     assert after <= before
 
 
-def test_disc_reward_anchors():
+def test_reward_batch_anchors():
     disc = _zero_disc()  # D = 0.5 everywhere
-    r = disc_reward(disc, np.zeros(2), np.zeros(1))
+    r = disc.reward_batch(np.zeros((1, 2)), np.zeros((1, 1)))[0]
     assert r == pytest.approx(math.log(2.0), abs=1e-12)
 
     low = _saturated_disc()
     # all-minus-ones input drives D to ~0: reward tends to -log(1) = 0
-    assert disc_reward(low, -np.ones(2), -np.ones(1)) == pytest.approx(0.0, abs=1e-8)
+    assert low.reward_batch(-np.ones((1, 2)), -np.ones((1, 1)))[0] == pytest.approx(
+        0.0, abs=1e-8)
     # saturated-high side hits the clamp ceiling
     high = _zero_disc()
     high.b3 = 50.0
-    assert disc_reward(high, np.zeros(2), np.zeros(1)) == pytest.approx(
+    assert high.reward_batch(np.zeros((1, 2)), np.zeros((1, 1)))[0] == pytest.approx(
         -math.log(1e-6), abs=1e-9)
 
 
-def test_disc_reward_monotone_in_score():
+def test_reward_batch_monotone_in_score():
     # sweep D over a grid by varying b3 on an otherwise zero network
     rewards = []
     for d_target in np.linspace(0.01, 0.99, 50):
         disc = _zero_disc()
         disc.b3 = math.log(d_target / (1.0 - d_target))
-        rewards.append(disc_reward(disc, np.zeros(2), np.zeros(1)))
+        rewards.append(disc.reward_batch(np.zeros((1, 2)), np.zeros((1, 1)))[0])
     assert all(b > a for a, b in zip(rewards, rewards[1:]))
 
 
@@ -231,5 +232,6 @@ def test_reward_batch_matches_scalar_reward():
     states = np.array([[rng.gaussian() for _ in range(2)] for _ in range(5)])
     actions = np.array([[rng.gaussian()] for _ in range(5)])
     batch = disc.reward_batch(states, actions)
-    singles = [disc_reward(disc, s, a) for s, a in zip(states, actions)]
+    singles = [disc.reward_batch(s[None], a[None])[0]
+               for s, a in zip(states, actions)]
     np.testing.assert_allclose(batch, singles, rtol=1e-15)

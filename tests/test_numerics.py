@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from _oracles import finite_diff, welford_update
 
-from ailsrs.numerics import AdamState, Rng, RunningStats, adam_step
+from ailsrs.numerics import AdamState, Rng, adam_step
+from ailsrs.policy import ObservationNormalizer
 
 # ---------------------------------------------------------------------------
 # Reference transcription of splitmix64, written independently of the
@@ -230,7 +231,7 @@ def test_adam_shape_mismatch_errors():
 
 
 def test_welford_scalar_hand_arithmetic():
-    stats = RunningStats()
+    stats = ObservationNormalizer.for_dim(1)
     for x in (1.0, 2.0, 3.0):
         welford_update(stats, np.array([x]))
     np.testing.assert_allclose(stats.mean, [2.0])
@@ -238,7 +239,7 @@ def test_welford_scalar_hand_arithmetic():
 
 
 def test_welford_single_observation():
-    stats = RunningStats()
+    stats = ObservationNormalizer.for_dim(2)
     welford_update(stats, np.array([4.2, -1.0]))
     np.testing.assert_array_equal(stats.mean, [4.2, -1.0])
     np.testing.assert_array_equal(stats.variance(), [0.0, 0.0])
@@ -247,7 +248,7 @@ def test_welford_single_observation():
 def test_welford_matches_two_pass_batch():
     rng = Rng(2024)
     xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(1000)])
-    stats = RunningStats()
+    stats = ObservationNormalizer.for_dim(3)
     for row in xs:
         welford_update(stats, row)
     batch_mean = xs.mean(axis=0)
@@ -259,30 +260,30 @@ def test_welford_matches_two_pass_batch():
 def test_merge_batch_matches_sequential_updates():
     rng = Rng(77)
     xs = np.array([[rng.gaussian() for _ in range(2)] for _ in range(500)])
-    seq = RunningStats()
+    seq = ObservationNormalizer.for_dim(2)
     for row in xs:
         welford_update(seq, row)
-    merged = RunningStats()
-    merged.merge_batch(xs[:123])
-    merged.merge_batch(xs[123:400])
-    merged.merge_batch(xs[400:])
+    merged = ObservationNormalizer.for_dim(2)
+    merged.add_states(xs[:123])
+    merged.add_states(xs[123:400])
+    merged.add_states(xs[400:])
     assert merged.count == seq.count
     np.testing.assert_allclose(merged.mean, seq.mean, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(merged.variance(), seq.variance(), rtol=1e-10, atol=1e-12)
 
 
 def test_welford_dimension_mismatch_errors():
-    stats = RunningStats()
-    stats.merge_batch(np.zeros((1, 2)))
+    stats = ObservationNormalizer.for_dim(2)
+    stats.add_states(np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        stats.merge_batch(np.zeros((1, 3)))
+        stats.add_states(np.zeros((1, 3)))
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50))
 @settings(max_examples=50)
 def test_welford_batch_equivalence_property(values):
     xs = np.array(values).reshape(-1, 1)
-    stats = RunningStats()
+    stats = ObservationNormalizer.for_dim(1)
     for row in xs:
         welford_update(stats, row)
     bm = xs.mean(axis=0)

@@ -8,15 +8,14 @@ from _oracles import bc_loss, welford_update
 from ailsrs import envs
 from ailsrs.ars import evaluate_directions
 from ailsrs.envs import EnvSpec, rollout
-from ailsrs.numerics import Rng, RunningStats
-from ailsrs.policy import (BcDataset, ObservationNormalizer, bc_closed_form,
-                           bc_fit)
+from ailsrs.numerics import Rng
+from ailsrs.policy import ObservationNormalizer, bc_closed_form, bc_fit
 
 
 def _normalizer(mean, var, count=10):
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
-    return ObservationNormalizer(RunningStats(count, mean, var * count))
+    return ObservationNormalizer(count, mean, var * count)
 
 
 class _ConstantStateEnv:
@@ -89,7 +88,7 @@ def test_act_linear_in_theta():
 
 def test_act_identity_until_two_observations():
     norm = ObservationNormalizer.for_dim(2)
-    welford_update(norm.stats, np.array([5.0, 5.0]))  # count == 1: still identity
+    welford_update(norm, np.array([5.0, 5.0]))  # count == 1: still identity
     np.testing.assert_array_equal(norm.normalize(np.array([1.5, 9.0])), [1.5, 9.0])
     np.testing.assert_allclose(_first_actions([[2.0, 0.0]], norm, [1.5, 9.0]),
                                [[3.0]])
@@ -165,20 +164,22 @@ def _linear_expert_data(theta_star, n_samples, rng, noise=0.0):
         actions = actions + noise * np.stack(
             [np.array([rng.gaussian() for _ in range(theta_star.shape[0])])
              for _ in range(n_samples)])
-    return BcDataset(states, actions)
+    return states, actions
 
 
 def test_bc_closed_form_recovers_expert_exactly():
     theta_star = np.array([[1.5, -0.7], [0.2, 0.9]])
-    data = _linear_expert_data(theta_star, 50, Rng(10))
-    fitted = bc_closed_form(data, ObservationNormalizer.for_dim(2), ridge=0.0)
+    states, actions = _linear_expert_data(theta_star, 50, Rng(10))
+    fitted = bc_closed_form(states, actions, ObservationNormalizer.for_dim(2),
+                            ridge=0.0)
     np.testing.assert_allclose(fitted.theta, theta_star, atol=1e-8)
 
 
 def test_bc_closed_form_large_ridge_shrinks_to_zero():
     theta_star = np.array([[1.0, 2.0]])
-    data = _linear_expert_data(theta_star, 30, Rng(11))
-    fitted = bc_closed_form(data, ObservationNormalizer.for_dim(2), ridge=1e12)
+    states, actions = _linear_expert_data(theta_star, 30, Rng(11))
+    fitted = bc_closed_form(states, actions, ObservationNormalizer.for_dim(2),
+                            ridge=1e12)
     assert np.max(np.abs(fitted.theta)) < 1e-6
 
 
@@ -188,9 +189,9 @@ def test_bc_closed_form_normal_equation_residual():
                        for _ in range(200)])
     actions = np.stack([np.array([rng.gaussian() for _ in range(2)])
                         for _ in range(200)])
-    data = BcDataset(states, actions)
     ridge = 1e-6
-    fitted = bc_closed_form(data, ObservationNormalizer.for_dim(3), ridge=ridge)
+    fitted = bc_closed_form(states, actions, ObservationNormalizer.for_dim(3),
+                            ridge=ridge)
     a = fitted.theta.T
     resid = (states.T @ states + ridge * np.eye(3)) @ a - states.T @ actions
     assert np.max(np.abs(resid)) <= 1e-8
@@ -201,50 +202,53 @@ def test_bc_closed_form_singular_without_ridge():
     states = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     actions = np.array([[1.0], [2.0], [3.0]])
     with pytest.raises(ValueError, match="ridge"):
-        bc_closed_form(BcDataset(states, actions), ObservationNormalizer.for_dim(2))
+        bc_closed_form(states, actions, ObservationNormalizer.for_dim(2))
 
 
 def test_bc_fit_matches_closed_form_on_clean_data():
     theta_star = np.array([[1.2, -0.4]])
-    data = _linear_expert_data(theta_star, 60, Rng(13))
+    states, actions = _linear_expert_data(theta_star, 60, Rng(13))
     norm = ObservationNormalizer.for_dim(2)
-    fitted = bc_fit(data, norm, epochs=3000, lr=0.01)
-    oracle = bc_closed_form(data, norm, ridge=0.0)
+    fitted = bc_fit(states, actions, norm, epochs=3000, lr=0.01)
+    oracle = bc_closed_form(states, actions, norm, ridge=0.0)
     np.testing.assert_allclose(fitted.theta, oracle.theta, atol=1e-3)
     np.testing.assert_allclose(fitted.theta, theta_star, atol=1e-3)
 
 
 def test_bc_fit_single_pair_beats_zero_policy():
-    data = BcDataset(np.array([[1.0, 2.0]]), np.array([[3.0]]))
+    z, y = np.array([[1.0, 2.0]]), np.array([[3.0]])
     norm = ObservationNormalizer.for_dim(2)
-    fitted = bc_fit(data, norm, epochs=500, lr=0.05)
-    z = data.states
-    assert bc_loss(fitted.theta, z, data.actions) <= bc_loss(np.zeros((1, 2)), z, data.actions)
+    fitted = bc_fit(z, y, norm, epochs=500, lr=0.05)
+    assert bc_loss(fitted.theta, z, y) <= bc_loss(np.zeros((1, 2)), z, y)
 
 
 def test_bc_fit_zero_actions_gives_zero_policy():
     rng = Rng(14)
     states = np.stack([np.array([rng.gaussian() for _ in range(2)])
                        for _ in range(40)])
-    data = BcDataset(states, np.zeros((40, 1)))
-    fitted = bc_fit(data, ObservationNormalizer.for_dim(2), epochs=2000, lr=0.01)
+    fitted = bc_fit(states, np.zeros((40, 1)), ObservationNormalizer.for_dim(2),
+                    epochs=2000, lr=0.01)
     assert np.max(np.abs(fitted.theta)) < 1e-3
 
 
 def test_bc_fit_empty_dataset_errors():
-    data = BcDataset(np.zeros((0, 2)), np.zeros((0, 1)))
     with pytest.raises(ValueError):
-        bc_fit(data, ObservationNormalizer.for_dim(2))
+        bc_fit(np.zeros((0, 2)), np.zeros((0, 1)), ObservationNormalizer.for_dim(2))
+
+
+@pytest.mark.parametrize("fit", [bc_fit, bc_closed_form])
+def test_bc_unpaired_set_errors(fit):
+    with pytest.raises(ValueError, match="pair up"):
+        fit(np.zeros((3, 2)), np.zeros((2, 1)), ObservationNormalizer.for_dim(2))
 
 
 def test_bc_fit_loss_monotone_full_batch():
     # lr=1e-3 full batch: loss never increases across epochs
     theta_star = np.array([[0.8, -1.1]])
-    data = _linear_expert_data(theta_star, 80, Rng(15), noise=0.1)
+    z, y = _linear_expert_data(theta_star, 80, Rng(15), noise=0.1)
     norm = ObservationNormalizer.for_dim(2)
-    z = data.states
     losses = []
     for epochs in range(0, 40, 4):
-        pol = bc_fit(data, norm, epochs=epochs, lr=1e-3)
-        losses.append(bc_loss(pol.theta, z, data.actions))
+        pol = bc_fit(z, y, norm, epochs=epochs, lr=1e-3)
+        losses.append(bc_loss(pol.theta, z, y))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
