@@ -7,13 +7,6 @@ OUT=${1:-runs/sample_efficiency}
 SEED=${2:-1}
 mkdir -p "$OUT"
 
-cat > "$OUT/train.cfg" <<'CFG'
-n_directions = 32
-max_iterations = 2000
-eval_every = 10
-eval_episodes = 10
-CFG
-
 if [ ! -f "$OUT/expert.policy" ]; then
     ailsrs train-expert --env lqr2d --iters 500 --n-dirs 8 --seed 1 \
         --out "$OUT/expert.policy"
@@ -21,13 +14,13 @@ fi
 
 for episodes in 10 20 50; do
     demos="$OUT/expert_${episodes}ep.demos"
-    ailsrs record --env lqr2d --policy "$OUT/expert.policy" \
+    ailsrs record --policy "$OUT/expert.policy" \
         --episodes "$episodes" --seed 0 --out "$demos"
-    ailsrs train --env lqr2d --demos "$demos" --config "$OUT/train.cfg" \
-        --seed "$SEED" --target-frac 0.9 \
+    ailsrs train --demos "$demos" --n-dirs 32 --iters 2000 --eval-every 10 \
+        --eval-episodes 10 --seed "$SEED" --target-frac 0.9 \
         --out "$OUT/imitator_${episodes}ep.policy" \
         --metrics "$OUT/metrics_${episodes}ep.csv"
     printf "%2d episodes -> " "$episodes"
-    ailsrs eval --env lqr2d --policy "$OUT/imitator_${episodes}ep.policy" \
+    ailsrs eval --policy "$OUT/imitator_${episodes}ep.policy" \
         --episodes 100 --seed 0
 done

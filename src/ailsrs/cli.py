@@ -3,8 +3,8 @@
     train-expert -> record -> bc -> train -> eval
 
 Every command is deterministic given its flags. Exit codes: 0 success,
-1 runtime failure, 2 usage error. Config files are flat `key = value`
-lines (# comments allowed); command-line flags win over file values.
+1 runtime failure, 2 usage error. `record`, `eval` and `train` run on the
+environment named in the policy or demonstrations file they read.
 """
 from __future__ import annotations
 
@@ -17,28 +17,10 @@ import numpy as np
 from .ars import ArsConfig
 from .demo_io import (load_policy, load_trajectories, record, save_policy,
                       save_trajectories)
-from .envs import env_names, evaluate_policy, make_env
+from .envs import env_names, evaluate_policy
 from .policy import ObservationNormalizer, bc_closed_form, bc_fit
 from .trainer import (TrainerConfig, return_target, train_ailsrs, train_expert,
                       write_metrics)
-
-# config-file keys -> (target dataclass attribute, type)
-_CONFIG_KEYS = {
-    "alpha": ("ars.alpha", float),
-    "nu": ("ars.nu", float),
-    "n_directions": ("ars.n_directions", int),
-    "max_iterations": ("max_iterations", int),
-    "disc_lr": ("disc_lr", float),
-    "disc_iters": ("disc_iters", int),
-    "disc_batch": ("disc_batch", int),
-    "eval_every": ("eval_every", int),
-    "eval_episodes": ("eval_episodes", int),
-    "seed": ("seed", int),
-}
-
-
-class UsageError(Exception):
-    pass
 
 
 def _positive(typ, allow_zero=False):
@@ -53,51 +35,13 @@ def _positive(typ, allow_zero=False):
     return parse
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat `key = value` file with # comments; unknown keys rejected."""
-    values = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected `key = value`")
-            key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            if key not in _CONFIG_KEYS:
-                raise UsageError(
-                    f"{path}:{line_no}: unknown key {key!r} "
-                    f"(valid: {', '.join(sorted(_CONFIG_KEYS))})")
-            _, typ = _CONFIG_KEYS[key]
-            try:
-                values[key] = typ(text)
-            except ValueError:
-                raise UsageError(
-                    f"{path}:{line_no}: {key} wants {typ.__name__}, got {text!r}"
-                ) from None
-    return values
-
-
-def build_trainer_config(file_values: dict, flag_values: dict) -> TrainerConfig:
-    merged = dict(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    ars_kwargs, top_kwargs = {}, {}
-    for key, value in merged.items():
-        attr, _ = _CONFIG_KEYS[key]
-        if attr.startswith("ars."):
-            ars_kwargs[attr[4:]] = value
-        else:
-            top_kwargs[attr] = value
-    try:
-        return TrainerConfig(ars=ArsConfig(**ars_kwargs), **top_kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _ars_config(args) -> ArsConfig:
+    return ArsConfig(alpha=args.alpha, nu=args.nu, n_directions=args.n_dirs)
 
 
 def cmd_train_expert(args) -> int:
-    ars_cfg = ArsConfig(alpha=args.alpha, nu=args.nu, n_directions=args.n_dirs)
-    policy, normalizer = train_expert(args.env, ars_cfg, args.iters, args.seed)
+    policy, normalizer = train_expert(args.env, _ars_config(args), args.iters,
+                                      args.seed)
     save_policy(policy, normalizer, args.env, args.out)
     mean, std = evaluate_policy(policy, normalizer, args.env,
                                 args.eval_episodes, args.seed)
@@ -108,11 +52,10 @@ def cmd_train_expert(args) -> int:
 
 
 def cmd_record(args) -> int:
-    spec = make_env(args.env).spec
-    policy, normalizer, _ = load_policy(args.policy, expect_env=spec)
-    demos = record(policy, normalizer, args.env, args.episodes, args.seed)
+    policy, normalizer, env = load_policy(args.policy)
+    demos = record(policy, normalizer, env, args.episodes, args.seed)
     save_trajectories(demos, args.out)
-    print(f"recorded {args.episodes} episodes on {args.env}; "
+    print(f"recorded {args.episodes} episodes on {env}; "
           f"mean return {demos.mean_env_return():.6g}")
     print(f"wrote {args.out}")
     return 0
@@ -143,24 +86,29 @@ def cmd_bc(args, parser) -> int:
 
 
 def cmd_train(args) -> int:
-    spec = make_env(args.env).spec
     demos = load_trajectories(args.demos)
-    file_values = parse_config_file(args.config) if args.config else {}
-    cfg = build_trainer_config(file_values, {"seed": args.seed})
+    env = demos.env_name
+    cfg = TrainerConfig(ars=_ars_config(args), max_iterations=args.iters,
+                        disc_lr=args.disc_lr, disc_iters=args.disc_iters,
+                        disc_batch=args.disc_batch, eval_every=args.eval_every,
+                        eval_episodes=args.eval_episodes, seed=args.seed)
     if args.target_frac is not None:
         cfg.early_stop_target = return_target(demos.mean_env_return(),
                                               args.target_frac)
     init = None
     if args.init:
-        pol, norm, _ = load_policy(args.init, expect_env=spec)
+        pol, norm, init_env = load_policy(args.init)
+        if init_env != env:
+            raise ValueError(f"{args.init} is a {init_env} policy, but "
+                             f"{args.demos} holds {env} demonstrations")
         init = (pol, norm)
-    policy, normalizer, rows = train_ailsrs(args.env, demos, cfg, init=init)
-    save_policy(policy, normalizer, args.env, args.out)
+    policy, normalizer, rows = train_ailsrs(env, demos, cfg, init=init)
+    save_policy(policy, normalizer, env, args.out)
     if args.metrics:
         write_metrics(rows, args.metrics)
         print(f"wrote {args.metrics} ({len(rows)} rows)")
-    mean, std = evaluate_policy(policy, normalizer, args.env,
-                                cfg.eval_episodes, cfg.seed)
+    mean, std = evaluate_policy(policy, normalizer, env, cfg.eval_episodes,
+                                cfg.seed)
     print(f"imitation training finished after {len(rows)} iterations: "
           f"eval return {mean:.6g} +- {std:.6g}")
     print(f"wrote {args.out}")
@@ -168,12 +116,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    spec = make_env(args.env).spec
-    policy, normalizer, _ = load_policy(args.policy, expect_env=spec)
-    mean, std = evaluate_policy(policy, normalizer, args.env, args.episodes,
+    policy, normalizer, env = load_policy(args.policy)
+    mean, std = evaluate_policy(policy, normalizer, env, args.episodes,
                                 args.seed)
     print(f"{mean:.6g} +- {std:.6g}")
     return 0
+
+
+def _search_flags(p, n_dirs: int, eval_episodes: int) -> None:
+    """The search settings that both training commands take."""
+    p.add_argument("--iters", type=_positive(int), required=True)
+    p.add_argument("--n-dirs", type=_positive(int), default=n_dirs)
+    p.add_argument("--alpha", type=_positive(float), default=ArsConfig.alpha)
+    p.add_argument("--nu", type=_positive(float), default=ArsConfig.nu)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eval-episodes", type=_positive(int), default=eval_episodes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,16 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-expert",
                        help="train a policy on raw environment reward")
     p.add_argument("--env", required=True, choices=env_names())
-    p.add_argument("--iters", type=_positive(int), required=True)
-    p.add_argument("--n-dirs", type=_positive(int), default=8)
-    p.add_argument("--alpha", type=_positive(float), default=0.02)
-    p.add_argument("--nu", type=_positive(float), default=0.03)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-episodes", type=_positive(int), default=100)
+    _search_flags(p, n_dirs=8, eval_episodes=100)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("record", help="record demonstration episodes")
-    p.add_argument("--env", required=True, choices=env_names())
     p.add_argument("--policy", required=True)
     p.add_argument("--episodes", type=_positive(int), required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -213,20 +164,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train",
                        help="imitation training on discriminator reward only")
-    p.add_argument("--env", required=True, choices=env_names())
     p.add_argument("--demos", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--init", default=None,
                    help="warm-start policy file (e.g. from bc)")
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _search_flags(p, n_dirs=ArsConfig.n_directions,
+                  eval_episodes=TrainerConfig.eval_episodes)
+    p.add_argument("--disc-lr", type=_positive(float), default=TrainerConfig.disc_lr)
+    p.add_argument("--disc-iters", type=_positive(int, allow_zero=True),
+                   default=TrainerConfig.disc_iters)
+    p.add_argument("--disc-batch", type=_positive(int), default=None,
+                   help="discriminator minibatch rows (default: the horizon)")
+    p.add_argument("--eval-every", type=_positive(int),
+                   default=TrainerConfig.eval_every)
     p.add_argument("--target-frac", type=_positive(float), default=None,
                    help="early-stop when eval reaches this fraction of the "
                         "demo mean return")
 
     p = sub.add_parser("eval", help="evaluate a policy file")
-    p.add_argument("--env", required=True, choices=env_names())
     p.add_argument("--policy", required=True)
     p.add_argument("--episodes", type=_positive(int), default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -248,8 +204,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             return cmd_eval(args)
         parser.error(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        parser.error(str(exc))
     except Exception as exc:  # runtime failures: message on stderr, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -117,12 +117,12 @@ def record(policy: LinearPolicy, normalizer: ObservationNormalizer,
 
 
 def save_trajectories(demo_set: TrajectorySet, path: str) -> None:
+    header = {"format_version": FORMAT_VERSION, "env": demo_set.env_name,
+              "state_dim": demo_set.state_dim, "action_dim": demo_set.action_dim,
+              "episodes": len(demo_set)}
+    _check_header(path, header, FORMAT_VERSION, ())
     demo_set.validate()
     with open(path, "w") as fh:
-        header = {"format_version": FORMAT_VERSION, "env": demo_set.env_name,
-                  "state_dim": demo_set.state_dim,
-                  "action_dim": demo_set.action_dim,
-                  "episodes": len(demo_set)}
         fh.write(json.dumps(header) + "\n")
         for t in demo_set.trajectories:
             fh.write(json.dumps({"states": t.states.tolist(),
@@ -158,9 +158,9 @@ def _parse_object(path: str, line_no: int, text: str) -> dict:
 
 
 def _check_header(path: str, header: dict, version: int, keys) -> EnvSpec:
-    """Check a file's first-line header: its version, the presence of `keys`
-    beside env, state_dim and action_dim, and that the env is built in with
-    exactly these dims. Returns the env's spec."""
+    """Check a file's first-line header, read or about to be written: its
+    version, the presence of `keys` beside env, state_dim and action_dim, and
+    that the env is built in with exactly these dims. Returns the env's spec."""
     _check_version(path, header, version)
     for key in ("env", "state_dim", "action_dim", *keys):
         if key not in header:
@@ -213,22 +213,25 @@ def load_trajectories(path: str) -> TrajectorySet:
 
 def save_policy(policy: LinearPolicy, normalizer: ObservationNormalizer,
                 env_name: str, path: str) -> None:
-    theta = policy.theta
-    if not np.all(np.isfinite(theta)):
-        raise NonFiniteValueError("policy weights contain non-finite values")
+    theta, mu, var = policy.theta, normalizer.mean, normalizer.variance()
     doc = {"format_version": POLICY_FORMAT_VERSION, "env": env_name,
            "state_dim": theta.shape[1], "action_dim": theta.shape[0],
-           "theta": theta.tolist(), "mu": normalizer.mean.tolist(),
-           "var": normalizer.variance().tolist(), "count": normalizer.count}
+           "theta": theta.tolist(), "mu": mu.tolist(), "var": var.tolist(),
+           "count": normalizer.count}
+    spec = _check_header(path, doc, POLICY_FORMAT_VERSION, ())
+    if mu.shape != (spec.state_dim,) or var.shape != (spec.state_dim,):
+        raise DimensionMismatchError(
+            f"{path}: normalizer shape {mu.shape} does not match "
+            f"{spec.name}'s state_dim {spec.state_dim}")
+    if not all(np.all(np.isfinite(a)) for a in (theta, mu, var)):
+        raise NonFiniteValueError(
+            "policy weights or whitening statistics contain non-finite values")
     with open(path, "w") as fh:
         fh.write(json.dumps(doc) + "\n")
 
 
-def load_policy(path: str, expect_env=None):
-    """Read a policy file; returns (policy, normalizer, env_name).
-
-    Pass an EnvSpec as `expect_env` to reject files of another environment.
-    """
+def load_policy(path: str):
+    """Read a policy file; returns (policy, normalizer, env_name)."""
     with open(path) as fh:
         doc = _parse_object(path, 1, fh.read())
     spec = _check_header(path, doc, POLICY_FORMAT_VERSION,
@@ -253,10 +256,6 @@ def load_policy(path: str, expect_env=None):
             raise NonFiniteValueError(f"{path}: non-finite value (line 1)")
     if np.any(var < 0):
         raise FormatError(f"{path}: negative variance (line 1)")
-    if expect_env is not None and spec.name != expect_env.name:
-        raise DimensionMismatchError(
-            f"{path}: policy was trained for {spec.name!r}, "
-            f"not {expect_env.name!r} (line 1)")
     # the accumulator is reconstructed as var * count; observable stats
     # (mean, variance, count) are what the format preserves
     normalizer = ObservationNormalizer(count, mu, var * count)

@@ -66,13 +66,13 @@ class ObservationNormalizer:
     def add_states(self, states: np.ndarray) -> None:
         """Fold a (B, n) block of states in one pairwise merge."""
         xs = np.asarray(states, dtype=float)
-        if xs.size == 0:
-            return
         if xs.ndim != 2:
             raise ValueError("add_states expects a 2-D (batch, dim) array")
         if xs.shape[1] != self.mean.shape[0]:
             raise ValueError(
                 f"state width {xs.shape[1]} != normalizer shape {self.mean.shape}")
+        if xs.size == 0:
+            return
         nb = xs.shape[0]
         mb = xs.mean(axis=0)
         m2b = ((xs - mb) ** 2).sum(axis=0)

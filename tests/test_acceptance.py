@@ -284,9 +284,8 @@ def _strip_wall_ms(csv_text: str) -> str:
     return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
 
 
-def _write_fast_cfg(path):
-    path.write_text("n_directions = 4\nmax_iterations = 12\n"
-                    "eval_every = 5\neval_episodes = 3\n")
+FAST_TRAIN_FLAGS = ["--n-dirs", "4", "--iters", "12", "--eval-every", "5",
+                    "--eval-episodes", "3"]
 
 
 def test_no_reward_leakage(tmp_path, riccati_expert):
@@ -301,14 +300,12 @@ def test_no_reward_leakage(tmp_path, riccati_expert):
             obj = json.loads(line)
             obj["env_rewards"] = [r + 1000.0 for r in obj["env_rewards"]]
             dst.write(json.dumps(obj) + "\n")
-    cfg = tmp_path / "fast.cfg"
-    _write_fast_cfg(cfg)
     outputs = {}
     for tag, demos in (("clean", demos_path), ("corrupted", corrupted_path)):
         out = tmp_path / f"{tag}.policy"
         metrics = tmp_path / f"{tag}.csv"
-        rc = cli_main(["train", "--env", "lqr2d", "--demos", str(demos),
-                       "--config", str(cfg), "--seed", "1", "--out", str(out),
+        rc = cli_main(["train", "--demos", str(demos), *FAST_TRAIN_FLAGS,
+                       "--seed", "1", "--out", str(out),
                        "--metrics", str(metrics)])
         assert rc == 0
         outputs[tag] = (out.read_bytes(), _strip_wall_ms(metrics.read_text()))
@@ -328,14 +325,12 @@ def test_cmd_train_determinism(tmp_path, riccati_expert):
     demos_path = tmp_path / "expert.demos"
     ailsrs.save_trajectories(ailsrs.record(pol, norm, "lqr2d", 10, 0),
                              str(demos_path))
-    cfg = tmp_path / "fast.cfg"
-    _write_fast_cfg(cfg)
     artifacts = []
     for run in ("a", "b"):
         out = tmp_path / f"{run}.policy"
         metrics = tmp_path / f"{run}.csv"
-        rc = cli_main(["train", "--env", "lqr2d", "--demos", str(demos_path),
-                       "--config", str(cfg), "--seed", "7", "--out", str(out),
+        rc = cli_main(["train", "--demos", str(demos_path), *FAST_TRAIN_FLAGS,
+                       "--seed", "7", "--out", str(out),
                        "--metrics", str(metrics)])
         assert rc == 0
         artifacts.append((out.read_bytes(), _strip_wall_ms(metrics.read_text())))

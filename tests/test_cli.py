@@ -1,11 +1,15 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ailsrs.cli import (UsageError, build_parser, build_trainer_config, main,
-                        parse_config_file)
+from ailsrs.cli import build_parser, main
 from ailsrs.demo_io import (load_policy, load_trajectories, record,
                             save_policy, save_trajectories)
 from ailsrs.envs import riccati_optimal
+from ailsrs.policy import LinearPolicy, ObservationNormalizer
 
 
 @pytest.fixture(scope="module")
@@ -24,53 +28,44 @@ def demos_file(tmp_path_factory, expert_policy_file):
     return str(path)
 
 
-def test_config_file_parsing(tmp_path):
-    path = tmp_path / "train.cfg"
-    path.write_text(
-        "# imitation settings\n"
-        "alpha = 0.02\n"
-        "n_directions = 16   # desk scale\n"
-        "\n"
-        "max_iterations = 50\n")
-    values = parse_config_file(str(path))
-    assert values == {"alpha": 0.02, "n_directions": 16, "max_iterations": 50}
-    cfg = build_trainer_config(values, {"seed": 7})
-    assert cfg.ars.n_directions == 16
-    assert cfg.max_iterations == 50
-    assert cfg.seed == 7
-
-
-def test_config_file_rejects_unknown_key(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("warp_speed = 9\n")
-    with pytest.raises(UsageError, match="warp_speed"):
-        parse_config_file(str(path))
-
-
-def test_config_file_rejects_bad_type(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("max_iterations = soon\n")
-    with pytest.raises(UsageError, match="int"):
-        parse_config_file(str(path))
-
-
-def test_flags_override_config_values(tmp_path):
-    path = tmp_path / "train.cfg"
-    path.write_text("seed = 3\nn_directions = 4\n")
-    cfg = build_trainer_config(parse_config_file(str(path)), {"seed": 11})
-    assert cfg.seed == 11 and cfg.ars.n_directions == 4
-
-
 def test_missing_required_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train-expert", "--iters", "5", "--out", "x.policy"])
     assert exc.value.code == 2
 
 
-def test_unknown_env_exits_2():
+def test_unknown_env_exits_2(tmp_path):
+    out = tmp_path / "x.policy"
     with pytest.raises(SystemExit) as exc:
-        main(["eval", "--env", "marsrover", "--policy", "x.policy"])
+        main(["train-expert", "--env", "marsrover", "--iters", "1",
+              "--out", str(out)])
     assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["record", "--policy", "p", "--episodes", "1", "--out", "o"],
+    ["eval", "--policy", "p"],
+    ["train", "--demos", "d", "--iters", "1", "--out", "o"],
+], ids=lambda argv: argv[0])
+def test_file_reading_commands_take_no_env_flag(argv, capsys):
+    # the policy or demonstrations file names its environment
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, "--env", "lqr2d"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --env" in capsys.readouterr().err
+
+
+def test_train_without_iters_exits_2(tmp_path, capsys):
+    # parsed before any file is read: the demos path does not exist
+    out = tmp_path / "x.policy"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--demos", str(tmp_path / "missing.demos"),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--iters" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -87,21 +82,37 @@ def test_unknown_env_exits_2():
     ("bc", "--lr", "0"),
     ("bc", "--lr", "-0.01"),
     ("train", "--target-frac", "0"),
+    ("train", "--iters", "0"),
+    ("train", "--alpha", "inf"),
+    ("train", "--nu", "nan"),
+    ("train", "--disc-lr", "nan"),
+    ("train", "--disc-lr", "inf"),
+    ("train", "--disc-batch", "0"),
+    ("train", "--eval-every", "0"),
 ])
 def test_nonpositive_number_exits_2(command, flag, value, tmp_path, capsys):
     out = tmp_path / "out"
     required = {
         "train-expert": ["--env", "lqr2d", "--iters", "1", "--out", str(out)],
-        "record": ["--env", "lqr2d", "--policy", "p", "--episodes", "1",
-                   "--out", str(out)],
-        "eval": ["--env", "lqr2d", "--policy", "p"],
+        "record": ["--policy", "p", "--episodes", "1", "--out", str(out)],
+        "eval": ["--policy", "p"],
         "bc": ["--demos", "d", "--out", str(out)],
-        "train": ["--env", "lqr2d", "--demos", "d", "--out", str(out)],
+        "train": ["--demos", "d", "--iters", "1", "--out", str(out)],
     }[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *required, flag, value])
     assert exc.value.code == 2
     assert f"{flag}: must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_disc_iters_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--demos", "d", "--iters", "1", "--out", str(out),
+              "--disc-iters", "-1"])
+    assert exc.value.code == 2
+    assert "--disc-iters: must be non-negative" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -115,21 +126,6 @@ def test_negative_or_nonfinite_ridge_exits_2(value, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("alpha", "inf"), ("nu", "nan"),
-                                        ("disc_lr", "nan"), ("disc_lr", "inf")])
-def test_nonfinite_config_value_exits_2(key, value, demos_file, tmp_path, capsys):
-    # the same value as a flag is a usage error; so it is from a config file
-    out = tmp_path / "out"
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{key} = {value}\nmax_iterations = 1\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--env", "lqr2d", "--demos", demos_file,
-              "--config", str(cfg), "--out", str(out)])
-    assert exc.value.code == 2
-    assert "must be positive and finite" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_zero_ridge_is_accepted():
     args = build_parser().parse_args(["bc", "--demos", "d", "--out", "o",
                                       "--ridge", "0"])
@@ -137,14 +133,14 @@ def test_zero_ridge_is_accepted():
 
 
 def test_nonexistent_policy_path_exits_1(capsys):
-    rc = main(["eval", "--env", "lqr2d", "--policy", "/nonexistent.policy"])
+    rc = main(["eval", "--policy", "/nonexistent.policy"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
 
 def test_record_and_eval_roundtrip(tmp_path, expert_policy_file, capsys):
     demos_out = str(tmp_path / "d.demos")
-    rc = main(["record", "--env", "lqr2d", "--policy", expert_policy_file,
+    rc = main(["record", "--policy", expert_policy_file,
                "--episodes", "5", "--seed", "2", "--out", demos_out])
     assert rc == 0
     demos = load_trajectories(demos_out)
@@ -152,7 +148,7 @@ def test_record_and_eval_roundtrip(tmp_path, expert_policy_file, capsys):
     header = open(demos_out).readline()
     assert '"episodes": 5' in header
 
-    rc = main(["eval", "--env", "lqr2d", "--policy", expert_policy_file,
+    rc = main(["eval", "--policy", expert_policy_file,
                "--episodes", "1", "--seed", "0"])
     assert rc == 0
     out = capsys.readouterr().out
@@ -162,7 +158,7 @@ def test_record_and_eval_roundtrip(tmp_path, expert_policy_file, capsys):
 def test_record_determinism(tmp_path, expert_policy_file):
     a, b = str(tmp_path / "a.demos"), str(tmp_path / "b.demos")
     for out in (a, b):
-        assert main(["record", "--env", "lqr2d", "--policy", expert_policy_file,
+        assert main(["record", "--policy", expert_policy_file,
                      "--episodes", "3", "--seed", "9", "--out", out]) == 0
     assert open(a, "rb").read() == open(b, "rb").read()
 
@@ -202,12 +198,9 @@ def test_bc_empty_demos_file_exits_1(tmp_path, capsys):
 def test_train_smoke_and_artifacts(demos_file, tmp_path, capsys):
     out = str(tmp_path / "imitator.policy")
     metrics = str(tmp_path / "metrics.csv")
-    cfg = tmp_path / "fast.cfg"
-    cfg.write_text("n_directions = 4\nmax_iterations = 4\n"
-                   "eval_every = 2\neval_episodes = 2\n")
-    rc = main(["train", "--env", "lqr2d", "--demos", demos_file,
-               "--config", str(cfg), "--seed", "1", "--out", out,
-               "--metrics", metrics])
+    rc = main(["train", "--demos", demos_file, "--n-dirs", "4", "--iters", "4",
+               "--eval-every", "2", "--eval-episodes", "2", "--seed", "1",
+               "--out", out, "--metrics", metrics])
     assert rc == 0
     pol, _, _ = load_policy(out)
     assert np.all(np.isfinite(pol.theta))
@@ -216,10 +209,18 @@ def test_train_smoke_and_artifacts(demos_file, tmp_path, capsys):
     assert len(lines) == 5
 
 
-def test_train_demo_env_mismatch_exits_1(demos_file, tmp_path):
-    rc = main(["train", "--env", "pendulum", "--demos", demos_file,
-               "--out", str(tmp_path / "x.policy")])
+def test_train_demo_env_mismatch_exits_1(demos_file, tmp_path, capsys):
+    # the demonstrations name the env; an --init policy of another env is refused
+    init = str(tmp_path / "pendulum.policy")
+    save_policy(LinearPolicy(np.zeros((1, 3))), ObservationNormalizer.for_dim(3),
+                "pendulum", init)
+    out = tmp_path / "x.policy"
+    rc = main(["train", "--demos", demos_file, "--iters", "1", "--init", init,
+               "--out", str(out)])
     assert rc == 1
+    err = capsys.readouterr().err
+    assert "pendulum" in err and "lqr2d" in err
+    assert not out.exists()
 
 
 def test_train_expert_smoke(tmp_path, capsys):
@@ -246,8 +247,40 @@ def test_train_expert_determinism(tmp_path):
 
 def test_eval_matches_riccati_estimate(tmp_path, expert_policy_file, capsys):
     _, _, estimate = riccati_optimal(seed=0, episodes=100)
-    rc = main(["eval", "--env", "lqr2d", "--policy", expert_policy_file,
+    rc = main(["eval", "--policy", expert_policy_file,
                "--episodes", "100", "--seed", "0"])
     assert rc == 0
     printed = capsys.readouterr().out.split("+-")[0].strip()
     assert printed == f"{estimate:.6g}"
+
+
+def _documented_commands():
+    """The arguments of every `ailsrs ...` line in README.md's CLI block and
+    in scripts/*.sh, one pytest param each, with `\\` continuations joined,
+    README's `[...]` optional brackets dropped and shell variables read as 1."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    cli_block = readme.split("## CLI pipeline", 1)[1].split("```")[1]
+    sources = [("README.md", cli_block.replace("[", "").replace("]", ""))]
+    sources += [(path.name, path.read_text())
+                for path in sorted((root / "scripts").glob("*.sh"))]
+    commands = []
+    for name, text in sources:
+        for line in text.replace("\\\n", " ").splitlines():
+            words = shlex.split(re.sub(r"\$\{?\w+\}?", "1", line), comments=True)
+            if words[:1] == ["ailsrs"]:
+                commands.append(pytest.param(words[1:], id=f"{name}:{words[1]}"))
+    return commands
+
+
+DOCUMENTED_COMMANDS = _documented_commands()
+
+
+@pytest.mark.parametrize("argv", DOCUMENTED_COMMANDS)
+def test_documented_command_parses(argv):
+    build_parser().parse_args(argv)
+
+
+def test_docs_show_every_command():
+    assert {p.values[0][0] for p in DOCUMENTED_COMMANDS} == {
+        "train-expert", "record", "bc", "train", "eval"}

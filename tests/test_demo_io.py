@@ -11,7 +11,7 @@ from ailsrs.demo_io import (DimensionMismatchError, FormatError,
                             VersionMismatchError, load_policy,
                             load_trajectories, record, save_policy,
                             save_trajectories)
-from ailsrs.envs import evaluate_policy, make_env, riccati_optimal
+from ailsrs.envs import evaluate_policy, riccati_optimal
 from ailsrs.numerics import Rng
 from ailsrs.policy import LinearPolicy, ObservationNormalizer
 
@@ -191,14 +191,16 @@ def test_policy_version_1_rejected(tmp_path):
 
 
 def test_policy_env_mismatch_rejected(tmp_path):
-    pol = LinearPolicy(np.zeros((1, 2)))
-    norm = ObservationNormalizer.for_dim(2)
-    path = str(tmp_path / "p.policy")
-    save_policy(pol, norm, "lqr2d", path)
+    # callers trust the env a policy file names, so load_policy checks the
+    # name against the weights' dims
+    path = tmp_path / "p.policy"
+    save_policy(LinearPolicy(np.zeros((1, 2))), ObservationNormalizer.for_dim(2),
+                "lqr2d", str(path))
+    _, _, env_name = load_policy(str(path))
+    assert env_name == "lqr2d"
+    path.write_text(path.read_text().replace('"env": "lqr2d"', '"env": "pendulum"'))
     with pytest.raises(DimensionMismatchError, match="pendulum"):
-        load_policy(path, expect_env=make_env("pendulum").spec)
-    # the right environment loads fine
-    load_policy(path, expect_env=make_env("lqr2d").spec)
+        load_policy(str(path))
 
 
 def test_policy_count_preserved_exactly(tmp_path):
@@ -211,6 +213,38 @@ def test_policy_count_preserved_exactly(tmp_path):
     save_policy(pol, norm, "lqr2d", path)
     _, norm2, _ = load_policy(path)
     assert norm2.count == 1234
+
+
+def _policy_saver(env_name, theta_shape, normalizer):
+    return lambda path: save_policy(LinearPolicy(np.zeros(theta_shape)),
+                                    normalizer, env_name, path)
+
+
+def _demos_saver(env_name, state_dim):
+    episode = Trajectory(np.zeros((4, state_dim)), np.zeros((4, 1)), np.zeros(4))
+    return lambda path: save_trajectories(
+        TrajectorySet(env_name, state_dim, 1, [episode]), path)
+
+
+@pytest.mark.parametrize("save, error", [
+    pytest.param(_policy_saver("pendulum", (1, 2), ObservationNormalizer.for_dim(2)),
+                 DimensionMismatchError, id="policy-dims-of-another-env"),
+    pytest.param(_policy_saver("lqr2d", (1, 2), ObservationNormalizer.for_dim(3)),
+                 DimensionMismatchError, id="policy-normalizer-width"),
+    pytest.param(_policy_saver("nosuchenv", (1, 2), ObservationNormalizer.for_dim(2)),
+                 FormatError, id="policy-unknown-env"),
+    pytest.param(_policy_saver("lqr2d", (1, 2), ObservationNormalizer(
+        2, np.array([np.nan, 0.0]), np.zeros(2))), NonFiniteValueError,
+                 id="policy-nan-mean"),
+    pytest.param(_demos_saver("lqr2d", 3), DimensionMismatchError,
+                 id="demos-dims-of-another-env"),
+    pytest.param(_demos_saver("nosuchenv", 2), FormatError, id="demos-unknown-env"),
+])
+def test_savers_refuse_what_loaders_reject(tmp_path, save, error):
+    path = tmp_path / "out"
+    with pytest.raises(error):
+        save(str(path))
+    assert not path.exists()
 
 
 def _without(key):

@@ -279,6 +279,23 @@ def test_welford_dimension_mismatch_errors():
         stats.add_states(np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (0,)])
+def test_add_states_checks_shape_of_empty_block(shape):
+    # no rows, but still not a block of 2-wide states
+    with pytest.raises(ValueError):
+        ObservationNormalizer.for_dim(2).add_states(np.zeros(shape))
+
+
+def test_add_states_empty_block_is_noop():
+    stats = ObservationNormalizer.for_dim(2)
+    stats.add_states(np.array([[1.0, 2.0], [3.0, 5.0]]))
+    before = stats.copy()
+    stats.add_states(np.zeros((0, 2)))
+    assert stats.count == before.count
+    np.testing.assert_array_equal(stats.mean, before.mean)
+    np.testing.assert_array_equal(stats.m2, before.m2)
+
+
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50))
 @settings(max_examples=50)
 def test_welford_batch_equivalence_property(values):
