@@ -10,8 +10,8 @@ each exported tree and with the tree's own, unchanged benchmark:
 * `bench/run.py --workload all --trace 0` in ten alternating pairs (the
   parent first in even pairs, the change first in odd ones), each run at
   BENCHMARK.json's `run_seconds`;
-* one `bench/run.py --workload expert-pendulum --trace 1` run per side,
-  for the per-layer table;
+* one `bench/run.py --workload all --trace 1` run per side, for the
+  per-layer table of every workload;
 * the tier-1 suite, `PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors`, once per side, for its pass count and
   wall time.
@@ -44,7 +44,6 @@ RUN_TIMEOUT_S = 3600
 PAIRS = 10
 ITER_MS = re.compile(r"^iter_ms \(median of untraced calls\) ([0-9.eE+-]+) ms")
 TIER1_COUNTS = re.compile(r"(\d+) (passed|failed|errors?)\b")
-TRACE_WORKLOAD = "expert-pendulum"
 TIER1_COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors",
                  "-p", "no:cacheprovider"]
 
@@ -182,7 +181,7 @@ def main(argv=None) -> int:
                 hdrs, result, iter_ms = run_bench(trees[side], bench_args)
                 headers.setdefault(side, hdrs)
                 runs[side].append({**result, "iter_ms": iter_ms})
-        trace_args = ["--workload", TRACE_WORKLOAD, "--seed", str(args.seed),
+        trace_args = ["--workload", "all", "--seed", str(args.seed),
                       "--seconds", str(seconds), "--trace", "1"]
         traces = {}
         for side in commits:

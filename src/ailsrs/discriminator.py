@@ -11,6 +11,12 @@ numpy, written once in `MlpDiscriminator._layers`. `lsgan_grad` returns the
 loss together with its hand-derived gradient from one forward pass (no
 autodiff dependency); `disc_train` takes Adam steps on minibatches drawn
 from two (M, n+p) arrays of [state, action] pairs.
+
+The passes write their (rows, 100) activations and deltas into one scratch
+block per discriminator, grown to the largest batch seen and never shrunk,
+with the same ufuncs in the same order as fresh temporaries would take, so
+every bit is unchanged. Nothing returned aliases the block, but it makes a
+discriminator unsafe to share across threads.
 """
 from __future__ import annotations
 
@@ -23,12 +29,14 @@ REWARD_CLAMP = 1.0 - 1e-6  # -log(1 - D) diverges as D -> 1
 
 
 class MlpDiscriminator:
-    """Two-hidden-layer tanh MLP with a sigmoid head over [state; action]."""
+    """Two-hidden-layer tanh MLP with a sigmoid head over [state; action].
+    Not to be shared across threads: every pass writes into its scratch."""
 
     def __init__(self, w1, b1, w2, b2, w3, b3):
         self.w1, self.b1 = w1, b1
         self.w2, self.b2 = w2, b2
         self.w3, self.b3 = w3, b3
+        self._scratch = np.empty((3, 0, HIDDEN))
 
     @property
     def input_dim(self) -> int:
@@ -41,10 +49,23 @@ class MlpDiscriminator:
                 f"expected inputs of width {self.input_dim}, got shape {x.shape}")
         return self._layers(x)[2]
 
+    def _blocks(self, rows: int):
+        """Three C-contiguous (rows, HIDDEN) views of the scratch, which grows
+        to the largest row count seen; a forward pass never touches the third."""
+        if rows > self._scratch.shape[1]:
+            self._scratch = np.empty((3, rows, HIDDEN))
+        return self._scratch[:, :rows]
+
     def _layers(self, x: np.ndarray):
-        """(h1, h2, D) of a (B, n+p) block: both hidden activations and D."""
-        h1 = np.tanh(x @ self.w1.T + self.b1)
-        h2 = np.tanh(h1 @ self.w2.T + self.b2)
+        """(h1, h2, D) of a (B, n+p) block. h1 and h2 are scratch views, valid
+        until the next pass; D is a fresh array."""
+        h1, h2, _ = self._blocks(len(x))
+        np.matmul(x, self.w1.T, out=h1)
+        h1 += self.b1
+        np.tanh(h1, out=h1)
+        np.matmul(h1, self.w2.T, out=h2)
+        h2 += self.b2
+        np.tanh(h2, out=h2)
         z = h2 @ self.w3.T + self.b3
         return h1, h2, 1.0 / (1.0 + np.exp(-z[:, 0]))
 
@@ -105,14 +126,25 @@ def lsgan_loss(disc: MlpDiscriminator, expert_inputs: np.ndarray,
 def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float):
     """0.5 * mean((D - target)^2) over one labelled batch, and its gradient."""
     h1, h2, d = disc._layers(x)
+    d2 = disc._blocks(len(x))[2]
     # dL/dz = (D - target) * D(1-D) / B   (the 0.5 cancels the square's 2)
     dz = ((d - target) * d * (1.0 - d) / len(x))[:, None]
     gw3 = dz.T @ h2
     gb3 = float(dz.sum())
-    d2 = (dz @ disc.w3) * (1.0 - h2 * h2)
+    # d2 = (dz @ w3) * (1 - h2^2), with 1 - h2^2 in h2's block; dz @ w3 has
+    # K = 1, so the broadcast product rounds the same
+    np.multiply(h2, h2, out=h2)
+    np.subtract(1.0, h2, out=h2)
+    np.multiply(dz, disc.w3, out=d2)
+    d2 *= h2
     gw2 = d2.T @ h1
     gb2 = d2.sum(axis=0)
-    d1 = (d2 @ disc.w2) * (1.0 - h1 * h1)
+    # d1 = (d2 w2) * (1 - h1^2), in h2's block
+    d1 = h2
+    np.multiply(h1, h1, out=h1)
+    np.subtract(1.0, h1, out=h1)
+    np.matmul(d2, disc.w2, out=d1)
+    d1 *= h1
     gw1 = d1.T @ x
     gb1 = d1.sum(axis=0)
     return 0.5 * float(np.mean((d - target) ** 2)), [gw1, gb1, gw2, gb2, gw3, gb3]

@@ -1,7 +1,10 @@
 """Reference computations that only the tests use: a generic
-finite-difference gradient, the behavior-cloning objective and the
-single-row Welford step."""
+finite-difference gradient, the behavior-cloning objective, the
+single-row Welford step and the discriminator's passes written out of
+place."""
 import numpy as np
+
+from ailsrs.discriminator import REWARD_CLAMP
 
 
 def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -31,3 +34,43 @@ def welford_update(stats, x: np.ndarray) -> None:
     delta = x - stats.mean
     stats.mean = stats.mean + delta / stats.count
     stats.m2 = stats.m2 + delta * (x - stats.mean)
+
+
+def disc_layers(disc, x: np.ndarray):
+    """(h1, h2, D) of a discriminator, each step a fresh array: the pinned
+    reference for the in-place `MlpDiscriminator._layers`."""
+    h1 = np.tanh(x @ disc.w1.T + disc.b1)
+    h2 = np.tanh(h1 @ disc.w2.T + disc.b2)
+    z = h2 @ disc.w3.T + disc.b3
+    return h1, h2, 1.0 / (1.0 + np.exp(-z[:, 0]))
+
+
+def disc_rewards(disc, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Out-of-place reference for `MlpDiscriminator.reward_batch`."""
+    d = disc_layers(disc, np.concatenate([states, actions], axis=1))[2]
+    return -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
+
+
+def _lsgan_half(disc, x: np.ndarray, target: float):
+    h1, h2, d = disc_layers(disc, x)
+    dz = ((d - target) * d * (1.0 - d) / len(x))[:, None]
+    gw3 = dz.T @ h2
+    gb3 = float(dz.sum())
+    d2 = (dz @ disc.w3) * (1.0 - h2 * h2)
+    gw2 = d2.T @ h1
+    gb2 = d2.sum(axis=0)
+    d1 = (d2 @ disc.w2) * (1.0 - h1 * h1)
+    gw1 = d1.T @ x
+    gb1 = d1.sum(axis=0)
+    return 0.5 * float(np.mean((d - target) ** 2)), [gw1, gb1, gw2, gb2, gw3, gb3]
+
+
+def lsgan_grad(disc, expert_inputs: np.ndarray, sampled_inputs: np.ndarray):
+    """Out-of-place reference for `discriminator.lsgan_grad`: (loss, flat
+    gradient in get_params order)."""
+    loss_e, ge = _lsgan_half(disc, expert_inputs, 1.0)
+    loss_s, gs = _lsgan_half(disc, sampled_inputs, 0.0)
+    parts = [e + s for e, s in zip(ge, gs)]
+    return loss_e + loss_s, np.concatenate([
+        parts[0].ravel(), parts[1], parts[2].ravel(), parts[3],
+        parts[4].ravel(), [parts[5]]])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracles
 from _oracles import finite_diff
 
 from ailsrs.discriminator import (MlpDiscriminator, disc_init, disc_train,
@@ -235,3 +236,59 @@ def test_reward_batch_matches_scalar_reward():
     singles = [disc.reward_batch(s[None], a[None])[0]
                for s, a in zip(states, actions)]
     np.testing.assert_allclose(batch, singles, rtol=1e-15)
+
+
+def _uniform_rows(rng, rows, width):
+    return rng.uniforms(-2.0, 2.0, rows * width).reshape(rows, width)
+
+
+@pytest.mark.parametrize("width", [3, 5, 6])
+def test_passes_byte_equal_to_out_of_place_reference(width):
+    rng = Rng(50 + width)
+    disc = disc_init(width - 1, 1, rng)
+    # the scratch block grows, is read through smaller views, and grows again
+    for rows in (1000, 7, 100, 1, 2000):
+        xe = _uniform_rows(rng, rows, width)
+        xs = _uniform_rows(rng, max(1, rows // 3), width)
+        assert (disc.forward_batch(xe).tobytes()
+                == _oracles.disc_layers(disc, xe)[2].tobytes())
+        states, actions = xs[:, :-1], xs[:, -1:]
+        assert (disc.reward_batch(states, actions).tobytes()
+                == _oracles.disc_rewards(disc, states, actions).tobytes())
+        loss, grad = lsgan_grad(disc, xe, xs)
+        ref_loss, ref_grad = _oracles.lsgan_grad(disc, xe, xs)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+
+def test_returned_arrays_do_not_alias_the_scratch():
+    rng = Rng(61)
+    disc = disc_init(4, 2, rng)
+    x = _uniform_rows(rng, 50, 6)
+    d = disc.forward_batch(x)
+    rewards = disc.reward_batch(x[:, :4], x[:, 4:])
+    loss, grad = lsgan_grad(disc, x, _uniform_rows(rng, 40, 6))
+    kept = [d.copy(), rewards.copy(), grad.copy()]
+    for rows in (10, 500):  # a smaller view, then a grown block
+        y = _uniform_rows(rng, rows, 6)
+        disc.forward_batch(y)
+        disc.reward_batch(y[:, :4], y[:, 4:])
+        assert lsgan_grad(disc, y, _uniform_rows(rng, rows, 6))[0] != loss
+        for fresh, copy in zip((d, rewards, grad), kept):
+            assert fresh.tobytes() == copy.tobytes()
+            assert not np.shares_memory(fresh, disc._scratch)
+    assert type(loss) is float
+
+
+def test_params_round_trip_with_scratch_in_place():
+    rng = Rng(62)
+    disc = disc_init(2, 1, rng)
+    x = _uniform_rows(rng, 30, 3)
+    d_before = disc.forward_batch(x)  # allocates the scratch block
+    flat = disc.get_params()
+    other = disc_init(2, 1, Rng(63))
+    disc.set_params(other.get_params())
+    assert disc.forward_batch(x).tobytes() == other.forward_batch(x).tobytes()
+    disc.set_params(flat)
+    assert disc.get_params().tobytes() == flat.tobytes()
+    assert disc.forward_batch(x).tobytes() == d_before.tobytes()
