@@ -12,13 +12,22 @@ loss together with its hand-derived gradient from one forward pass (no
 autodiff dependency); `disc_train` takes Adam steps on minibatches drawn
 from two (M, n+p) arrays of [state, action] pairs.
 
-The passes write their (rows, 100) activations and deltas into one scratch
-block per discriminator, grown to the largest batch seen and never shrunk,
-with the same ufuncs in the same order as fresh temporaries would take, so
-every bit is unchanged. Nothing returned aliases the block, but it makes a
-discriminator unsafe to share across threads.
+The passes write their (rows, 100) activations and deltas into scratch
+blocks that the discriminator keeps, grown to the largest batch seen and
+never shrunk, with the same ufuncs in the same order as fresh temporaries
+would take, so every bit is unchanged. There are two such lanes, because
+the work splits into two independent halves that run at once: `lsgan_grad`
+backpropagates its sampled half on one helper thread in lane 1 while the
+caller does the expert half in lane 0, and `reward_batch` scores the second
+half of a block of episodes on the helper. The helper is one module-wide
+thread, started on first use. Every matmul keeps its shape and BLAS keeps
+one thread, so each result is bit-identical whichever thread computes it.
+Nothing returned aliases a lane, but a discriminator is not to be shared
+across threads: each of these calls uses both lanes.
 """
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -30,13 +39,14 @@ REWARD_CLAMP = 1.0 - 1e-6  # -log(1 - D) diverges as D -> 1
 
 class MlpDiscriminator:
     """Two-hidden-layer tanh MLP with a sigmoid head over [state; action].
-    Not to be shared across threads: every pass writes into its scratch."""
+    Not to be shared across threads: every pass writes into a scratch lane."""
 
     def __init__(self, w1, b1, w2, b2, w3, b3):
         self.w1, self.b1 = w1, b1
         self.w2, self.b2 = w2, b2
         self.w3, self.b3 = w3, b3
-        self._scratch = np.empty((3, 0, HIDDEN))
+        # lane 0 for the calling thread, lane 1 for the helper
+        self._scratch = [np.empty((3, 0, HIDDEN)), np.empty((3, 0, HIDDEN))]
 
     @property
     def input_dim(self) -> int:
@@ -44,22 +54,23 @@ class MlpDiscriminator:
 
     def forward_batch(self, x: np.ndarray) -> np.ndarray:
         """D for a (B, n+p) input block; returns (B,) scores in (0, 1)."""
+        return self._layers(x, 0)[2]
+
+    def _blocks(self, rows: int, lane: int):
+        """Three C-contiguous (rows, HIDDEN) views of a scratch lane, which
+        grows to the largest row count seen in it; a forward pass never
+        touches the third."""
+        if rows > self._scratch[lane].shape[1]:
+            self._scratch[lane] = np.empty((3, rows, HIDDEN))
+        return self._scratch[lane][:, :rows]
+
+    def _layers(self, x: np.ndarray, lane: int):
+        """(h1, h2, D) of a (B, n+p) block. h1 and h2 are views of the lane,
+        valid until its next pass; D is a fresh array."""
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected inputs of width {self.input_dim}, got shape {x.shape}")
-        return self._layers(x)[2]
-
-    def _blocks(self, rows: int):
-        """Three C-contiguous (rows, HIDDEN) views of the scratch, which grows
-        to the largest row count seen; a forward pass never touches the third."""
-        if rows > self._scratch.shape[1]:
-            self._scratch = np.empty((3, rows, HIDDEN))
-        return self._scratch[:, :rows]
-
-    def _layers(self, x: np.ndarray):
-        """(h1, h2, D) of a (B, n+p) block. h1 and h2 are scratch views, valid
-        until the next pass; D is a fresh array."""
-        h1, h2, _ = self._blocks(len(x))
+        h1, h2, _ = self._blocks(len(x), lane)
         np.matmul(x, self.w1.T, out=h1)
         h1 += self.b1
         np.tanh(h1, out=h1)
@@ -70,9 +81,27 @@ class MlpDiscriminator:
         return h1, h2, 1.0 / (1.0 + np.exp(-z[:, 0]))
 
     def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Per-step rewards -log(1 - D) for an episode, clamped near D = 1."""
-        d = self.forward_batch(np.concatenate([states, actions], axis=1))
+        """Per-step rewards -log(1 - D), clamped near D = 1: (T,) rewards of
+        one (T, .) episode, or (B, T) rewards of a (B, T, .) block of B
+        episodes, one forward pass per episode. A block's episodes [:B//2]
+        are scored on the calling thread and [B//2:] on the helper."""
+        if states.ndim != 3:
+            return self._rewards(states, actions, 0)
+        out = np.empty(states.shape[:2])
+        half = len(states) // 2
+        _in_both_lanes(self._score, (states[:half], actions[:half], out[:half]),
+                       (states[half:], actions[half:], out[half:]))
+        return out
+
+    def _rewards(self, states: np.ndarray, actions: np.ndarray, lane: int):
+        d = self._layers(np.concatenate([states, actions], axis=1), lane)[2]
         return -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
+
+    def _score(self, states: np.ndarray, actions: np.ndarray, out: np.ndarray,
+               lane: int) -> None:
+        """Rewards of each episode of a (B, T, .) block into the rows of `out`."""
+        for s, a, rewards in zip(states, actions, out):
+            rewards[:] = self._rewards(s, a, lane)
 
     def get_params(self) -> np.ndarray:
         """Flat copy of all parameters (w1, b1, w2, b2, w3, b3 order)."""
@@ -80,6 +109,9 @@ class MlpDiscriminator:
                                self.b2, self.w3.ravel(), [self.b3]])
 
     def set_params(self, flat: np.ndarray) -> None:
+        if np.shape(flat) != (self.n_params,):
+            raise ValueError(f"expected a vector of {self.n_params} parameters, "
+                             f"got shape {np.shape(flat)}")
         shapes = [self.w1.shape, self.b1.shape, self.w2.shape, self.b2.shape,
                   self.w3.shape]
         pos = 0
@@ -123,10 +155,11 @@ def lsgan_loss(disc: MlpDiscriminator, expert_inputs: np.ndarray,
     return 0.5 * float(np.mean((d_e - 1.0) ** 2)) + 0.5 * float(np.mean(d_s ** 2))
 
 
-def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float):
+def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float,
+                   lane: int):
     """0.5 * mean((D - target)^2) over one labelled batch, and its gradient."""
-    h1, h2, d = disc._layers(x)
-    d2 = disc._blocks(len(x))[2]
+    h1, h2, d = disc._layers(x, lane)
+    d2 = disc._blocks(len(x), lane)[2]
     # dL/dz = (D - target) * D(1-D) / B   (the 0.5 cancels the square's 2)
     dz = ((d - target) * d * (1.0 - d) / len(x))[:, None]
     gw3 = dz.T @ h2
@@ -150,14 +183,38 @@ def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float):
     return 0.5 * float(np.mean((d - target) ** 2)), [gw1, gb1, gw2, gb2, gw3, gb3]
 
 
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _in_both_lanes(fn, here: tuple, there: tuple):
+    """(fn(*here, 0), fn(*there, 1)), the first on the calling thread and the
+    second on the helper thread, at once. `fn` must be private: bench/tracing.py
+    wraps public functions around one span stack, which two threads would
+    interleave."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            # imported here so that importing ailsrs starts and loads nothing
+            from concurrent.futures import ThreadPoolExecutor
+            _helper = ThreadPoolExecutor(max_workers=1,
+                                         thread_name_prefix="ailsrs-disc")
+        later = _helper.submit(fn, *there, 1)
+    try:
+        result = fn(*here, 0)
+    finally:
+        later.exception()  # wait: lane 1 is the helper's until it is done
+    return result, later.result()
+
+
 def lsgan_grad(disc: MlpDiscriminator, expert_inputs: np.ndarray,
                sampled_inputs: np.ndarray) -> tuple[float, np.ndarray]:
     """(lsgan_loss, its exact gradient flattened in get_params order), both
-    from one forward pass."""
+    from one forward pass; the sampled half runs on the helper thread."""
     if len(expert_inputs) == 0 or len(sampled_inputs) == 0:
         raise ValueError("both batches must be nonempty")
-    loss_e, ge = _backprop_half(disc, expert_inputs, 1.0)
-    loss_s, gs = _backprop_half(disc, sampled_inputs, 0.0)
+    (loss_e, ge), (loss_s, gs) = _in_both_lanes(
+        _backprop_half, (disc, expert_inputs, 1.0), (disc, sampled_inputs, 0.0))
     parts = [e + s for e, s in zip(ge, gs)]
     return loss_e + loss_s, np.concatenate([
         parts[0].ravel(), parts[1], parts[2].ravel(), parts[3],

@@ -199,9 +199,9 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
 
     `thetas` is (B, p, n), one policy per episode, or one (p, n) for all;
     actions are clipped to the actuator range. `reward_source` is None for
-    environment reward, or an object whose `reward_batch(states[b],
-    actions[b])` scores each finished episode. The normalizer is read,
-    never written.
+    environment reward, or an object whose `reward_batch(states, actions)`
+    scores the whole (B, T, .) block of finished episodes in one call,
+    returning (B, T) rewards. The normalizer is read, never written.
     """
     spec = env.spec
     if np.shape(thetas)[-2:] != (spec.action_dim, spec.state_dim):
@@ -238,8 +238,9 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
         # the +0.0 that a sum started from 0.0 leaves when every reward is -0.0
         returns = np.cumsum(env_rewards, axis=1)[:, -1] + 0.0
     else:
-        returns = np.array([np.sum(reward_source.reward_batch(s, a))
-                            for s, a in zip(states, actions)])
+        # each row of the C-contiguous (B, T) block is summed pairwise, as
+        # np.sum sums that row alone
+        returns = reward_source.reward_batch(states, actions).sum(axis=1)
     return states, actions, env_rewards, returns
 
 

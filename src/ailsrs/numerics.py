@@ -146,8 +146,8 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     """One Adam update with bias correction. Mutates `state`, returns new params."""
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads and moment buffers must share a shape")
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    if not lr > 0:  # NaN fails too
+        raise ValueError(f"learning rate must be positive, got {lr}")
     state.step += 1
     state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
     state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads

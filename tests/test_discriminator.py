@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -246,7 +248,7 @@ def _uniform_rows(rng, rows, width):
 def test_passes_byte_equal_to_out_of_place_reference(width):
     rng = Rng(50 + width)
     disc = disc_init(width - 1, 1, rng)
-    # the scratch block grows, is read through smaller views, and grows again
+    # the scratch lanes grow, are read through smaller views, and grow again
     for rows in (1000, 7, 100, 1, 2000):
         xe = _uniform_rows(rng, rows, width)
         xs = _uniform_rows(rng, max(1, rows // 3), width)
@@ -255,10 +257,28 @@ def test_passes_byte_equal_to_out_of_place_reference(width):
         states, actions = xs[:, :-1], xs[:, -1:]
         assert (disc.reward_batch(states, actions).tobytes()
                 == _oracles.disc_rewards(disc, states, actions).tobytes())
-        loss, grad = lsgan_grad(disc, xe, xs)
-        ref_loss, ref_grad = _oracles.lsgan_grad(disc, xe, xs)
-        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
-        assert grad.tobytes() == ref_grad.tobytes()
+        # the sampled half, in lane 1, smaller and then larger than lane 0's
+        for expert, sampled in ((xe, xs), (xs, xe)):
+            loss, grad = lsgan_grad(disc, expert, sampled)
+            ref_loss, ref_grad = _oracles.lsgan_grad(disc, expert, sampled)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("width", [3, 5, 6])
+def test_episode_block_rewards_byte_equal_to_one_episode_at_a_time(width):
+    rng = Rng(70 + width)
+    disc = disc_init(width - 1, 1, rng)
+    for steps in (1000, 7, 100, 1):
+        for episodes in (1, 2, 3, 64):
+            block = _uniform_rows(rng, episodes * steps, width).reshape(
+                episodes, steps, width)
+            states, actions = block[..., :-1], block[..., -1:]
+            rewards = disc.reward_batch(states, actions)
+            assert rewards.shape == (episodes, steps)
+            assert rewards.tobytes() == np.stack([
+                _oracles.disc_rewards(disc, s, a)
+                for s, a in zip(states, actions)]).tobytes()
 
 
 def test_returned_arrays_do_not_alias_the_scratch():
@@ -267,17 +287,57 @@ def test_returned_arrays_do_not_alias_the_scratch():
     x = _uniform_rows(rng, 50, 6)
     d = disc.forward_batch(x)
     rewards = disc.reward_batch(x[:, :4], x[:, 4:])
+    block = x.reshape(5, 10, 6)
+    block_rewards = disc.reward_batch(block[..., :4], block[..., 4:])
     loss, grad = lsgan_grad(disc, x, _uniform_rows(rng, 40, 6))
-    kept = [d.copy(), rewards.copy(), grad.copy()]
-    for rows in (10, 500):  # a smaller view, then a grown block
+    returned = (d, rewards, block_rewards, grad)
+    kept = [a.copy() for a in returned]
+    for rows in (10, 500):  # smaller views, then grown lanes
         y = _uniform_rows(rng, rows, 6)
         disc.forward_batch(y)
         disc.reward_batch(y[:, :4], y[:, 4:])
+        disc.reward_batch(y[None, :, :4].repeat(3, 0), y[None, :, 4:].repeat(3, 0))
         assert lsgan_grad(disc, y, _uniform_rows(rng, rows, 6))[0] != loss
-        for fresh, copy in zip((d, rewards, grad), kept):
+        for fresh, copy in zip(returned, kept):
             assert fresh.tobytes() == copy.tobytes()
-            assert not np.shares_memory(fresh, disc._scratch)
+            for lane in disc._scratch:
+                assert lane.shape[1] >= rows
+                assert not np.shares_memory(fresh, lane)
     assert type(loss) is float
+
+
+def test_helper_keeps_no_discriminator_alive():
+    rng = Rng(64)
+    disc = disc_init(2, 1, rng)
+    x = _uniform_rows(rng, 40, 3)
+    lsgan_grad(disc, x, x)
+    block = x.reshape(4, 10, 3)
+    disc.reward_batch(block[..., :2], block[..., 2:])
+    ref = weakref.ref(disc)
+    del disc
+    gc.collect()
+    assert ref() is None
+
+
+def test_helper_error_reaches_the_caller_and_the_next_call_is_exact():
+    rng = Rng(65)
+    disc = disc_init(2, 1, rng)
+    xe, xs = _uniform_rows(rng, 30, 3), _uniform_rows(rng, 20, 3)
+    with pytest.raises(ValueError, match="width 3"):
+        lsgan_grad(disc, xe, _uniform_rows(rng, 20, 4))  # fails on the helper
+    loss, grad = lsgan_grad(disc, xe, xs)
+    ref_loss, ref_grad = _oracles.lsgan_grad(disc, xe, xs)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+def test_set_params_rejects_a_vector_of_the_wrong_length():
+    disc = disc_init(2, 1, Rng(66))
+    flat = disc.get_params()
+    for bad in (flat[:-1], np.append(flat, 0.0)):
+        with pytest.raises(ValueError, match=f"{disc.n_params} parameters.*{len(bad)}"):
+            disc.set_params(bad)
+    assert disc.get_params().tobytes() == flat.tobytes()
 
 
 def test_params_round_trip_with_scratch_in_place():

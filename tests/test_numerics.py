@@ -230,6 +230,14 @@ def test_adam_shape_mismatch_errors():
         adam_step(state, np.zeros(3), np.zeros(2), 0.1)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.1, math.nan])
+def test_adam_rejects_a_learning_rate_that_is_not_positive(lr):
+    state = AdamState.zeros(3)
+    with pytest.raises(ValueError, match="learning rate"):
+        adam_step(state, np.zeros(3), np.ones(3), lr)
+    assert state.step == 0
+
+
 def test_welford_scalar_hand_arithmetic():
     stats = ObservationNormalizer.for_dim(1)
     for x in (1.0, 2.0, 3.0):

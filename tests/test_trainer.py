@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -80,6 +81,34 @@ def test_train_ailsrs_deterministic(riccati_demos):
         _, _, run_rows = train_ailsrs("lqr2d", demos, cfg)
         rows.append(run_rows)
     assert [_row_key(r) for r in rows[0]] == [_row_key(r) for r in rows[1]]
+
+
+def _search_bytes(demos, seed):
+    return [(theta.tobytes(), norm.mean.tobytes(), norm.m2.tobytes(), _row_key(row))
+            for theta, norm, row in search("lqr2d", _small_cfg(seed=seed), demos)]
+
+
+def test_searches_on_two_threads_match_their_runs_alone(riccati_demos):
+    # both callers' discriminators share the one helper thread
+    demos, _ = riccati_demos
+    alone = {seed: _search_bytes(demos, seed) for seed in (1, 2)}
+    together = {}
+
+    def run(seed):
+        together[seed] = _search_bytes(demos, seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert together == alone
 
 
 @pytest.mark.parametrize("imitate", [False, True],
