@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import _oracles
 from _oracles import finite_diff
 
+from ailsrs import discriminator
 from ailsrs.discriminator import (MlpDiscriminator, disc_init, disc_train,
                                   lsgan_grad, lsgan_loss)
 from ailsrs.numerics import AdamState, Rng, adam_step
@@ -319,12 +321,27 @@ def test_helper_keeps_no_discriminator_alive():
     assert ref() is None
 
 
-def test_helper_error_reaches_the_caller_and_the_next_call_is_exact():
+def test_helper_error_reaches_the_caller_and_the_next_call_is_exact(monkeypatch):
     rng = Rng(65)
     disc = disc_init(2, 1, rng)
     xe, xs = _uniform_rows(rng, 30, 3), _uniform_rows(rng, 20, 3)
     with pytest.raises(ValueError, match="width 3"):
         lsgan_grad(disc, xe, _uniform_rows(rng, 20, 4))  # fails on the helper
+    # a failing expert half still waits for the sampled half in lane 1
+    helper_done = []
+
+    def slow_helper(disc, x, target, lane):
+        if lane == 1:
+            time.sleep(0.05)
+            helper_done.append(lane)
+        return backprop_half(disc, x, target, lane)
+
+    backprop_half = discriminator._backprop_half
+    monkeypatch.setattr(discriminator, "_backprop_half", slow_helper)
+    with pytest.raises(ValueError, match="width 3"):
+        lsgan_grad(disc, _uniform_rows(rng, 30, 4), xs)
+    assert helper_done == [1]
+    monkeypatch.undo()
     loss, grad = lsgan_grad(disc, xe, xs)
     ref_loss, ref_grad = _oracles.lsgan_grad(disc, xe, xs)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
