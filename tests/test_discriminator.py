@@ -1,5 +1,6 @@
 import gc
 import math
+import threading
 import time
 import weakref
 
@@ -328,12 +329,15 @@ def test_helper_error_reaches_the_caller_and_the_next_call_is_exact(monkeypatch)
     with pytest.raises(ValueError, match="width 3"):
         lsgan_grad(disc, xe, _uniform_rows(rng, 20, 4))  # fails on the helper
     # a failing expert half still waits for the sampled half in lane 1
-    helper_done = []
+    helper_started, helper_done = threading.Event(), []
 
     def slow_helper(disc, x, target, lane):
         if lane == 1:
+            helper_started.set()
             time.sleep(0.05)
             helper_done.append(lane)
+        else:  # fail only once the helper is busy
+            helper_started.wait(timeout=10)
         return backprop_half(disc, x, target, lane)
 
     backprop_half = discriminator._backprop_half
