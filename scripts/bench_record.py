@@ -13,8 +13,9 @@ each exported tree and with the tree's own, unchanged benchmark:
 * one `bench/run.py --workload all --trace 1` run per side, for the
   per-layer table of every workload;
 * the tier-1 suite, `PYTHONPATH=src python -m pytest -q
-  --continue-on-collection-errors`, once per side, for its pass count and
-  wall time.
+  --continue-on-collection-errors`, in three alternating rounds per side
+  (the parent first in even rounds), for its pass counts and the median,
+  quartiles and IQR of its wall time.
 
 The JSON holds both commits, the thread pins, host and library versions
 (from the benchmark's header line), and per workload the median, quartiles
@@ -42,6 +43,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 3600
 # a claimed gain is judged over ten alternating pairs
 PAIRS = 10
+# tier-1's wall time moves by seconds between back-to-back runs of one tree
+TIER1_ROUNDS = 3
 ITER_MS = re.compile(r"^iter_ms \(median of untraced calls\) ([0-9.eE+-]+) ms")
 TIER1_COUNTS = re.compile(r"(\d+) (passed|failed|errors?)\b")
 TIER1_COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -188,10 +191,12 @@ def main(argv=None) -> int:
             progress(f"trace run: {side}")
             traces[side] = {k: v["value"] for k, v in
                             run_bench(trees[side], trace_args)[1]["metrics"].items()}
-        tier1_results = {}
-        for side in commits:
-            progress(f"tier-1: {side}")
-            tier1_results[side] = tier1(trees[side])
+        tier1_rounds = {"parent": [], "change": []}
+        for round_ in range(TIER1_ROUNDS):
+            order = ("parent", "change") if round_ % 2 == 0 else ("change", "parent")
+            for side in order:
+                progress(f"tier-1 round {round_ + 1}/{TIER1_ROUNDS}: {side}")
+                tier1_rounds[side].append(tier1(trees[side]))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -211,7 +216,9 @@ def main(argv=None) -> int:
         "trace": {"command": "python3 bench/run.py " + " ".join(trace_args),
                   **traces},
         "tier1": {"command": "PYTHONPATH=src python3 " + " ".join(TIER1_COMMAND),
-                  **tier1_results},
+                  **{side: {"rounds": rounds,
+                            "wall_s": spread([r["wall_s"] for r in rounds])}
+                     for side, rounds in tier1_rounds.items()}},
     }
     with open(out_path, "w") as fh:
         json.dump(record, fh, indent=1)

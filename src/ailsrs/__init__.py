@@ -12,8 +12,7 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 from .ars import ArsConfig, ars_update, sample_directions
 from .demo_io import (Trajectory, TrajectorySet, load_policy, load_trajectories,
                       record, save_policy, save_trajectories)
-from .discriminator import (MlpDiscriminator, disc_init, disc_train, lsgan_grad,
-                            lsgan_loss)
+from .discriminator import MlpDiscriminator, disc_init, disc_train, lsgan_grad
 from .envs import (EnvSpec, env_names, evaluate_policy, make_env, riccati_optimal,
                    rollout)
 from .numerics import AdamState, Rng, adam_step
@@ -27,7 +26,7 @@ __all__ = [
     "Trajectory", "TrajectorySet", "adam_step", "ars_update",
     "bc_closed_form", "bc_fit", "disc_init", "disc_train", "env_names",
     "evaluate_policy", "load_policy", "load_trajectories", "lsgan_grad",
-    "lsgan_loss", "make_env", "record", "return_target", "riccati_optimal",
-    "rollout", "sample_directions", "save_policy", "save_trajectories",
-    "search", "train_ailsrs", "train_expert", "write_metrics",
+    "make_env", "record", "return_target", "riccati_optimal", "rollout",
+    "sample_directions", "save_policy", "save_trajectories", "search",
+    "train_ailsrs", "train_expert", "write_metrics",
 ]

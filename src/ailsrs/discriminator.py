@@ -7,10 +7,12 @@ which keeps gradients alive even when the two distributions are far apart.
 Its score doubles as the reward signal: -log(1 - D).
 
 Layers: input(n+p) -> 100 tanh -> 100 tanh -> sigmoid scalar, all float64
-numpy, written once in `MlpDiscriminator._layers`. `lsgan_grad` returns the
-loss together with its hand-derived gradient from one forward pass (no
+numpy, written once in `MlpDiscriminator._layers`. `reward_batch` scores a
+(B, T, .) block of rollout episodes; `lsgan_grad` returns the loss of a
+minibatch pair with its hand-derived gradient from one forward pass (no
 autodiff dependency); `disc_train` takes Adam steps on minibatches drawn
-from two (M, n+p) arrays of [state, action] pairs.
+from two (M, n+p) arrays of [state, action] pairs, and when frozen (no
+steps) reports the loss of one such pair, never reading the whole pool.
 
 The passes write their (rows, 100) activations and deltas into scratch
 blocks that the discriminator keeps, grown to the largest batch seen and
@@ -52,10 +54,6 @@ class MlpDiscriminator:
     def input_dim(self) -> int:
         return self.w1.shape[1]
 
-    def forward_batch(self, x: np.ndarray) -> np.ndarray:
-        """D for a (B, n+p) input block; returns (B,) scores in (0, 1)."""
-        return self._layers(x, 0)[2]
-
     def _blocks(self, rows: int, lane: int):
         """Three C-contiguous (rows, HIDDEN) views of a scratch lane, which
         grows to the largest row count seen in it; a forward pass never
@@ -81,27 +79,27 @@ class MlpDiscriminator:
         return h1, h2, 1.0 / (1.0 + np.exp(-z[:, 0]))
 
     def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Per-step rewards -log(1 - D), clamped near D = 1: (T,) rewards of
-        one (T, .) episode, or (B, T) rewards of a (B, T, .) block of B
-        episodes, one forward pass per episode. A block's episodes [:B//2]
-        are scored on the calling thread and [B//2:] on the helper."""
-        if states.ndim != 3:
-            return self._rewards(states, actions, 0)
+        """Per-step rewards -log(1 - D), clamped near D = 1: (B, T) rewards of
+        a (B, T, .) block of B episodes, one forward pass per episode.
+        Episodes [:B//2] are scored on the calling thread and [B//2:] on the
+        helper."""
+        if states.ndim != 3 or actions.ndim != 3 \
+                or states.shape[:2] != actions.shape[:2]:
+            raise ValueError("expected (B, T, .) blocks of states and actions "
+                             f"with equal (B, T), got {states.shape} and "
+                             f"{actions.shape}")
         out = np.empty(states.shape[:2])
         half = len(states) // 2
         _in_both_lanes(self._score, (states[:half], actions[:half], out[:half]),
                        (states[half:], actions[half:], out[half:]))
         return out
 
-    def _rewards(self, states: np.ndarray, actions: np.ndarray, lane: int):
-        d = self._layers(np.concatenate([states, actions], axis=1), lane)[2]
-        return -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
-
     def _score(self, states: np.ndarray, actions: np.ndarray, out: np.ndarray,
                lane: int) -> None:
         """Rewards of each episode of a (B, T, .) block into the rows of `out`."""
         for s, a, rewards in zip(states, actions, out):
-            rewards[:] = self._rewards(s, a, lane)
+            d = self._layers(np.concatenate([s, a], axis=1), lane)[2]
+            rewards[:] = -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
 
     def get_params(self) -> np.ndarray:
         """Flat copy of all parameters (w1, b1, w2, b2, w3, b3 order)."""
@@ -143,16 +141,6 @@ def disc_init(n: int, p: int, rng: Rng) -> MlpDiscriminator:
         glorot(HIDDEN, HIDDEN), np.zeros(HIDDEN),
         glorot(1, HIDDEN), 0.0,
     )
-
-
-def lsgan_loss(disc: MlpDiscriminator, expert_inputs: np.ndarray,
-               sampled_inputs: np.ndarray) -> float:
-    """0.5 E_expert[(D-1)^2] + 0.5 E_sampled[D^2]."""
-    if len(expert_inputs) == 0 or len(sampled_inputs) == 0:
-        raise ValueError("both batches must be nonempty")
-    d_e = disc.forward_batch(expert_inputs)
-    d_s = disc.forward_batch(sampled_inputs)
-    return 0.5 * float(np.mean((d_e - 1.0) ** 2)) + 0.5 * float(np.mean(d_s ** 2))
 
 
 def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float,
@@ -209,8 +197,9 @@ def _in_both_lanes(fn, here: tuple, there: tuple):
 
 def lsgan_grad(disc: MlpDiscriminator, expert_inputs: np.ndarray,
                sampled_inputs: np.ndarray) -> tuple[float, np.ndarray]:
-    """(lsgan_loss, its exact gradient flattened in get_params order), both
-    from one forward pass; the sampled half runs on the helper thread."""
+    """The LSGAN loss 0.5 E_expert[(D-1)^2] + 0.5 E_sampled[D^2] and its exact
+    gradient flattened in get_params order, both from one forward pass; the
+    sampled half runs on the helper thread."""
     if len(expert_inputs) == 0 or len(sampled_inputs) == 0:
         raise ValueError("both batches must be nonempty")
     (loss_e, ge), (loss_s, gs) = _in_both_lanes(
@@ -223,23 +212,23 @@ def lsgan_grad(disc: MlpDiscriminator, expert_inputs: np.ndarray,
 
 def disc_train(disc: MlpDiscriminator, adam: AdamState, expert_pairs: np.ndarray,
                sampled_pairs: np.ndarray, iters: int, batch_size: int, rng: Rng,
-               lr: float = 0.00025) -> float:
+               lr: float) -> float:
     """Adam steps on the LSGAN loss with resampled minibatches.
 
     `expert_pairs` and `sampled_pairs` are (M, n+p) arrays of [state, action]
     rows. Each step draws `batch_size` rows with replacement from each.
-    Returns the mean of the per-step losses (the full-pool loss when
-    iters == 0). Mutates `disc` and `adam`.
+    Returns the mean of the per-step losses; with iters == 0 the
+    discriminator stays frozen and the loss of one such minibatch pair is
+    returned. Mutates `disc` and `adam`.
     """
     if len(expert_pairs) == 0 or len(sampled_pairs) == 0:
         raise ValueError("both the expert and sampled pools must be nonempty")
-    if iters == 0:
-        return lsgan_loss(disc, expert_pairs, sampled_pairs)
     losses = []
-    for _ in range(iters):
+    for step in range(max(iters, 1)):
         e_batch = expert_pairs[rng.integers(len(expert_pairs), batch_size)]
         s_batch = sampled_pairs[rng.integers(len(sampled_pairs), batch_size)]
         loss, grad = lsgan_grad(disc, e_batch, s_batch)
         losses.append(loss)
-        disc.set_params(adam_step(adam, disc.get_params(), grad, lr))
+        if step < iters:
+            disc.set_params(adam_step(adam, disc.get_params(), grad, lr))
     return float(np.mean(losses))

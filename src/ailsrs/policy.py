@@ -102,8 +102,8 @@ def _whitened_pairs(states, actions, normalizer: ObservationNormalizer):
 
 
 def bc_fit(states: np.ndarray, actions: np.ndarray,
-           normalizer: ObservationNormalizer, epochs: int = 2000,
-           lr: float = 0.01) -> LinearPolicy:
+           normalizer: ObservationNormalizer, epochs: int,
+           lr: float) -> LinearPolicy:
     """Fit a linear policy to (B, n) states and (B, p) actions by full-batch
     Adam on the exact MSE gradient.
 

@@ -1,7 +1,7 @@
 """Reference computations that only the tests use: a generic
 finite-difference gradient, the behavior-cloning objective, the
-single-row Welford step and the discriminator's passes written out of
-place."""
+single-row Welford step, and the discriminator's passes and LSGAN loss
+written out of place."""
 import numpy as np
 
 from ailsrs.discriminator import REWARD_CLAMP
@@ -49,6 +49,14 @@ def disc_rewards(disc, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Out-of-place reference for `MlpDiscriminator.reward_batch`."""
     d = disc_layers(disc, np.concatenate([states, actions], axis=1))[2]
     return -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
+
+
+def lsgan_loss(disc, expert_inputs: np.ndarray, sampled_inputs: np.ndarray) -> float:
+    """0.5 E_expert[(D-1)^2] + 0.5 E_sampled[D^2] from forward passes alone:
+    the finite-difference target for `discriminator.lsgan_grad`."""
+    d_e = disc_layers(disc, expert_inputs)[2]
+    d_s = disc_layers(disc, sampled_inputs)[2]
+    return 0.5 * float(np.mean((d_e - 1.0) ** 2)) + 0.5 * float(np.mean(d_s ** 2))
 
 
 def _lsgan_half(disc, x: np.ndarray, target: float):

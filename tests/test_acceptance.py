@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import _acceptance_report
+import _oracles
 
 import ailsrs
 from ailsrs.ars import ars_update
 from ailsrs.cli import main as cli_main
-from ailsrs.discriminator import disc_init, lsgan_grad, lsgan_loss
+from ailsrs.discriminator import disc_init, lsgan_grad
 from ailsrs.envs import env_names
 from ailsrs.numerics import Rng
 from ailsrs.policy import ObservationNormalizer, bc_closed_form, bc_fit
@@ -52,7 +53,7 @@ def test_desk_scale_substitution():
 # criterion: discriminator gradient vs central finite differences
 # ---------------------------------------------------------------------------
 def _fd_gradient(disc, xe, xs, eps):
-    """Central-difference gradient of lsgan_loss, coordinate by coordinate.
+    """Central-difference gradient of the LSGAN loss, coordinate by coordinate.
 
     Exploits that a single-coordinate perturbation touches one pre-activation
     column, so each difference needs only the local recompute; the numbers
@@ -120,7 +121,7 @@ def test_discriminator_gradient_oracle():
 
             def loss_at(flat):
                 probe.set_params(flat)
-                return lsgan_loss(probe, xe, xs)
+                return _oracles.lsgan_loss(probe, xe, xs)
 
             flat = disc.get_params()
             idx = Rng(1).integers(len(flat), 60)
@@ -147,12 +148,12 @@ def test_lsgan_loss_anchors():
                                    np.zeros((HIDDEN, HIDDEN)), np.zeros(HIDDEN),
                                    np.zeros((1, HIDDEN)), 0.0)
     x = np.zeros((5, 3))
-    exact_quarter = lsgan_loss(half, x, x) == 0.25
+    exact_quarter = lsgan_grad(half, x, x)[0] == 0.25
 
     sep = ailsrs.MlpDiscriminator(np.full((HIDDEN, 3), 5.0), np.zeros(HIDDEN),
                                   5.0 * np.eye(HIDDEN), np.zeros(HIDDEN),
                                   np.full((1, HIDDEN), 0.5), 0.0)
-    perfect = lsgan_loss(sep, np.ones((4, 3)), -np.ones((4, 3)))
+    perfect = lsgan_grad(sep, np.ones((4, 3)), -np.ones((4, 3)))[0]
     ok = exact_quarter and perfect <= 1e-12
     assert _report("squared-error loss anchors", ok,
                    f"D=0.5 loss exactly 0.25; separated loss {perfect:.1e}")
@@ -165,9 +166,9 @@ def test_reward_anchors():
     half = ailsrs.MlpDiscriminator(np.zeros((HIDDEN, 3)), np.zeros(HIDDEN),
                                    np.zeros((HIDDEN, HIDDEN)), np.zeros(HIDDEN),
                                    np.zeros((1, HIDDEN)), 0.0)
-    at_half = half.reward_batch(np.zeros((1, 2)), np.zeros((1, 1)))[0]
+    at_half = half.reward_batch(np.zeros((1, 1, 2)), np.zeros((1, 1, 1)))[0, 0]
     half.b3 = 60.0  # saturates the score to 1.0: clamp takes over
-    at_ceiling = half.reward_batch(np.zeros((1, 2)), np.zeros((1, 1)))[0]
+    at_ceiling = half.reward_batch(np.zeros((1, 1, 2)), np.zeros((1, 1, 1)))[0, 0]
     ok = abs(at_half - math.log(2.0)) <= 1e-12
     ok &= abs(at_ceiling - (-math.log(1e-6))) <= 1e-9
     assert _report("reward anchors", ok,
@@ -364,6 +365,30 @@ def test_bc_init_accelerates_imitation(e2e_runs, riccati_demos_50):
     assert _report("cloned warm start reaches the target sooner", ok,
                    f"bc init hits at iter {hits[0] if hits else '-'} vs "
                    f"{zero_init_hit} from zeros")
+
+
+# ---------------------------------------------------------------------------
+# standing negative control: the same run with a frozen discriminator does
+# not reach the target by the iteration where the trained one did
+# ---------------------------------------------------------------------------
+def test_frozen_discriminator_does_not_imitate(e2e_runs, riccati_demos_50):
+    trained_hit = e2e_runs["runs"][0]["hit_iteration"]
+    assert trained_hit is not None
+    target = e2e_runs["target"]
+    cfg = ailsrs.TrainerConfig(
+        ars=ailsrs.ArsConfig(alpha=0.02, nu=0.03, n_directions=32),
+        max_iterations=trained_hit + 1, disc_iters=0, eval_every=10,
+        eval_episodes=10, seed=1, early_stop_target=target)
+    started = time.perf_counter()
+    _, _, rows = ailsrs.train_ailsrs("lqr2d", riccati_demos_50, cfg)
+    seconds = time.perf_counter() - started
+    best = max(r.eval_env_return_mean for r in rows
+               if r.eval_env_return_mean is not None)
+    ok = best < target
+    assert _report("a frozen discriminator does not reach the target", ok,
+                   f"seed 1, disc_iters=0: best eval {best:.2f} in {len(rows)} "
+                   f"iterations vs target {target:.4f}, which the trained "
+                   f"discriminator reached at iter {trained_hit}; {seconds:.1f}s")
 
 
 # ---------------------------------------------------------------------------

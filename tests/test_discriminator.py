@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import threading
 import time
 import weakref
@@ -11,8 +12,7 @@ import _oracles
 from _oracles import finite_diff
 
 from ailsrs import discriminator
-from ailsrs.discriminator import (MlpDiscriminator, disc_init, disc_train,
-                                  lsgan_grad, lsgan_loss)
+from ailsrs.discriminator import MlpDiscriminator, disc_init, disc_train, lsgan_grad
 from ailsrs.numerics import AdamState, Rng, adam_step
 
 
@@ -33,6 +33,17 @@ def _saturated_disc(n=2, p=1):
     return MlpDiscriminator(w1, np.zeros(100), w2, np.zeros(100), w3, 0.0)
 
 
+def _episode_rewards(disc, x):
+    """`reward_batch` of the rows of a (T, n+p) input as one episode: (T,)
+    rewards. The split between state and action columns does not matter,
+    because the discriminator reads them joined."""
+    return disc.reward_batch(x[None, :, :1], x[None, :, 1:])[0]
+
+
+def _oracle_d(disc, x):
+    return _oracles.disc_layers(disc, x)[2]
+
+
 def test_disc_init_biases_zero_and_bounded_weights():
     disc = disc_init(2, 1, Rng(1))
     assert np.all(disc.b1 == 0.0) and np.all(disc.b2 == 0.0) and disc.b3 == 0.0
@@ -51,13 +62,13 @@ def test_disc_init_deterministic():
 
 def test_forward_zero_parameters_gives_half():
     disc = _zero_disc()
-    assert disc.forward_batch(np.zeros((1, 3)))[0] == 0.5
+    assert _oracle_d(disc, np.zeros((1, 3)))[0] == 0.5
 
 
 def test_forward_saturates_with_large_bias():
     disc = _zero_disc()
     disc.b3 = 20.0
-    assert disc.forward_batch(np.zeros((1, 3)))[0] > 1.0 - 1e-8
+    assert _oracle_d(disc, np.zeros((1, 3)))[0] > 1.0 - 1e-8
 
 
 def test_forward_strictly_inside_unit_interval():
@@ -66,28 +77,30 @@ def test_forward_strictly_inside_unit_interval():
     for _ in range(20):
         s = np.array([rng.gaussian(), rng.gaussian()])
         a = np.array([rng.gaussian()])
-        d = disc.forward_batch(np.concatenate([s, a])[None])[0]
+        d = _oracle_d(disc, np.concatenate([s, a])[None])[0]
         assert 0.0 < d < 1.0
 
 
 def test_forward_is_pure():
     disc = disc_init(2, 1, Rng(5))
     x = np.array([[0.3, -0.7, 1.1]])
-    assert disc.forward_batch(x)[0] == disc.forward_batch(x)[0]
+    first = _episode_rewards(disc, x)[0]
+    _episode_rewards(disc, _uniform_rows(Rng(6), 40, 3))  # other rows between
+    assert _episode_rewards(disc, x)[0] == first
 
 
 def test_lsgan_loss_at_half_is_quarter():
     disc = _zero_disc()
     x = np.zeros((4, 3))
-    assert lsgan_loss(disc, x, x) == 0.25
+    assert lsgan_grad(disc, x, x)[0] == 0.25
 
 
 def test_lsgan_loss_perfect_and_worst_case():
     disc = _saturated_disc()
     plus = np.ones((3, 3))
     minus = -np.ones((3, 3))
-    assert lsgan_loss(disc, plus, minus) <= 1e-12   # perfect separation
-    assert lsgan_loss(disc, minus, plus) >= 1.0 - 1e-9  # labels swapped
+    assert lsgan_grad(disc, plus, minus)[0] <= 1e-12   # perfect separation
+    assert lsgan_grad(disc, minus, plus)[0] >= 1.0 - 1e-9  # labels swapped
 
 
 def test_lsgan_loss_bounded_unit_interval():
@@ -96,13 +109,13 @@ def test_lsgan_loss_bounded_unit_interval():
         disc = disc_init(2, 1, rng)
         xe = np.array([[rng.gaussian() for _ in range(3)] for _ in range(5)])
         xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(5)])
-        assert 0.0 <= lsgan_loss(disc, xe, xs) <= 1.0
+        assert 0.0 <= lsgan_grad(disc, xe, xs)[0] <= 1.0
 
 
 def test_lsgan_loss_empty_batch_errors():
     disc = _zero_disc()
-    with pytest.raises(ValueError):
-        lsgan_loss(disc, np.zeros((0, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="nonempty"):
+        lsgan_grad(disc, np.zeros((0, 3)), np.zeros((2, 3)))
 
 
 def test_lsgan_grad_matches_generic_finite_differences():
@@ -115,7 +128,7 @@ def test_lsgan_grad_matches_generic_finite_differences():
 
     def loss_at(flat):
         probe.set_params(flat)
-        return lsgan_loss(probe, xe, xs)
+        return _oracles.lsgan_loss(probe, xe, xs)
 
     g_bp = lsgan_grad(disc, xe, xs)[1]
     g_fd = finite_diff(loss_at, disc.get_params(), 1e-5)
@@ -127,8 +140,8 @@ def test_lsgan_grad_near_zero_at_perfect_separation():
     disc = _saturated_disc()
     plus = np.ones((3, 3))
     minus = -np.ones((3, 3))
-    d_e = disc.forward_batch(plus)
-    d_s = disc.forward_batch(minus)
+    d_e = _oracle_d(disc, plus)
+    d_s = _oracle_d(disc, minus)
     assert np.all(d_e > 1.0 - 1e-9) and np.all(d_s < 1e-9)
     grad = lsgan_grad(disc, plus, minus)[1]
     assert np.max(np.abs(grad)) <= 1e-6
@@ -139,8 +152,8 @@ def test_lsgan_grad_b3_matches_hand_derivation():
     disc = disc_init(2, 1, rng)
     xe = np.array([[0.2, -0.4, 0.9]])
     xs = np.array([[-1.0, 0.3, 0.1]])
-    d_e = disc.forward_batch(xe)[0]
-    d_s = disc.forward_batch(xs)[0]
+    d_e = _oracle_d(disc, xe)[0]
+    d_s = _oracle_d(disc, xs)[0]
     # chain rule by hand on the single pair of samples
     expect = (d_e - 1.0) * d_e * (1.0 - d_e) + d_s * d_s * (1.0 - d_s)
     assert lsgan_grad(disc, xe, xs)[1][-1] == pytest.approx(expect, rel=1e-12)
@@ -155,20 +168,31 @@ def test_disc_train_separable_toy_converges():
     expert, sampled = _toy_sets()
     disc = disc_init(2, 1, Rng(2))
     adam = AdamState.zeros(disc.n_params)
-    disc_train(disc, adam, expert, sampled, iters=500, batch_size=8, rng=Rng(3))
-    final = lsgan_loss(disc, np.ones((1, 3)), -np.ones((1, 3)))
+    disc_train(disc, adam, expert, sampled, iters=500, batch_size=8, rng=Rng(3),
+               lr=0.00025)
+    final = _oracles.lsgan_loss(disc, np.ones((1, 3)), -np.ones((1, 3)))
     assert final < 0.05
 
 
-def test_disc_train_zero_iters_is_identity():
-    expert, sampled = _toy_sets()
-    disc = disc_init(2, 1, Rng(4))
-    before = disc.get_params().copy()
+def test_disc_train_zero_iters_is_frozen_on_one_minibatch():
+    rng = Rng(4)
+    expert, sampled = _gaussian_rows(rng, 30), _gaussian_rows(rng, 25)
+    disc = disc_init(2, 1, Rng(5))
+    before = disc.get_params().tobytes()
     adam = AdamState.zeros(disc.n_params)
-    loss = disc_train(disc, adam, expert, sampled, iters=0, batch_size=8, rng=Rng(5))
-    np.testing.assert_array_equal(disc.get_params(), before)
-    assert loss == pytest.approx(
-        lsgan_loss(disc, np.ones((20, 3)), -np.ones((20, 3))))
+    adam_before = (adam.step, adam.m.tobytes(), adam.v.tobytes())
+    loss = disc_train(disc, adam, expert, sampled, iters=0, batch_size=8,
+                      rng=Rng(6), lr=0.01)
+    assert disc.get_params().tobytes() == before
+    assert (adam.step, adam.m.tobytes(), adam.v.tobytes()) == adam_before
+    # the loss of the one minibatch pair, re-drawn from an identical stream
+    draws = Rng(6)
+    e_batch = expert[draws.integers(len(expert), 8)]
+    s_batch = sampled[draws.integers(len(sampled), 8)]
+    assert loss == _oracles.lsgan_grad(disc, e_batch, s_batch)[0]
+    # a frozen discriminator reads one minibatch, never the whole pool
+    for lane in disc._scratch:
+        assert lane.shape[1] <= 8
 
 
 def _gaussian_rows(rng, rows, width=3):
@@ -187,7 +211,7 @@ def test_disc_train_returns_mean_minibatch_loss():
     for _ in range(6):
         e_batch = expert[draws.integers(len(expert), 8)]
         s_batch = sampled[draws.integers(len(sampled), 8)]
-        losses.append(lsgan_loss(replay, e_batch, s_batch))
+        losses.append(_oracles.lsgan_loss(replay, e_batch, s_batch))
         fused, grad = lsgan_grad(replay, e_batch, s_batch)
         assert fused == losses[-1]
         replay.set_params(adam_step(replay_adam, replay.get_params(), grad, 0.01))
@@ -199,26 +223,27 @@ def test_disc_train_descends_on_easy_data():
     expert, sampled = _toy_sets()
     disc = disc_init(2, 1, Rng(6))
     adam = AdamState.zeros(disc.n_params)
-    before = lsgan_loss(disc, np.ones((1, 3)), -np.ones((1, 3)))
+    before = _oracles.lsgan_loss(disc, np.ones((1, 3)), -np.ones((1, 3)))
     disc_train(disc, adam, expert, sampled, iters=3, batch_size=8, rng=Rng(7),
                lr=0.00025)
-    after = lsgan_loss(disc, np.ones((1, 3)), -np.ones((1, 3)))
+    after = _oracles.lsgan_loss(disc, np.ones((1, 3)), -np.ones((1, 3)))
     assert after <= before
 
 
 def test_reward_batch_anchors():
     disc = _zero_disc()  # D = 0.5 everywhere
-    r = disc.reward_batch(np.zeros((1, 2)), np.zeros((1, 1)))[0]
+    r = disc.reward_batch(np.zeros((1, 1, 2)), np.zeros((1, 1, 1)))[0, 0]
     assert r == pytest.approx(math.log(2.0), abs=1e-12)
 
     low = _saturated_disc()
     # all-minus-ones input drives D to ~0: reward tends to -log(1) = 0
-    assert low.reward_batch(-np.ones((1, 2)), -np.ones((1, 1)))[0] == pytest.approx(
-        0.0, abs=1e-8)
+    assert low.reward_batch(-np.ones((1, 1, 2)),
+                            -np.ones((1, 1, 1)))[0, 0] == pytest.approx(0.0, abs=1e-8)
     # saturated-high side hits the clamp ceiling
     high = _zero_disc()
     high.b3 = 50.0
-    assert high.reward_batch(np.zeros((1, 2)), np.zeros((1, 1)))[0] == pytest.approx(
+    assert high.reward_batch(np.zeros((1, 1, 2)),
+                             np.zeros((1, 1, 1)))[0, 0] == pytest.approx(
         -math.log(1e-6), abs=1e-9)
 
 
@@ -228,7 +253,8 @@ def test_reward_batch_monotone_in_score():
     for d_target in np.linspace(0.01, 0.99, 50):
         disc = _zero_disc()
         disc.b3 = math.log(d_target / (1.0 - d_target))
-        rewards.append(disc.reward_batch(np.zeros((1, 2)), np.zeros((1, 1)))[0])
+        rewards.append(disc.reward_batch(np.zeros((1, 1, 2)),
+                                         np.zeros((1, 1, 1)))[0, 0])
     assert all(b > a for a, b in zip(rewards, rewards[1:]))
 
 
@@ -237,14 +263,28 @@ def test_reward_batch_matches_scalar_reward():
     disc = disc_init(2, 1, rng)
     states = np.array([[rng.gaussian() for _ in range(2)] for _ in range(5)])
     actions = np.array([[rng.gaussian()] for _ in range(5)])
-    batch = disc.reward_batch(states, actions)
-    singles = [disc.reward_batch(s[None], a[None])[0]
+    batch = disc.reward_batch(states[None], actions[None])[0]
+    singles = [disc.reward_batch(s[None, None], a[None, None])[0, 0]
                for s, a in zip(states, actions)]
     np.testing.assert_allclose(batch, singles, rtol=1e-15)
 
 
 def _uniform_rows(rng, rows, width):
     return rng.uniforms(-2.0, 2.0, rows * width).reshape(rows, width)
+
+
+@pytest.mark.parametrize("states_shape, actions_shape", [
+    pytest.param((4, 5, 2), (3, 5, 1), id="fewer-action-episodes"),
+    pytest.param((4, 5, 2), (4, 6, 1), id="unequal-lengths"),
+    pytest.param((5, 2), (5, 1), id="2d-rows"),
+    pytest.param((1, 4, 5, 2), (1, 4, 5, 1), id="4d"),
+])
+def test_reward_batch_rejects_anything_but_matching_episode_blocks(
+        states_shape, actions_shape):
+    disc = disc_init(2, 1, Rng(67))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{states_shape} and {actions_shape}")):
+        disc.reward_batch(np.zeros(states_shape), np.zeros(actions_shape))
 
 
 @pytest.mark.parametrize("width", [3, 5, 6])
@@ -255,10 +295,13 @@ def test_passes_byte_equal_to_out_of_place_reference(width):
     for rows in (1000, 7, 100, 1, 2000):
         xe = _uniform_rows(rng, rows, width)
         xs = _uniform_rows(rng, max(1, rows // 3), width)
-        assert (disc.forward_batch(xe).tobytes()
-                == _oracles.disc_layers(disc, xe)[2].tobytes())
+        # two episodes, one in each lane, then one episode in lane 1
+        pair = np.stack([xe, xe[::-1]])
+        assert (disc.reward_batch(pair[..., :-1], pair[..., -1:]).tobytes()
+                == np.stack([_oracles.disc_rewards(disc, e[:, :-1], e[:, -1:])
+                             for e in pair]).tobytes())
         states, actions = xs[:, :-1], xs[:, -1:]
-        assert (disc.reward_batch(states, actions).tobytes()
+        assert (_episode_rewards(disc, xs).tobytes()
                 == _oracles.disc_rewards(disc, states, actions).tobytes())
         # the sampled half, in lane 1, smaller and then larger than lane 0's
         for expert, sampled in ((xe, xs), (xs, xe)):
@@ -288,17 +331,15 @@ def test_returned_arrays_do_not_alias_the_scratch():
     rng = Rng(61)
     disc = disc_init(4, 2, rng)
     x = _uniform_rows(rng, 50, 6)
-    d = disc.forward_batch(x)
-    rewards = disc.reward_batch(x[:, :4], x[:, 4:])
+    rewards = _episode_rewards(disc, x)
     block = x.reshape(5, 10, 6)
     block_rewards = disc.reward_batch(block[..., :4], block[..., 4:])
     loss, grad = lsgan_grad(disc, x, _uniform_rows(rng, 40, 6))
-    returned = (d, rewards, block_rewards, grad)
+    returned = (rewards, block_rewards, grad)
     kept = [a.copy() for a in returned]
     for rows in (10, 500):  # smaller views, then grown lanes
         y = _uniform_rows(rng, rows, 6)
-        disc.forward_batch(y)
-        disc.reward_batch(y[:, :4], y[:, 4:])
+        _episode_rewards(disc, y)
         disc.reward_batch(y[None, :, :4].repeat(3, 0), y[None, :, 4:].repeat(3, 0))
         assert lsgan_grad(disc, y, _uniform_rows(rng, rows, 6))[0] != loss
         for fresh, copy in zip(returned, kept):
@@ -365,11 +406,11 @@ def test_params_round_trip_with_scratch_in_place():
     rng = Rng(62)
     disc = disc_init(2, 1, rng)
     x = _uniform_rows(rng, 30, 3)
-    d_before = disc.forward_batch(x)  # allocates the scratch block
+    r_before = _episode_rewards(disc, x)  # allocates the scratch lanes
     flat = disc.get_params()
     other = disc_init(2, 1, Rng(63))
     disc.set_params(other.get_params())
-    assert disc.forward_batch(x).tobytes() == other.forward_batch(x).tobytes()
+    assert _episode_rewards(disc, x).tobytes() == _episode_rewards(other, x).tobytes()
     disc.set_params(flat)
     assert disc.get_params().tobytes() == flat.tobytes()
-    assert disc.forward_batch(x).tobytes() == d_before.tobytes()
+    assert _episode_rewards(disc, x).tobytes() == r_before.tobytes()

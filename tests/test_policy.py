@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,10 +235,14 @@ def test_bc_fit_zero_actions_gives_zero_policy():
 
 def test_bc_fit_empty_dataset_errors():
     with pytest.raises(ValueError):
-        bc_fit(np.zeros((0, 2)), np.zeros((0, 1)), ObservationNormalizer.for_dim(2))
+        bc_fit(np.zeros((0, 2)), np.zeros((0, 1)), ObservationNormalizer.for_dim(2),
+               epochs=1, lr=0.01)
 
 
-@pytest.mark.parametrize("fit", [bc_fit, bc_closed_form])
+@pytest.mark.parametrize("fit", [
+    pytest.param(partial(bc_fit, epochs=1, lr=0.01), id="bc_fit"),
+    pytest.param(bc_closed_form, id="bc_closed_form"),
+])
 def test_bc_unpaired_set_errors(fit):
     with pytest.raises(ValueError, match="pair up"):
         fit(np.zeros((3, 2)), np.zeros((2, 1)), ObservationNormalizer.for_dim(2))

@@ -7,10 +7,12 @@ import threading
 import numpy as np
 import pytest
 
+import _oracles
+
 import ailsrs
 from ailsrs.ars import ArsConfig, evaluate_directions, sample_directions
 from ailsrs.demo_io import TrajectorySet, record
-from ailsrs.discriminator import disc_train, lsgan_loss
+from ailsrs.discriminator import disc_train
 from ailsrs.envs import evaluate_policy, make_env, riccati_optimal, rollout
 from ailsrs.numerics import AdamState, Rng
 from ailsrs.policy import LinearPolicy, ObservationNormalizer
@@ -182,10 +184,11 @@ def test_discriminator_loss_decreases_on_first_iteration(riccati_demos):
     epool = np.concatenate(
         [np.concatenate([t.states, t.actions], axis=1) for t in demos.trajectories])
     spool = np.concatenate([states, actions], axis=2).reshape(-1, 3)
-    before = lsgan_loss(disc, epool, spool)
+    before = _oracles.lsgan_loss(disc, epool, spool)
     adam = AdamState.zeros(disc.n_params)
-    disc_train(disc, adam, epool, spool, iters=3, batch_size=100, rng=Rng(7))
-    after = lsgan_loss(disc, epool, spool)
+    disc_train(disc, adam, epool, spool, iters=3, batch_size=100, rng=Rng(7),
+               lr=TrainerConfig.disc_lr)
+    after = _oracles.lsgan_loss(disc, epool, spool)
     assert after < before
 
 
