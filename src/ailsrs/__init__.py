@@ -16,7 +16,7 @@ from .discriminator import MlpDiscriminator, disc_init, disc_train, lsgan_grad
 from .envs import (EnvSpec, env_names, evaluate_policy, make_env, riccati_optimal,
                    rollout)
 from .numerics import AdamState, Rng, adam_step
-from .policy import LinearPolicy, ObservationNormalizer, bc_closed_form, bc_fit
+from .policy import LinearPolicy, ObservationNormalizer, bc_closed_form
 from .trainer import (MetricsRow, TrainerConfig, return_target, search,
                       train_ailsrs, train_expert, write_metrics)
 
@@ -24,7 +24,7 @@ __all__ = [
     "AdamState", "ArsConfig", "EnvSpec", "LinearPolicy", "MetricsRow",
     "MlpDiscriminator", "ObservationNormalizer", "Rng", "TrainerConfig",
     "Trajectory", "TrajectorySet", "adam_step", "ars_update",
-    "bc_closed_form", "bc_fit", "disc_init", "disc_train", "env_names",
+    "bc_closed_form", "disc_init", "disc_train", "env_names",
     "evaluate_policy", "load_policy", "load_trajectories", "lsgan_grad",
     "make_env", "record", "return_target", "riccati_optimal", "rollout",
     "sample_directions", "save_policy", "save_trajectories", "search",

@@ -18,7 +18,7 @@ from .ars import ArsConfig
 from .demo_io import (load_policy, load_trajectories, record, save_policy,
                       save_trajectories)
 from .envs import env_names, evaluate_policy
-from .policy import ObservationNormalizer, bc_closed_form, bc_fit
+from .policy import ObservationNormalizer, bc_closed_form
 from .trainer import (TrainerConfig, return_target, train_ailsrs, train_expert,
                       write_metrics)
 
@@ -61,9 +61,7 @@ def cmd_record(args) -> int:
     return 0
 
 
-def cmd_bc(args, parser) -> int:
-    if args.ridge is not None and (args.epochs is not None or args.lr is not None):
-        parser.error("--ridge and --epochs/--lr are exclusive modes")
+def cmd_bc(args) -> int:
     demos = load_trajectories(args.demos)
     states = np.concatenate([t.states for t in demos.trajectories])
     actions = np.concatenate([t.actions for t in demos.trajectories])
@@ -71,12 +69,7 @@ def cmd_bc(args, parser) -> int:
     # the same coordinates a trained policy would use
     normalizer = ObservationNormalizer.for_dim(demos.state_dim)
     normalizer.add_states(states)
-    if args.ridge is not None:
-        policy = bc_closed_form(states, actions, normalizer, ridge=args.ridge)
-    else:
-        epochs = args.epochs if args.epochs is not None else 2000
-        lr = args.lr if args.lr is not None else 0.01
-        policy = bc_fit(states, actions, normalizer, epochs=epochs, lr=lr)
+    policy = bc_closed_form(states, actions, normalizer, ridge=args.ridge)
     save_policy(policy, normalizer, demos.env_name, args.out)
     mean, std = evaluate_policy(policy, normalizer, demos.env_name, 100, 0)
     print(f"cloned policy from {len(demos)} episodes: eval return "
@@ -107,10 +100,10 @@ def cmd_train(args) -> int:
     if args.metrics:
         write_metrics(rows, args.metrics)
         print(f"wrote {args.metrics} ({len(rows)} rows)")
-    mean, std = evaluate_policy(policy, normalizer, env, cfg.eval_episodes,
-                                cfg.seed)
+    # train_ailsrs has evaluated the last row with this policy and seed
     print(f"imitation training finished after {len(rows)} iterations: "
-          f"eval return {mean:.6g} +- {std:.6g}")
+          f"eval return {rows[-1].eval_env_return_mean:.6g} "
+          f"+- {rows[-1].eval_env_return_std:.6g}")
     print(f"wrote {args.out}")
     return 0
 
@@ -145,22 +138,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", required=True, choices=env_names())
     _search_flags(p, n_dirs=8, eval_episodes=100)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_train_expert)
 
     p = sub.add_parser("record", help="record demonstration episodes")
     p.add_argument("--policy", required=True)
     p.add_argument("--episodes", type=_positive(int), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_record)
 
     p = sub.add_parser("bc", help="behavior-clone a policy from demonstrations")
     p.add_argument("--demos", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ridge", type=_positive(float, allow_zero=True), default=None,
-                   help="closed-form mode with this ridge")
-    p.add_argument("--epochs", type=_positive(int), default=None,
-                   help="iterative mode epoch count")
-    p.add_argument("--lr", type=_positive(float), default=None,
-                   help="iterative mode learning rate")
+    p.add_argument("--ridge", type=_positive(float, allow_zero=True), default=1e-8,
+                   help="ridge of the least-squares solve (default: 1e-8)")
+    p.set_defaults(run=cmd_bc)
 
     p = sub.add_parser("train",
                        help="imitation training on discriminator reward only")
@@ -181,33 +173,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-frac", type=_positive(float), default=None,
                    help="early-stop when eval reaches this fraction of the "
                         "demo mean return")
+    p.set_defaults(run=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a policy file")
     p.add_argument("--policy", required=True)
     p.add_argument("--episodes", type=_positive(int), default=100)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=cmd_eval)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "train-expert":
-            return cmd_train_expert(args)
-        if args.command == "record":
-            return cmd_record(args)
-        if args.command == "bc":
-            return cmd_bc(args, parser)
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except Exception as exc:  # runtime failures: message on stderr, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -22,13 +22,15 @@ the work splits into two independent halves that run at once: `lsgan_grad`
 backpropagates its sampled half on one helper thread in lane 1 while the
 caller does the expert half in lane 0, and `reward_batch` scores the second
 half of a block of episodes on the helper. The helper is one module-wide
-thread, started on first use. Every matmul keeps its shape and BLAS keeps
-one thread, so each result is bit-identical whichever thread computes it.
+thread, started on first use (in a forked child too, which drops the
+parent's). Every matmul keeps its shape and BLAS keeps one thread, so
+each result is bit-identical whichever thread computes it.
 Nothing returned aliases a lane, but a discriminator is not to be shared
 across threads: each of these calls uses both lanes.
 """
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -173,6 +175,16 @@ def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float,
 
 _helper = None
 _helper_lock = threading.Lock()
+
+
+def _forget_helper() -> None:
+    """A forked child inherits the executor but not its thread, and the
+    executor would never start another: drop it, and a possibly held lock."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _in_both_lanes(fn, here: tuple, there: tuple):

@@ -6,15 +6,13 @@ mean square, never centred, so a zero state gives a zero action (centring
 would add a constant action bias that no optimal linear controller has).
 Whitening is the identity until at least two states have been observed.
 The normalizer merges its statistics a block of states at a time. Behavior
-cloning fits theta to (state, action) arrays, by Adam or in closed form.
+cloning fits theta to (state, action) arrays by one exact ridge solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import AdamState, adam_step
 
 VAR_FLOOR = 1e-8
 
@@ -90,50 +88,23 @@ class ObservationNormalizer:
         return ObservationNormalizer(self.count, self.mean.copy(), self.m2.copy())
 
 
-def _whitened_pairs(states, actions, normalizer: ObservationNormalizer):
-    """(whitened states, actions) of a nonempty set of paired rows."""
+def bc_closed_form(states: np.ndarray, actions: np.ndarray,
+                   normalizer: ObservationNormalizer,
+                   ridge: float) -> LinearPolicy:
+    """Exact ridge least-squares fit of theta to (B, n) states and (B, p)
+    actions: solves (Z^T Z + ridge I) A = Z^T Y for A, where Z holds the
+    states whitened through `normalizer`, and returns theta = A^T."""
     states = np.asarray(states, dtype=float)
     actions = np.asarray(actions, dtype=float)
     if len(states) != len(actions):
         raise ValueError("states and actions must pair up")
     if len(states) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    return normalizer.normalize(states), actions
-
-
-def bc_fit(states: np.ndarray, actions: np.ndarray,
-           normalizer: ObservationNormalizer, epochs: int,
-           lr: float) -> LinearPolicy:
-    """Fit a linear policy to (B, n) states and (B, p) actions by full-batch
-    Adam on the exact MSE gradient.
-
-    States are whitened through `normalizer` first, so the fitted weights
-    live in the same coordinates a trained policy would use.
-    """
-    z, y = _whitened_pairs(states, actions, normalizer)
-    n, p = z.shape[1], y.shape[1]
-    theta = np.zeros((p, n))
-    state = AdamState.zeros(p * n)
-    for _ in range(epochs):
-        # d/dtheta mean_i ||theta z_i - y_i||^2 = (2/B) sum_i (theta z_i - y_i) z_i^T
-        grad = (2.0 / len(z)) * (z @ theta.T - y).T @ z
-        flat = adam_step(state, theta.flatten(), grad.flatten(), lr)
-        theta = flat.reshape(p, n)
-    return LinearPolicy(theta)
-
-
-def bc_closed_form(states: np.ndarray, actions: np.ndarray,
-                   normalizer: ObservationNormalizer,
-                   ridge: float = 0.0) -> LinearPolicy:
-    """Exact ridge least-squares solution of the cloning objective.
-
-    Solves (Z^T Z + ridge I) A = Z^T Y for A and returns theta = A^T.
-    """
-    z, y = _whitened_pairs(states, actions, normalizer)
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
+    z = normalizer.normalize(states)
     gram = z.T @ z + ridge * np.eye(z.shape[1])
-    rhs = z.T @ y
+    rhs = z.T @ actions
     try:
         a = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:

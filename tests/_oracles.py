@@ -20,12 +20,6 @@ def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return grad
 
 
-def bc_loss(theta: np.ndarray, z: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared error of theta @ z_i against y_i."""
-    resid = z @ theta.T - y
-    return float(np.mean(np.sum(resid * resid, axis=1)))
-
-
 def welford_update(stats, x: np.ndarray) -> None:
     """Fold one observation vector into an ObservationNormalizer by
     Welford's recurrence, the one-row-at-a-time reference for `add_states`."""

@@ -78,9 +78,6 @@ def test_train_without_iters_exits_2(tmp_path, capsys):
     ("train-expert", "--eval-episodes", "0"),
     ("record", "--episodes", "0"),
     ("eval", "--episodes", "0"),
-    ("bc", "--epochs", "0"),
-    ("bc", "--lr", "0"),
-    ("bc", "--lr", "-0.01"),
     ("train", "--target-frac", "0"),
     ("train", "--iters", "0"),
     ("train", "--alpha", "inf"),
@@ -163,11 +160,22 @@ def test_record_determinism(tmp_path, expert_policy_file):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_bc_exclusive_modes_exit_2(demos_file, tmp_path):
+@pytest.mark.parametrize("flag, value", [("--epochs", "10"), ("--lr", "0.01")])
+def test_bc_has_no_iterative_mode(flag, value, demos_file, tmp_path, capsys):
+    out = tmp_path / "p.policy"
     with pytest.raises(SystemExit) as exc:
-        main(["bc", "--demos", demos_file, "--out", str(tmp_path / "p.policy"),
-              "--ridge", "1e-8", "--epochs", "10"])
+        main(["bc", "--demos", demos_file, "--out", str(out), flag, value])
     assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bc_default_is_the_1e_8_ridge_solve(demos_file, tmp_path):
+    default, explicit = tmp_path / "default.policy", tmp_path / "explicit.policy"
+    assert main(["bc", "--demos", demos_file, "--out", str(default)]) == 0
+    assert main(["bc", "--demos", demos_file, "--ridge", "1e-8",
+                 "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
 
 
 def test_bc_closed_form_produces_loadable_policy(demos_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import math
+import multiprocessing
 import re
 import threading
 import time
@@ -391,6 +392,30 @@ def test_helper_error_reaches_the_caller_and_the_next_call_is_exact(monkeypatch)
     ref_loss, ref_grad = _oracles.lsgan_grad(disc, xe, xs)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     assert grad.tobytes() == ref_grad.tobytes()
+
+
+def test_forked_child_starts_its_own_helper():
+    rng = Rng(67)
+    disc = disc_init(2, 1, rng)
+    xe, xs = _uniform_rows(rng, 30, 3), _uniform_rows(rng, 20, 3)
+    block = xs.reshape(4, 5, 3)
+    rewards = disc.reward_batch(block[..., :2], block[..., 2:])  # helper started
+    loss, grad = lsgan_grad(disc, xe, xs)
+
+    def child():  # a failed assertion exits 1
+        assert disc.reward_batch(block[..., :2], block[..., 2:]).tobytes() \
+            == rewards.tobytes()
+        child_loss, child_grad = lsgan_grad(disc, xe, xs)
+        assert child_loss == loss and child_grad.tobytes() == grad.tobytes()
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(30)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("the forked child still waits on its helper after 30 s")
+    assert proc.exitcode == 0
 
 
 def test_set_params_rejects_a_vector_of_the_wrong_length():

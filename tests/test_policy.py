@@ -1,17 +1,15 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import bc_loss, welford_update
+from _oracles import welford_update
 
 from ailsrs import envs
 from ailsrs.ars import evaluate_directions
 from ailsrs.envs import EnvSpec, rollout
 from ailsrs.numerics import Rng
-from ailsrs.policy import ObservationNormalizer, bc_closed_form, bc_fit
+from ailsrs.policy import ObservationNormalizer, bc_closed_form
 
 
 def _normalizer(mean, var, count=10):
@@ -204,57 +202,30 @@ def test_bc_closed_form_singular_without_ridge():
     states = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     actions = np.array([[1.0], [2.0], [3.0]])
     with pytest.raises(ValueError, match="ridge"):
-        bc_closed_form(states, actions, ObservationNormalizer.for_dim(2))
-
-
-def test_bc_fit_matches_closed_form_on_clean_data():
-    theta_star = np.array([[1.2, -0.4]])
-    states, actions = _linear_expert_data(theta_star, 60, Rng(13))
-    norm = ObservationNormalizer.for_dim(2)
-    fitted = bc_fit(states, actions, norm, epochs=3000, lr=0.01)
-    oracle = bc_closed_form(states, actions, norm, ridge=0.0)
-    np.testing.assert_allclose(fitted.theta, oracle.theta, atol=1e-3)
-    np.testing.assert_allclose(fitted.theta, theta_star, atol=1e-3)
-
-
-def test_bc_fit_single_pair_beats_zero_policy():
-    z, y = np.array([[1.0, 2.0]]), np.array([[3.0]])
-    norm = ObservationNormalizer.for_dim(2)
-    fitted = bc_fit(z, y, norm, epochs=500, lr=0.05)
-    assert bc_loss(fitted.theta, z, y) <= bc_loss(np.zeros((1, 2)), z, y)
+        bc_closed_form(states, actions, ObservationNormalizer.for_dim(2),
+                       ridge=0.0)
 
 
 def test_bc_fit_zero_actions_gives_zero_policy():
     rng = Rng(14)
     states = np.stack([np.array([rng.gaussian() for _ in range(2)])
                        for _ in range(40)])
-    fitted = bc_fit(states, np.zeros((40, 1)), ObservationNormalizer.for_dim(2),
-                    epochs=2000, lr=0.01)
-    assert np.max(np.abs(fitted.theta)) < 1e-3
+    fitted = bc_closed_form(states, np.zeros((40, 1)),
+                            ObservationNormalizer.for_dim(2), ridge=0.0)
+    assert np.all(fitted.theta == 0.0)
 
 
 def test_bc_fit_empty_dataset_errors():
-    with pytest.raises(ValueError):
-        bc_fit(np.zeros((0, 2)), np.zeros((0, 1)), ObservationNormalizer.for_dim(2),
-               epochs=1, lr=0.01)
+    with pytest.raises(ValueError, match="empty dataset"):
+        bc_closed_form(np.zeros((0, 2)), np.zeros((0, 1)),
+                       ObservationNormalizer.for_dim(2), ridge=1e-8)
 
 
 @pytest.mark.parametrize("fit", [
-    pytest.param(partial(bc_fit, epochs=1, lr=0.01), id="bc_fit"),
     pytest.param(bc_closed_form, id="bc_closed_form"),
 ])
 def test_bc_unpaired_set_errors(fit):
     with pytest.raises(ValueError, match="pair up"):
-        fit(np.zeros((3, 2)), np.zeros((2, 1)), ObservationNormalizer.for_dim(2))
+        fit(np.zeros((3, 2)), np.zeros((2, 1)), ObservationNormalizer.for_dim(2),
+            ridge=0.0)
 
-
-def test_bc_fit_loss_monotone_full_batch():
-    # lr=1e-3 full batch: loss never increases across epochs
-    theta_star = np.array([[0.8, -1.1]])
-    z, y = _linear_expert_data(theta_star, 80, Rng(15), noise=0.1)
-    norm = ObservationNormalizer.for_dim(2)
-    losses = []
-    for epochs in range(0, 40, 4):
-        pol = bc_fit(z, y, norm, epochs=epochs, lr=1e-3)
-        losses.append(bc_loss(pol.theta, z, y))
-    assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
