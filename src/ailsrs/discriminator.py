@@ -39,6 +39,8 @@ from .numerics import AdamState, Rng, adam_step
 
 HIDDEN = 100
 REWARD_CLAMP = 1.0 - 1e-6  # -log(1 - D) diverges as D -> 1
+# rows of one scoring pass: a lane then stays within cache, and within RSS
+SCORE_ROWS = 512
 
 
 class MlpDiscriminator:
@@ -65,12 +67,16 @@ class MlpDiscriminator:
         return self._scratch[lane][:, :rows]
 
     def _layers(self, x: np.ndarray, lane: int):
-        """(h1, h2, D) of a (B, n+p) block. h1 and h2 are views of the lane,
-        valid until its next pass; D is a fresh array."""
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
+        """(h1, h2, D) of a (B, n+p) block, or of an (E, T, n+p) stack of E
+        episodes, which numpy's stacked matmul multiplies one (T, n+p)
+        episode at a time with the BLAS call a lone episode gets. h1 and h2
+        are views of the lane, valid until its next pass; D is a fresh
+        array."""
+        if x.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
             raise ValueError(
                 f"expected inputs of width {self.input_dim}, got shape {x.shape}")
-        h1, h2, _ = self._blocks(len(x), lane)
+        h1, h2, _ = self._blocks(x.size // self.input_dim, lane).reshape(
+            3, *x.shape[:-1], HIDDEN)
         np.matmul(x, self.w1.T, out=h1)
         h1 += self.b1
         np.tanh(h1, out=h1)
@@ -78,7 +84,7 @@ class MlpDiscriminator:
         h2 += self.b2
         np.tanh(h2, out=h2)
         z = h2 @ self.w3.T + self.b3
-        return h1, h2, 1.0 / (1.0 + np.exp(-z[:, 0]))
+        return h1, h2, 1.0 / (1.0 + np.exp(-z[..., 0]))
 
     def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Per-step rewards -log(1 - D), clamped near D = 1: (B, T) rewards of
@@ -98,10 +104,17 @@ class MlpDiscriminator:
 
     def _score(self, states: np.ndarray, actions: np.ndarray, out: np.ndarray,
                lane: int) -> None:
-        """Rewards of each episode of a (B, T, .) block into the rows of `out`."""
-        for s, a, rewards in zip(states, actions, out):
-            d = self._layers(np.concatenate([s, a], axis=1), lane)[2]
-            rewards[:] = -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
+        """Rewards of each episode of a (B, T, .) block into the rows of `out`,
+        in stacked passes of whole episodes, about SCORE_ROWS rows each."""
+        steps = out.shape[1]
+        if steps == 0:
+            return
+        per_pass = max(1, SCORE_ROWS // steps)
+        for i in range(0, len(out), per_pass):
+            x = np.concatenate([states[i:i + per_pass], actions[i:i + per_pass]],
+                               axis=2)
+            d = self._layers(x, lane)[2]
+            out[i:i + per_pass] = -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
 
     def get_params(self) -> np.ndarray:
         """Flat copy of all parameters (w1, b1, w2, b2, w3, b3 order)."""

@@ -328,6 +328,25 @@ def test_episode_block_rewards_byte_equal_to_one_episode_at_a_time(width):
                 for s, a in zip(states, actions)]).tobytes()
 
 
+@pytest.mark.parametrize("episodes, steps", [(0, 100), (64, 0), (0, 0)])
+def test_empty_blocks_score_to_empty_rewards(episodes, steps):
+    disc = disc_init(2, 1, Rng(68))
+    rewards = disc.reward_batch(np.zeros((episodes, steps, 2)),
+                                np.zeros((episodes, steps, 1)))
+    assert rewards.shape == (episodes, steps)
+
+
+@pytest.mark.parametrize("episodes, steps", [(64, 100), (4, 1000), (64, 1)])
+def test_scoring_lanes_hold_at_most_one_stack(episodes, steps):
+    # a lane grows to one pass of whole episodes, not to its half of the block
+    rng = Rng(69)
+    disc = disc_init(2, 1, rng)
+    block = _uniform_rows(rng, episodes * steps, 3).reshape(episodes, steps, 3)
+    disc.reward_batch(block[..., :2], block[..., 2:])
+    for lane in disc._scratch:
+        assert 0 < lane.shape[1] <= max(discriminator.SCORE_ROWS, steps)
+
+
 def test_returned_arrays_do_not_alias_the_scratch():
     rng = Rng(61)
     disc = disc_init(4, 2, rng)

@@ -172,6 +172,28 @@ def test_artifacts_do_not_depend_on_blas_threads():
     assert len(digests) == 1, digests
 
 
+# What scripts/artifact_digest.py prints, with the numpy and BLAS it was
+# recorded under: the bits follow numpy's SIMD exp, tanh and log and the
+# OpenBLAS kernels, so another version may print another digest. Only a
+# change meant to alter artifacts changes this constant.
+ARTIFACT_DIGEST = "5be3804fbf115662cad8ba9d938c06b587e04b0c1355f12c1d30b38602358915"
+DIGEST_NUMPY = "2.4.6"
+DIGEST_BLAS = "scipy-openblas 0.3.31.188.0"
+
+
+def test_artifact_digest_is_the_recorded_one():
+    script = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", "artifact_digest.py")
+    out = subprocess.run([sys.executable, script], capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert out.stdout.strip() == ARTIFACT_DIGEST, (
+        f"artifact digest {out.stdout.strip()} under numpy {np.__version__} "
+        f"and {blas['name']} {blas['version']}; recorded {ARTIFACT_DIGEST} "
+        f"under numpy {DIGEST_NUMPY} and {DIGEST_BLAS}")
+
+
 def test_discriminator_loss_decreases_on_first_iteration(riccati_demos):
     demos, _ = riccati_demos
     norm = ObservationNormalizer.for_dim(2)
