@@ -8,25 +8,30 @@ Its score doubles as the reward signal: -log(1 - D).
 
 Layers: input(n+p) -> 100 tanh -> 100 tanh -> sigmoid scalar, all float64
 numpy, written once in `MlpDiscriminator._layers`. `reward_batch` scores a
-(B, T, .) block of rollout episodes; `lsgan_grad` returns the loss of a
-minibatch pair with its hand-derived gradient from one forward pass (no
-autodiff dependency); `disc_train` takes Adam steps on minibatches drawn
-from two (M, n+p) arrays of [state, action] pairs, and when frozen (no
-steps) reports the loss of one such pair, never reading the whole pool.
+(B, T, .) block of rollout episodes in stacked passes of whole episodes,
+about SCORE_ROWS rows each: numpy's stacked matmul makes for each episode
+the BLAS call that a lone episode gets, so the rewards are those of one
+pass per episode, bit for bit (one 2-D pass over the flattened rows is
+not: OpenBLAS rounds a row by the row count of its call). `lsgan_grad`
+returns the loss of a minibatch pair with its hand-derived gradient from
+one forward pass (no autodiff dependency); `disc_train` takes Adam steps
+on minibatches drawn from two (M, n+p) arrays of [state, action] pairs,
+and when frozen (no steps) reports the loss of one such pair, never
+reading the whole pool.
 
 The passes write their (rows, 100) activations and deltas into scratch
-blocks that the discriminator keeps, grown to the largest batch seen and
-never shrunk, with the same ufuncs in the same order as fresh temporaries
-would take, so every bit is unchanged. There are two such lanes, because
-the work splits into two independent halves that run at once: `lsgan_grad`
-backpropagates its sampled half on one helper thread in lane 1 while the
-caller does the expert half in lane 0, and `reward_batch` scores the second
-half of a block of episodes on the helper. The helper is one module-wide
-thread, started on first use (in a forked child too, which drops the
-parent's). Every matmul keeps its shape and BLAS keeps one thread, so
-each result is bit-identical whichever thread computes it.
-Nothing returned aliases a lane, but a discriminator is not to be shared
-across threads: each of these calls uses both lanes.
+blocks that the discriminator keeps, grown to the largest minibatch or
+scoring stack seen and never shrunk, with the same ufuncs in the same
+order as fresh temporaries would take, so every bit is unchanged. There
+are two such lanes, because the work splits into two independent halves
+that run at once: `lsgan_grad` backpropagates its sampled half on one
+helper thread in lane 1 while the caller does the expert half in lane 0,
+and `reward_batch` scores the second half of a block of episodes on the
+helper. The helper is one module-wide thread, started on first use (in a
+forked child too, which drops the parent's). Every matmul keeps its shape
+and BLAS keeps one thread, so each result is bit-identical whichever
+thread computes it. Nothing returned aliases a lane, but a discriminator
+is not to be shared across threads: each of these calls uses both lanes.
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ from .numerics import AdamState, Rng, adam_step
 
 HIDDEN = 100
 REWARD_CLAMP = 1.0 - 1e-6  # -log(1 - D) diverges as D -> 1
-# rows of one scoring pass: a lane then stays within cache, and within RSS
+# rows of one scoring pass; each lane's scratch, so peak RSS, grows with it
 SCORE_ROWS = 512
 
 
@@ -88,9 +93,10 @@ class MlpDiscriminator:
 
     def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Per-step rewards -log(1 - D), clamped near D = 1: (B, T) rewards of
-        a (B, T, .) block of B episodes, one forward pass per episode.
-        Episodes [:B//2] are scored on the calling thread and [B//2:] on the
-        helper."""
+        a (B, T, .) block of B episodes, the bits of one forward pass per
+        episode. Episodes [:B//2] are scored on the calling thread and
+        [B//2:] on the helper, each half in stacked passes of whole
+        episodes."""
         if states.ndim != 3 or actions.ndim != 3 \
                 or states.shape[:2] != actions.shape[:2]:
             raise ValueError("expected (B, T, .) blocks of states and actions "

@@ -262,12 +262,16 @@ def test_eval_matches_riccati_estimate(tmp_path, expert_policy_file, capsys):
     assert printed == f"{estimate:.6g}"
 
 
+ID_CHARS = 48
+
+
 def _documented_commands():
     """The arguments of every `ailsrs ...` line in README.md's CLI block and
     in scripts/*.sh, one pytest param each, with `\\` continuations joined,
     README's `[...]` optional brackets dropped and shell variables read as 1.
-    Each id is the file name and the command's own text, so that editing one
-    line renames no other test."""
+    Each id is the file name and the start of the command's own text, so
+    that editing one line renames no other test, cut to ID_CHARS so that a
+    report that cuts test names at 100 characters still prints it whole."""
     root = Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text()
     cli_block = readme.split("## CLI pipeline", 1)[1].split("```")[1]
@@ -280,7 +284,8 @@ def _documented_commands():
             words = shlex.split(re.sub(r"\$\{?\w+\}?", "1", line), comments=True)
             if words[:1] == ["ailsrs"]:
                 command = " ".join(line.split()).removeprefix("ailsrs ")
-                commands.append(pytest.param(words[1:], id=f"{name}:{command}"))
+                commands.append(pytest.param(
+                    words[1:], id=f"{name}:{command}"[:ID_CHARS].rstrip()))
     return commands
 
 
