@@ -262,16 +262,10 @@ def test_eval_matches_riccati_estimate(tmp_path, expert_policy_file, capsys):
     assert printed == f"{estimate:.6g}"
 
 
-ID_CHARS = 48
-
-
 def _documented_commands():
     """The arguments of every `ailsrs ...` line in README.md's CLI block and
     in scripts/*.sh, one pytest param each, with `\\` continuations joined,
-    README's `[...]` optional brackets dropped and shell variables read as 1.
-    Each id is the file name and the start of the command's own text, so
-    that editing one line renames no other test, cut to ID_CHARS so that a
-    report that cuts test names at 100 characters still prints it whole."""
+    README's `[...]` optional brackets dropped and shell variables read as 1."""
     root = Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text()
     cli_block = readme.split("## CLI pipeline", 1)[1].split("```")[1]
@@ -283,9 +277,7 @@ def _documented_commands():
         for line in text.replace("\\\n", " ").splitlines():
             words = shlex.split(re.sub(r"\$\{?\w+\}?", "1", line), comments=True)
             if words[:1] == ["ailsrs"]:
-                command = " ".join(line.split()).removeprefix("ailsrs ")
-                commands.append(pytest.param(
-                    words[1:], id=f"{name}:{command}"[:ID_CHARS].rstrip()))
+                commands.append(pytest.param(words[1:], id=f"{name}:{words[1]}"))
     return commands
 
 
@@ -298,7 +290,5 @@ def test_documented_command_parses(argv):
 
 
 def test_docs_show_every_command():
-    ids = [p.id for p in DOCUMENTED_COMMANDS]
-    assert len(set(ids)) == len(ids)  # a repeat would be renumbered by pytest
     assert {p.values[0][0] for p in DOCUMENTED_COMMANDS} == {
         "train-expert", "record", "bc", "train", "eval"}
