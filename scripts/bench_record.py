@@ -17,17 +17,22 @@ each exported tree and with the tree's own, unchanged benchmark:
   (the parent first in even rounds), for its pass counts and the median,
   quartiles and IQR of its wall time.
 
-The JSON holds both commits, the thread pins, host and library versions
-(from the benchmark's header line), and per workload the median, quartiles
-and IQR of every end-to-end metric of BENCHMARK.json plus the plain ms per
-iteration, with every run's value and the number of pairs the change wins
-(ties count for neither side). The trees live in a temporary directory
-that is removed afterwards; the JSON is written to the repository root as
+The JSON holds both commits, each side's `src_lines` (the total lines of
+`src/**/*.py` and the code lines among them, which leave out blank,
+comment-only and docstring lines) with the net change, the thread pins,
+host and library versions (from the benchmark's header line), and per
+workload the median, quartiles and IQR of every end-to-end metric of
+BENCHMARK.json plus the plain ms per iteration, with every run's value and
+the number of pairs the change wins (ties count for neither side). The
+trees live in a temporary directory that is removed afterwards; the JSON
+is written to the repository root as
 BENCH_<short sha of the change>.json.
 """
 from __future__ import annotations
 
 import argparse
+import ast
+import glob
 import json
 import os
 import platform
@@ -113,6 +118,28 @@ def tier1(tree: str) -> dict:
             "summary": summary}
 
 
+def src_lines(tree: str) -> dict:
+    """Total lines of `tree`'s src/**/*.py, and the code lines among them:
+    the lines that are not blank, comment-only or part of a docstring."""
+    total = code = 0
+    for path in glob.glob(os.path.join(tree, "src", "**", "*.py"), recursive=True):
+        with open(path) as fh:
+            text = fh.read()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                first = node.body[0]
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+        lines = text.splitlines()
+        total += len(lines)
+        code += sum(1 for number, line in enumerate(lines, 1)
+                    if line.strip() and not line.lstrip().startswith("#")
+                    and number not in docstrings)
+    return {"total": total, "code": code}
+
+
 def spread(values: list[float]) -> dict:
     """Median, quartiles (inclusive method) and IQR of one side's runs."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -173,6 +200,9 @@ def main(argv=None) -> int:
     try:
         for side, commit in commits.items():
             export(commit, trees[side])
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        lines["net"] = {kind: lines["change"][kind] - lines["parent"][kind]
+                        for kind in ("total", "code")}
         bench_args = ["--workload", "all", "--seed", str(args.seed),
                       "--seconds", str(seconds), "--trace", "0"]
         runs = {"parent": [], "change": []}
@@ -203,6 +233,7 @@ def main(argv=None) -> int:
     first_header = next(iter(headers["change"].values()))
     record = {
         "commits": commits,
+        "src_lines": lines,
         "command": "python3 bench/run.py " + " ".join(bench_args),
         "pairs": PAIRS,
         "thread_pins": first_header["thread_pins"],
@@ -224,6 +255,10 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     progress(f"wrote {out_path}")
+    print(f"src/ lines: total {lines['parent']['total']} -> "
+          f"{lines['change']['total']} ({lines['net']['total']:+d}), code "
+          f"{lines['parent']['code']} -> {lines['change']['code']} "
+          f"({lines['net']['code']:+d})")
     for workload, table in record["workloads"].items():
         for metric, entry in table.items():
             print(f"{workload:22s} {metric:12s} parent {entry['parent']['median']:.6g}"

@@ -39,13 +39,6 @@ class NonFiniteValueError(FormatError):
     pass
 
 
-def _check_version(path: str, doc: dict, expected: int) -> None:
-    if doc.get("format_version") != expected:
-        raise VersionMismatchError(
-            f"{path}: format_version {doc.get('format_version')!r}, "
-            f"expected {expected} (line 1)")
-
-
 @dataclass
 class Trajectory:
     """One episode of raw states, executed (clipped) actions and env rewards.
@@ -72,10 +65,7 @@ class TrajectorySet:
     def mean_env_return(self) -> float:
         return float(np.mean([t.env_rewards.sum() for t in self.trajectories]))
 
-    def validate(self) -> None:
-        self._validate(lambda k, fault: f"episode {k}: {fault}")
-
-    def _validate(self, message) -> None:
+    def validate(self, message=lambda k, fault: f"episode {k}: {fault}") -> None:
         """Raise at the first bad episode, described by message(k, fault)."""
         if not self.trajectories:
             raise DimensionMismatchError("a trajectory set needs >= 1 episode")
@@ -96,8 +86,7 @@ class TrajectorySet:
                     k, f"actions are {t.actions.shape[1]}-dim, "
                     f"expected {self.action_dim}"))
             for arr in (t.states, t.actions, t.env_rewards):
-                if not np.all(np.isfinite(arr)):
-                    raise NonFiniteValueError(message(k, "non-finite value"))
+                _check_values(arr, lambda fault: message(k, fault))
 
 
 def record(policy: LinearPolicy, normalizer: ObservationNormalizer,
@@ -135,6 +124,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_values(arr: np.ndarray, message) -> None:
+    """Raise unless an array holds finite integers or floats, which JSON
+    writes as numbers that load back (bools, complex numbers and long
+    doubles do not); message(fault) describes the fault."""
+    if arr.dtype.kind not in "iuf" or not np.can_cast(arr.dtype, float):
+        raise FormatError(message(f"{arr.dtype} values, not integers or floats"))
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteValueError(message("non-finite value"))
+
+
 def _floats(value) -> np.ndarray:
     """A JSON number or nested list of numbers as a float array. Unlike
     np.array(..., dtype=float) alone, it rejects numeric strings and bools."""
@@ -161,7 +160,10 @@ def _check_header(path: str, header: dict, version: int, keys) -> EnvSpec:
     """Check a file's first-line header, read or about to be written: its
     version, the presence of `keys` beside env, state_dim and action_dim, and
     that the env is built in with exactly these dims. Returns the env's spec."""
-    _check_version(path, header, version)
+    if header.get("format_version") != version:
+        raise VersionMismatchError(
+            f"{path}: format_version {header.get('format_version')!r}, "
+            f"expected {version} (line 1)")
     for key in ("env", "state_dim", "action_dim", *keys):
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r} (line 1)")
@@ -207,7 +209,7 @@ def load_trajectories(path: str) -> TrajectorySet:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad episode on line {k + 2}: {exc}") from None
     out = TrajectorySet(spec.name, spec.state_dim, spec.action_dim, trajectories)
-    out._validate(lambda k, fault: f"{path}: {fault} on line {k + 2}")
+    out.validate(lambda k, fault: f"{path}: {fault} on line {k + 2}")
     return out
 
 
@@ -219,31 +221,18 @@ def save_policy(policy: LinearPolicy, normalizer: ObservationNormalizer,
            "theta": theta.tolist(), "mu": mu.tolist(), "var": var.tolist(),
            "count": normalizer.count}
     spec = _check_header(path, doc, POLICY_FORMAT_VERSION, ())
-    if mu.shape != (spec.state_dim,) or var.shape != (spec.state_dim,):
-        raise DimensionMismatchError(
-            f"{path}: normalizer shape {mu.shape} does not match "
-            f"{spec.name}'s state_dim {spec.state_dim}")
-    if not all(np.all(np.isfinite(a)) for a in (theta, mu, var)):
-        raise NonFiniteValueError(
-            "policy weights or whitening statistics contain non-finite values")
+    _check_policy(path, spec, theta, mu, var, normalizer.count)
     with open(path, "w") as fh:
         fh.write(json.dumps(doc) + "\n")
 
 
-def load_policy(path: str):
-    """Read a policy file; returns (policy, normalizer, env_name)."""
-    with open(path) as fh:
-        doc = _parse_object(path, 1, fh.read())
-    spec = _check_header(path, doc, POLICY_FORMAT_VERSION,
-                         ("theta", "mu", "var", "count"))
-    count = doc["count"]
+def _check_policy(path: str, spec: EnvSpec, theta: np.ndarray, mu: np.ndarray,
+                  var: np.ndarray, count) -> None:
+    """Check a policy file's count and arrays, loaded or about to be saved,
+    against the env's spec: a policy that saves is one that loads."""
     if not _is_int(count) or count < 0:
         raise FormatError(f"{path}: count {count!r} is not a non-negative "
                           "integer (line 1)")
-    try:
-        theta, mu, var = (_floats(doc[key]) for key in ("theta", "mu", "var"))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{path}: bad array on line 1: {exc}") from None
     if theta.shape != (spec.action_dim, spec.state_dim):
         raise DimensionMismatchError(
             f"{path}: theta shape {theta.shape} does not match header dims "
@@ -252,11 +241,23 @@ def load_policy(path: str):
         raise DimensionMismatchError(
             f"{path}: mu/var must be state_dim vectors (line 1)")
     for arr in (theta, mu, var):
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteValueError(f"{path}: non-finite value (line 1)")
+        _check_values(arr, lambda fault: f"{path}: {fault} (line 1)")
     if np.any(var < 0):
         raise FormatError(f"{path}: negative variance (line 1)")
+
+
+def load_policy(path: str):
+    """Read a policy file; returns (policy, normalizer, env_name)."""
+    with open(path) as fh:
+        doc = _parse_object(path, 1, fh.read())
+    spec = _check_header(path, doc, POLICY_FORMAT_VERSION,
+                         ("theta", "mu", "var", "count"))
+    try:
+        theta, mu, var = (_floats(doc[key]) for key in ("theta", "mu", "var"))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: bad array on line 1: {exc}") from None
+    _check_policy(path, spec, theta, mu, var, doc["count"])
     # the accumulator is reconstructed as var * count; observable stats
     # (mean, variance, count) are what the format preserves
-    normalizer = ObservationNormalizer(count, mu, var * count)
+    normalizer = ObservationNormalizer(doc["count"], mu, var * doc["count"])
     return LinearPolicy(theta), normalizer, spec.name

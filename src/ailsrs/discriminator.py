@@ -27,16 +27,16 @@ are two such lanes, because the work splits into two independent halves
 that run at once: `lsgan_grad` backpropagates its sampled half on one
 helper thread in lane 1 while the caller does the expert half in lane 0,
 and `reward_batch` scores the second half of a block of episodes on the
-helper. The helper is one module-wide thread, started on first use (in a
-forked child too, which drops the parent's). Every matmul keeps its shape
+helper. The helper is one thread per process, made on first use in that
+process (a forked child makes its own). Every matmul keeps its shape
 and BLAS keeps one thread, so each result is bit-identical whichever
 thread computes it. Nothing returned aliases a lane, but a discriminator
 is not to be shared across threads: each of these calls uses both lanes.
 """
 from __future__ import annotations
 
+import functools
 import os
-import threading
 
 import numpy as np
 
@@ -192,18 +192,16 @@ def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float,
     return 0.5 * float(np.mean((d - target) ** 2)), [gw1, gb1, gw2, gb2, gw3, gb3]
 
 
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _forget_helper() -> None:
-    """A forked child inherits the executor but not its thread, and the
-    executor would never start another: drop it, and a possibly held lock."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_helper)
+@functools.cache
+def _helper(pid: int):
+    """One-thread helper executor of process `pid`, made on its first
+    two-lane call; a forked child lacks the parent's thread, and its new pid
+    makes it its own. Two threads racing on that call may each make one,
+    harmlessly: an executor starts its thread with its first task, and the
+    one the cache drops is then collected, so its worker ends after it."""
+    # imported here so that importing ailsrs starts and loads nothing
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="ailsrs-disc")
 
 
 def _in_both_lanes(fn, here: tuple, there: tuple):
@@ -211,14 +209,7 @@ def _in_both_lanes(fn, here: tuple, there: tuple):
     second on the helper thread, at once. `fn` must be private: bench/tracing.py
     wraps public functions around one span stack, which two threads would
     interleave."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            # imported here so that importing ailsrs starts and loads nothing
-            from concurrent.futures import ThreadPoolExecutor
-            _helper = ThreadPoolExecutor(max_workers=1,
-                                         thread_name_prefix="ailsrs-disc")
-        later = _helper.submit(fn, *there, 1)
+    later = _helper(os.getpid()).submit(fn, *there, 1)
     try:
         result = fn(*here, 0)
     finally:
@@ -235,10 +226,8 @@ def lsgan_grad(disc: MlpDiscriminator, expert_inputs: np.ndarray,
         raise ValueError("both batches must be nonempty")
     (loss_e, ge), (loss_s, gs) = _in_both_lanes(
         _backprop_half, (disc, expert_inputs, 1.0), (disc, sampled_inputs, 0.0))
-    parts = [e + s for e, s in zip(ge, gs)]
-    return loss_e + loss_s, np.concatenate([
-        parts[0].ravel(), parts[1], parts[2].ravel(), parts[3],
-        parts[4].ravel(), [parts[5]]])
+    return loss_e + loss_s, np.concatenate([np.ravel(e + s)
+                                            for e, s in zip(ge, gs)])
 
 
 def disc_train(disc: MlpDiscriminator, adam: AdamState, expert_pairs: np.ndarray,

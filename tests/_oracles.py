@@ -1,7 +1,7 @@
 """Reference computations that only the tests use: a generic
-finite-difference gradient, the behavior-cloning objective, the
-single-row Welford step, and the discriminator's passes and LSGAN loss
-written out of place."""
+finite-difference gradient, the single-row Welford step, and the
+discriminator's passes, rewards, LSGAN loss and LSGAN gradient written
+out of place."""
 import numpy as np
 
 from ailsrs.discriminator import REWARD_CLAMP

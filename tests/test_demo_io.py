@@ -220,8 +220,9 @@ def _policy_saver(env_name, theta_shape, normalizer):
                                     normalizer, env_name, path)
 
 
-def _demos_saver(env_name, state_dim):
-    episode = Trajectory(np.zeros((4, state_dim)), np.zeros((4, 1)), np.zeros(4))
+def _demos_saver(env_name, state_dim, dtype=float):
+    episode = Trajectory(np.zeros((4, state_dim), dtype), np.zeros((4, 1)),
+                         np.zeros(4))
     return lambda path: save_trajectories(
         TrajectorySet(env_name, state_dim, 1, [episode]), path)
 
@@ -236,9 +237,20 @@ def _demos_saver(env_name, state_dim):
     pytest.param(_policy_saver("lqr2d", (1, 2), ObservationNormalizer(
         2, np.array([np.nan, 0.0]), np.zeros(2))), NonFiniteValueError,
                  id="policy-nan-mean"),
+    pytest.param(_policy_saver("lqr2d", (1, 2), ObservationNormalizer(
+        2, np.zeros(2), np.array([-1.0, 0.0]))), FormatError,
+                 id="policy-negative-m2"),
+    pytest.param(_policy_saver("lqr2d", (1, 2), ObservationNormalizer(
+        -3, np.zeros(2), np.ones(2))), FormatError, id="policy-negative-count"),
+    pytest.param(_policy_saver("lqr2d", (1, 2), ObservationNormalizer(
+        np.int64(4), np.zeros(2), np.ones(2))), FormatError,
+                 id="policy-numpy-int-count"),
     pytest.param(_demos_saver("lqr2d", 3), DimensionMismatchError,
                  id="demos-dims-of-another-env"),
     pytest.param(_demos_saver("nosuchenv", 2), FormatError, id="demos-unknown-env"),
+    pytest.param(_demos_saver("lqr2d", 2, complex), FormatError,
+                 id="demos-complex-states"),
+    pytest.param(_demos_saver("lqr2d", 2, bool), FormatError, id="demos-bool-states"),
 ])
 def test_savers_refuse_what_loaders_reject(tmp_path, save, error):
     path = tmp_path / "out"

@@ -1,7 +1,10 @@
 import gc
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -12,6 +15,7 @@ import pytest
 import _oracles
 from _oracles import finite_diff
 
+import ailsrs
 from ailsrs import discriminator
 from ailsrs.discriminator import MlpDiscriminator, disc_init, disc_train, lsgan_grad
 from ailsrs.numerics import AdamState, Rng, adam_step
@@ -426,6 +430,9 @@ def test_forked_child_starts_its_own_helper():
             == rewards.tobytes()
         child_loss, child_grad = lsgan_grad(disc, xe, xs)
         assert child_loss == loss and child_grad.tobytes() == grad.tobytes()
+        helpers = [t for t in threading.enumerate()
+                   if t.name.startswith("ailsrs-disc")]
+        assert len(helpers) == 1, helpers
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()
@@ -435,6 +442,16 @@ def test_forked_child_starts_its_own_helper():
         proc.join()
         pytest.fail("the forked child still waits on its helper after 30 s")
     assert proc.exitcode == 0
+
+
+def test_importing_ailsrs_starts_no_thread_and_loads_no_executor():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ailsrs.__file__)))
+    probe = ("import sys, threading, ailsrs; "
+             "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, timeout=60, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split() == ["1", "False"]
 
 
 def test_set_params_rejects_a_vector_of_the_wrong_length():
