@@ -67,7 +67,7 @@ def cmd_bc(args) -> int:
     actions = np.concatenate([t.actions for t in demos.trajectories])
     # whiten against the demonstration states so the cloned weights live in
     # the same coordinates a trained policy would use
-    normalizer = ObservationNormalizer.for_dim(demos.state_dim)
+    normalizer = ObservationNormalizer.for_dim(states.shape[1])
     normalizer.add_states(states)
     policy = bc_closed_form(states, actions, normalizer, ridge=args.ridge)
     save_policy(policy, normalizer, demos.env_name, args.out)

@@ -6,7 +6,9 @@ episode for demonstrations; a single document for policies) and carry a
 format_version field: 1 for demonstrations, 2 for policies (version-1
 policies act on mean-centred inputs, so they are rejected, not reinterpreted).
 Floats serialize via repr, i.e. shortest round-trip decimals, so save -> load
-is exact.
+is exact. The dims in a header are the env spec's: the savers write them and
+the loaders check them. Every fault in a file, or in a set or policy about to
+be saved, is a FormatError; a loader's names the file and the line.
 """
 from __future__ import annotations
 
@@ -27,18 +29,6 @@ class FormatError(ValueError):
     """Malformed or inconsistent data file."""
 
 
-class VersionMismatchError(FormatError):
-    pass
-
-
-class DimensionMismatchError(FormatError):
-    pass
-
-
-class NonFiniteValueError(FormatError):
-    pass
-
-
 @dataclass
 class Trajectory:
     """One episode of raw states, executed (clipped) actions and env rewards.
@@ -52,11 +42,10 @@ class Trajectory:
 
 @dataclass
 class TrajectorySet:
-    """Recorded demonstration episodes for one environment."""
+    """Recorded demonstration episodes for one environment, whose spec gives
+    the widths of their states and actions."""
 
     env_name: str
-    state_dim: int
-    action_dim: int
     trajectories: list[Trajectory]
 
     def __len__(self) -> int:
@@ -66,25 +55,27 @@ class TrajectorySet:
         return float(np.mean([t.env_rewards.sum() for t in self.trajectories]))
 
     def validate(self, message=lambda k, fault: f"episode {k}: {fault}") -> None:
-        """Raise at the first bad episode, described by message(k, fault)."""
+        """Raise a FormatError at the first bad episode, described by
+        message(k, fault)."""
         if not self.trajectories:
-            raise DimensionMismatchError("a trajectory set needs >= 1 episode")
+            raise FormatError("a trajectory set needs >= 1 episode")
+        spec = make_env(self.env_name).spec
         for k, t in enumerate(self.trajectories):
             if t.states.ndim != 2 or t.actions.ndim != 2 or t.env_rewards.ndim != 1:
-                raise DimensionMismatchError(message(
+                raise FormatError(message(
                     k, "states and actions must be 2-D arrays, env_rewards 1-D"))
             if not (len(t.states) == len(t.actions) == len(t.env_rewards)):
-                raise DimensionMismatchError(message(k, "ragged lengths"))
+                raise FormatError(message(k, "ragged lengths"))
             if len(t.states) < 1:
-                raise DimensionMismatchError(message(k, "empty"))
-            if t.states.shape[1] != self.state_dim:
-                raise DimensionMismatchError(message(
+                raise FormatError(message(k, "empty"))
+            if t.states.shape[1] != spec.state_dim:
+                raise FormatError(message(
                     k, f"states are {t.states.shape[1]}-dim, "
-                    f"expected {self.state_dim}"))
-            if t.actions.shape[1] != self.action_dim:
-                raise DimensionMismatchError(message(
+                    f"expected {spec.state_dim}"))
+            if t.actions.shape[1] != spec.action_dim:
+                raise FormatError(message(
                     k, f"actions are {t.actions.shape[1]}-dim, "
-                    f"expected {self.action_dim}"))
+                    f"expected {spec.action_dim}"))
             for arr in (t.states, t.actions, t.env_rewards):
                 _check_values(arr, lambda fault: message(k, fault))
 
@@ -101,18 +92,17 @@ def record(policy: LinearPolicy, normalizer: ObservationNormalizer,
     env = make_env(env_name)
     *block, _ = rollout(env, policy.theta, normalizer, None,
                         [episode_rng(seed, i) for i in range(episodes)])
-    return TrajectorySet(env_name, env.spec.state_dim, env.spec.action_dim,
-                         [Trajectory(*episode) for episode in zip(*block)])
+    return TrajectorySet(env_name, [Trajectory(*episode) for episode in zip(*block)])
 
 
 def save_trajectories(demo_set: TrajectorySet, path: str) -> None:
-    header = {"format_version": FORMAT_VERSION, "env": demo_set.env_name,
-              "state_dim": demo_set.state_dim, "action_dim": demo_set.action_dim,
-              "episodes": len(demo_set)}
-    _check_header(path, header, FORMAT_VERSION, ())
+    spec = _spec(path, demo_set.env_name)
     demo_set.validate()
     with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
+        fh.write(json.dumps({"format_version": FORMAT_VERSION, "env": spec.name,
+                             "state_dim": spec.state_dim,
+                             "action_dim": spec.action_dim,
+                             "episodes": len(demo_set)}) + "\n")
         for t in demo_set.trajectories:
             fh.write(json.dumps({"states": t.states.tolist(),
                                  "actions": t.actions.tolist(),
@@ -131,7 +121,7 @@ def _check_values(arr: np.ndarray, message) -> None:
     if arr.dtype.kind not in "iuf" or not np.can_cast(arr.dtype, float):
         raise FormatError(message(f"{arr.dtype} values, not integers or floats"))
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteValueError(message("non-finite value"))
+        raise FormatError(message("non-finite value"))
 
 
 def _floats(value) -> np.ndarray:
@@ -156,31 +146,35 @@ def _parse_object(path: str, line_no: int, text: str) -> dict:
     return obj
 
 
+def _spec(path: str, env_name) -> EnvSpec:
+    """The spec of the built-in env that a file names on its line 1; a
+    FormatError naming the path and line 1 if there is no such env."""
+    if env_name not in env_names():
+        raise FormatError(f"{path}: unknown environment {env_name!r}; valid "
+                          f"names: {', '.join(env_names())} (line 1)")
+    return make_env(env_name).spec
+
+
 def _check_header(path: str, header: dict, version: int, keys) -> EnvSpec:
-    """Check a file's first-line header, read or about to be written: its
-    version, the presence of `keys` beside env, state_dim and action_dim, and
-    that the env is built in with exactly these dims. Returns the env's spec."""
+    """Check the header read from a file's line 1: its version, the presence
+    of `keys` beside env, state_dim and action_dim, and that the env is built
+    in with exactly these dims. Returns the env's spec."""
     if header.get("format_version") != version:
-        raise VersionMismatchError(
+        raise FormatError(
             f"{path}: format_version {header.get('format_version')!r}, "
             f"expected {version} (line 1)")
     for key in ("env", "state_dim", "action_dim", *keys):
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r} (line 1)")
-    env_name = header["env"]
-    if env_name not in env_names():
-        raise FormatError(f"{path}: unknown environment {env_name!r}; valid "
-                          f"names: {', '.join(env_names())} (line 1)")
-    spec = make_env(env_name).spec
+    spec = _spec(path, header["env"])
     for key, expected in (("state_dim", spec.state_dim),
                           ("action_dim", spec.action_dim)):
         if not _is_int(header[key]):
             raise FormatError(f"{path}: header {key} {header[key]!r} is not an "
                               "integer (line 1)")
         if header[key] != expected:
-            raise DimensionMismatchError(
-                f"{path}: header {key} {header[key]} does not match "
-                f"{env_name}'s {expected} (line 1)")
+            raise FormatError(f"{path}: header {key} {header[key]} does not "
+                              f"match {spec.name}'s {expected} (line 1)")
     return spec
 
 
@@ -208,7 +202,7 @@ def load_trajectories(path: str) -> TrajectorySet:
                 _floats(obj[key]) for key in ("states", "actions", "env_rewards"))))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad episode on line {k + 2}: {exc}") from None
-    out = TrajectorySet(spec.name, spec.state_dim, spec.action_dim, trajectories)
+    out = TrajectorySet(spec.name, trajectories)
     out.validate(lambda k, fault: f"{path}: {fault} on line {k + 2}")
     return out
 
@@ -216,14 +210,14 @@ def load_trajectories(path: str) -> TrajectorySet:
 def save_policy(policy: LinearPolicy, normalizer: ObservationNormalizer,
                 env_name: str, path: str) -> None:
     theta, mu, var = policy.theta, normalizer.mean, normalizer.variance()
-    doc = {"format_version": POLICY_FORMAT_VERSION, "env": env_name,
-           "state_dim": theta.shape[1], "action_dim": theta.shape[0],
-           "theta": theta.tolist(), "mu": mu.tolist(), "var": var.tolist(),
-           "count": normalizer.count}
-    spec = _check_header(path, doc, POLICY_FORMAT_VERSION, ())
+    spec = _spec(path, env_name)
     _check_policy(path, spec, theta, mu, var, normalizer.count)
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(json.dumps({"format_version": POLICY_FORMAT_VERSION,
+                             "env": spec.name, "state_dim": spec.state_dim,
+                             "action_dim": spec.action_dim, "theta": theta.tolist(),
+                             "mu": mu.tolist(), "var": var.tolist(),
+                             "count": normalizer.count}) + "\n")
 
 
 def _check_policy(path: str, spec: EnvSpec, theta: np.ndarray, mu: np.ndarray,
@@ -234,12 +228,10 @@ def _check_policy(path: str, spec: EnvSpec, theta: np.ndarray, mu: np.ndarray,
         raise FormatError(f"{path}: count {count!r} is not a non-negative "
                           "integer (line 1)")
     if theta.shape != (spec.action_dim, spec.state_dim):
-        raise DimensionMismatchError(
-            f"{path}: theta shape {theta.shape} does not match header dims "
-            "(line 1)")
+        raise FormatError(f"{path}: theta shape {theta.shape} does not match "
+                          "header dims (line 1)")
     if mu.shape != (spec.state_dim,) or var.shape != (spec.state_dim,):
-        raise DimensionMismatchError(
-            f"{path}: mu/var must be state_dim vectors (line 1)")
+        raise FormatError(f"{path}: mu/var must be state_dim vectors (line 1)")
     for arr in (theta, mu, var):
         _check_values(arr, lambda fault: f"{path}: {fault} (line 1)")
     if np.any(var < 0):

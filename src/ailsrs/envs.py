@@ -171,11 +171,7 @@ class PendulumEnv:
         return rewards
 
 
-_ENV_CLASSES = {
-    "lqr2d": Lqr2dEnv,
-    "pointmass2d": PointMass2dEnv,
-    "pendulum": PendulumEnv,
-}
+_ENV_CLASSES = {cls.spec.name: cls for cls in (Lqr2dEnv, PointMass2dEnv, PendulumEnv)}
 
 
 def env_names() -> list[str]:
@@ -207,6 +203,9 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     if np.shape(thetas)[-2:] != (spec.action_dim, spec.state_dim):
         raise ValueError(f"{spec.name} takes ({spec.action_dim}, {spec.state_dim})"
                          f" policies, got shape {np.shape(thetas)}")
+    if normalizer.mean.shape != (spec.state_dim,):
+        raise ValueError(f"{spec.name} takes {spec.state_dim}-wide whitening "
+                         f"statistics, got shape {normalizer.mean.shape}")
     inv_rms = normalizer.snapshot()
     # theta @ (s * inv_rms) == (theta * inv_rms) @ s
     thetas = thetas if inv_rms is None else thetas * inv_rms

@@ -114,11 +114,9 @@ def search(env_name: str, cfg: TrainerConfig,
     root = Rng(cfg.seed)
     disc = adam = expert_pairs = None
     if expert is not None:
-        if expert.env_name != env_name or expert.state_dim != spec.state_dim \
-                or expert.action_dim != spec.action_dim:
-            raise ValueError(
-                f"demonstrations are for {expert.env_name!r} "
-                f"({expert.state_dim}, {expert.action_dim}); requested {env_name!r}")
+        if expert.env_name != env_name:
+            raise ValueError(f"demonstrations are for {expert.env_name!r}; "
+                             f"requested {env_name!r}")
         expert.validate()
         # (M, n+p) [state, action] rows; demonstration episodes may be ragged
         expert_pairs = np.concatenate([np.concatenate([t.states, t.actions], axis=1)

@@ -1,14 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from _oracles import welford_update
 
-from ailsrs.demo_io import (DimensionMismatchError, FormatError,
-                            NonFiniteValueError, Trajectory, TrajectorySet,
-                            VersionMismatchError, load_policy,
+from ailsrs.demo_io import (FormatError, Trajectory, TrajectorySet, load_policy,
                             load_trajectories, record, save_policy,
                             save_trajectories)
 from ailsrs.envs import evaluate_policy, riccati_optimal
@@ -26,8 +27,8 @@ def test_record_shapes(riccati):
     pol, norm = riccati
     demos = record(pol, norm, "lqr2d", episodes=10, seed=0)
     assert len(demos) == 10
-    assert all(len(t.states) == 100 for t in demos.trajectories)
-    assert demos.state_dim == 2 and demos.action_dim == 1
+    assert all(t.states.shape == (100, 2) and t.actions.shape == (100, 1)
+               for t in demos.trajectories)
 
 
 def test_record_mean_matches_evaluate(riccati):
@@ -49,7 +50,7 @@ def test_trajectory_roundtrip_exact(tmp_path):
     rng = Rng(11)
     trajs = [Trajectory(rng.gaussian_matrix(5, 2), rng.gaussian_matrix(5, 1),
                         rng.gaussian_matrix(5, 1)[:, 0]) for _ in range(3)]
-    demos = TrajectorySet("lqr2d", 2, 1, trajs)
+    demos = TrajectorySet("lqr2d", trajs)
     path = str(tmp_path / "demos.jsonl")
     save_trajectories(demos, path)
     loaded = load_trajectories(path)
@@ -59,6 +60,18 @@ def test_trajectory_roundtrip_exact(tmp_path):
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.actions, b.actions)
         np.testing.assert_array_equal(a.env_rewards, b.env_rewards)
+
+
+@pytest.mark.parametrize("workload", ["imitate-lqr2d", "disctrain-pointmass2d"])
+def test_bench_setup_runs(workload):
+    # the benchmark's set-up records, saves, loads and walks demonstrations
+    # through this module's names, so renaming one would break the benchmark
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "bench", "run.py")
+    out = subprocess.run([sys.executable, script, "--workload", workload,
+                          "--seed", "1", "--setup-probe"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_truncated_file_names_line(tmp_path, riccati):
@@ -84,20 +97,22 @@ def test_corrupt_json_line_named(tmp_path, riccati):
         load_trajectories(path)
 
 
-@pytest.mark.parametrize("key, value, error", [
-    pytest.param("actions", [[0.0], [0.0]], DimensionMismatchError, id="ragged"),
-    pytest.param("states", [[0.0, 0.0, 0.0]], DimensionMismatchError, id="width"),
-    pytest.param("states", [[0.0, float("nan")]], NonFiniteValueError, id="nan"),
-    pytest.param("env_rewards", [[-1.0]], DimensionMismatchError, id="2d-rewards"),
+@pytest.mark.parametrize("key, value, fault", [
+    pytest.param("actions", [[0.0], [0.0]], "ragged lengths", id="ragged"),
+    pytest.param("states", [[0.0, 0.0, 0.0]], "states are 3-dim, expected 2",
+                 id="width"),
+    pytest.param("states", [[0.0, float("nan")]], "non-finite", id="nan"),
+    pytest.param("env_rewards", [[-1.0]], "env_rewards 1-D", id="2d-rewards"),
 ])
-def test_bad_episode_names_path_and_line(tmp_path, key, value, error):
+def test_bad_episode_names_path_and_line(tmp_path, key, value, fault):
     header = {"format_version": 1, "env": "lqr2d", "state_dim": 2,
               "action_dim": 1, "episodes": 2}
     good = {"states": [[0.0, 0.0]], "actions": [[0.0]], "env_rewards": [-1.0]}
     path = tmp_path / "demos.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n"
                             for doc in (header, good, {**good, key: value})))
-    with pytest.raises(error, match=re.escape(f"{path}: ") + ".* on line 3$"):
+    with pytest.raises(FormatError,
+                       match=re.escape(f"{path}: ") + f".*{fault}.* on line 3$"):
         load_trajectories(str(path))
 
 
@@ -111,35 +126,38 @@ def test_non_numeric_episode_names_path_and_line(tmp_path):
         load_trajectories(str(path))
 
 
-@pytest.mark.parametrize("key, value, error", [
-    pytest.param("episodes", "1", FormatError, id="episodes-str"),
-    pytest.param("episodes", 1.0, FormatError, id="episodes-float"),
-    pytest.param("episodes", True, FormatError, id="episodes-bool"),
-    pytest.param("episodes", -1, FormatError, id="episodes-negative"),
-    pytest.param("episodes", 0, FormatError, id="episodes-zero"),
-    pytest.param("env", "nosuchenv", FormatError, id="env-unknown"),
-    pytest.param("env", ["lqr2d"], FormatError, id="env-list"),
-    pytest.param("state_dim", True, FormatError, id="state_dim-bool"),
-    pytest.param("state_dim", 2.0, FormatError, id="state_dim-float"),
-    pytest.param("state_dim", 3, DimensionMismatchError, id="state_dim-spec"),
-    pytest.param("action_dim", "1", FormatError, id="action_dim-str"),
-    pytest.param("action_dim", 2, DimensionMismatchError, id="action_dim-spec"),
+@pytest.mark.parametrize("key, value, fault", [
+    pytest.param("episodes", "1", "not a positive integer", id="episodes-str"),
+    pytest.param("episodes", 1.0, "not a positive integer", id="episodes-float"),
+    pytest.param("episodes", True, "not a positive integer", id="episodes-bool"),
+    pytest.param("episodes", -1, "not a positive integer", id="episodes-negative"),
+    pytest.param("episodes", 0, "not a positive integer", id="episodes-zero"),
+    pytest.param("env", "nosuchenv", "unknown environment", id="env-unknown"),
+    pytest.param("env", ["lqr2d"], "unknown environment", id="env-list"),
+    pytest.param("state_dim", True, "not an integer", id="state_dim-bool"),
+    pytest.param("state_dim", 2.0, "not an integer", id="state_dim-float"),
+    pytest.param("state_dim", 3, "state_dim 3 does not match lqr2d's 2",
+                 id="state_dim-spec"),
+    pytest.param("action_dim", "1", "not an integer", id="action_dim-str"),
+    pytest.param("action_dim", 2, "action_dim 2 does not match lqr2d's 1",
+                 id="action_dim-spec"),
 ])
-def test_bad_header_names_path_and_line(tmp_path, key, value, error):
+def test_bad_header_names_path_and_line(tmp_path, key, value, fault):
     header = {"format_version": 1, "env": "lqr2d", "state_dim": 2,
               "action_dim": 1, "episodes": 1}
     good = {"states": [[0.0, 0.0]], "actions": [[0.0]], "env_rewards": [-1.0]}
     path = tmp_path / "demos.jsonl"
     path.write_text("".join(json.dumps(doc) + "\n"
                             for doc in ({**header, key: value}, good)))
-    with pytest.raises(error, match=re.escape(f"{path}: ") + r".* \(line 1\)$"):
+    with pytest.raises(FormatError,
+                       match=re.escape(f"{path}: ") + f".*{fault}" + r".* \(line 1\)$"):
         load_trajectories(str(path))
 
 
 def test_wrong_state_width_rejected(tmp_path):
     trajs = [Trajectory(np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(4))]
-    demos = TrajectorySet("lqr2d", 2, 1, trajs)  # claims state_dim 2
-    with pytest.raises(DimensionMismatchError, match="3-dim"):
+    demos = TrajectorySet("lqr2d", trajs)  # lqr2d's states are 2-dim
+    with pytest.raises(FormatError, match="3-dim"):
         save_trajectories(demos, str(tmp_path / "x.jsonl"))
 
 
@@ -151,14 +169,14 @@ def test_version_mismatch_rejected(tmp_path, riccati):
     lines[0] = lines[0].replace('"format_version": 1', '"format_version": 2')
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    with pytest.raises(VersionMismatchError):
+    with pytest.raises(FormatError, match="format_version 2, expected 1"):
         load_trajectories(path)
 
 
 def test_nonfinite_rejected(tmp_path):
     trajs = [Trajectory(np.array([[1.0, np.nan]]), np.zeros((1, 1)), np.zeros(1))]
-    demos = TrajectorySet("lqr2d", 2, 1, trajs)
-    with pytest.raises(NonFiniteValueError):
+    demos = TrajectorySet("lqr2d", trajs)
+    with pytest.raises(FormatError, match="non-finite"):
         save_trajectories(demos, str(tmp_path / "x.jsonl"))
 
 
@@ -186,7 +204,7 @@ def test_policy_version_1_rejected(tmp_path):
     text = path.read_text()
     assert '"format_version": 2' in text
     path.write_text(text.replace('"format_version": 2', '"format_version": 1'))
-    with pytest.raises(VersionMismatchError, match="format_version 1"):
+    with pytest.raises(FormatError, match="format_version 1, expected 2"):
         load_policy(str(path))
 
 
@@ -199,7 +217,7 @@ def test_policy_env_mismatch_rejected(tmp_path):
     _, _, env_name = load_policy(str(path))
     assert env_name == "lqr2d"
     path.write_text(path.read_text().replace('"env": "lqr2d"', '"env": "pendulum"'))
-    with pytest.raises(DimensionMismatchError, match="pendulum"):
+    with pytest.raises(FormatError, match="state_dim 2 does not match pendulum's 3"):
         load_policy(str(path))
 
 
@@ -223,38 +241,43 @@ def _policy_saver(env_name, theta_shape, normalizer):
 def _demos_saver(env_name, state_dim, dtype=float):
     episode = Trajectory(np.zeros((4, state_dim), dtype), np.zeros((4, 1)),
                          np.zeros(4))
-    return lambda path: save_trajectories(
-        TrajectorySet(env_name, state_dim, 1, [episode]), path)
+    return lambda path: save_trajectories(TrajectorySet(env_name, [episode]), path)
 
 
-@pytest.mark.parametrize("save, error", [
+@pytest.mark.parametrize("save, fault", [
     pytest.param(_policy_saver("pendulum", (1, 2), ObservationNormalizer.for_dim(2)),
-                 DimensionMismatchError, id="policy-dims-of-another-env"),
+                 r"theta shape \(1, 2\) does not match",
+                 id="policy-dims-of-another-env"),
     pytest.param(_policy_saver("lqr2d", (1, 2), ObservationNormalizer.for_dim(3)),
-                 DimensionMismatchError, id="policy-normalizer-width"),
+                 "mu/var must be state_dim vectors", id="policy-normalizer-width"),
+    pytest.param(_policy_saver("lqr2d", (2,), ObservationNormalizer.for_dim(2)),
+                 r"theta shape \(2,\) does not match header dims \(line 1\)",
+                 id="policy-1d-theta"),
     pytest.param(_policy_saver("nosuchenv", (1, 2), ObservationNormalizer.for_dim(2)),
-                 FormatError, id="policy-unknown-env"),
+                 "unknown environment", id="policy-unknown-env"),
     pytest.param(_policy_saver("lqr2d", (1, 2), ObservationNormalizer(
-        2, np.array([np.nan, 0.0]), np.zeros(2))), NonFiniteValueError,
+        2, np.array([np.nan, 0.0]), np.zeros(2))), "non-finite",
                  id="policy-nan-mean"),
     pytest.param(_policy_saver("lqr2d", (1, 2), ObservationNormalizer(
-        2, np.zeros(2), np.array([-1.0, 0.0]))), FormatError,
+        2, np.zeros(2), np.array([-1.0, 0.0]))), "negative variance",
                  id="policy-negative-m2"),
     pytest.param(_policy_saver("lqr2d", (1, 2), ObservationNormalizer(
-        -3, np.zeros(2), np.ones(2))), FormatError, id="policy-negative-count"),
+        -3, np.zeros(2), np.ones(2))), "not a non-negative integer",
+                 id="policy-negative-count"),
     pytest.param(_policy_saver("lqr2d", (1, 2), ObservationNormalizer(
-        np.int64(4), np.zeros(2), np.ones(2))), FormatError,
+        np.int64(4), np.zeros(2), np.ones(2))), "not a non-negative integer",
                  id="policy-numpy-int-count"),
-    pytest.param(_demos_saver("lqr2d", 3), DimensionMismatchError,
+    pytest.param(_demos_saver("lqr2d", 3), "states are 3-dim, expected 2",
                  id="demos-dims-of-another-env"),
-    pytest.param(_demos_saver("nosuchenv", 2), FormatError, id="demos-unknown-env"),
-    pytest.param(_demos_saver("lqr2d", 2, complex), FormatError,
+    pytest.param(_demos_saver("nosuchenv", 2), "unknown environment",
+                 id="demos-unknown-env"),
+    pytest.param(_demos_saver("lqr2d", 2, complex), "complex128 values",
                  id="demos-complex-states"),
-    pytest.param(_demos_saver("lqr2d", 2, bool), FormatError, id="demos-bool-states"),
+    pytest.param(_demos_saver("lqr2d", 2, bool), "bool values", id="demos-bool-states"),
 ])
-def test_savers_refuse_what_loaders_reject(tmp_path, save, error):
+def test_savers_refuse_what_loaders_reject(tmp_path, save, fault):
     path = tmp_path / "out"
-    with pytest.raises(error):
+    with pytest.raises(FormatError, match=fault):
         save(str(path))
     assert not path.exists()
 
@@ -267,28 +290,29 @@ def _with(key, value):
     return lambda doc: {**doc, key: value}
 
 
-@pytest.mark.parametrize("edit, error", [
-    pytest.param(lambda doc: [doc], FormatError, id="not-object"),
-    pytest.param(_without("theta"), FormatError, id="theta-missing"),
-    pytest.param(_without("count"), FormatError, id="count-missing"),
-    pytest.param(_with("action_dim", True), FormatError, id="action_dim-bool"),
-    pytest.param(_with("state_dim", 2.0), FormatError, id="state_dim-float"),
-    pytest.param(_with("count", True), FormatError, id="count-bool"),
-    pytest.param(_with("count", 2.7), FormatError, id="count-float"),
-    pytest.param(_with("count", -3), FormatError, id="count-negative"),
-    pytest.param(_with("var", [-1.0, 0.5]), FormatError, id="var-negative"),
-    pytest.param(_with("env", "nosuchenv"), FormatError, id="env-unknown"),
-    pytest.param(_with("theta", [["x", 0.0]]), FormatError, id="theta-str"),
+@pytest.mark.parametrize("edit, fault", [
+    pytest.param(lambda doc: [doc], "expected an object", id="not-object"),
+    pytest.param(_without("theta"), "header missing 'theta'", id="theta-missing"),
+    pytest.param(_without("count"), "header missing 'count'", id="count-missing"),
+    pytest.param(_with("action_dim", True), "not an integer", id="action_dim-bool"),
+    pytest.param(_with("state_dim", 2.0), "not an integer", id="state_dim-float"),
+    pytest.param(_with("count", True), "not a non-negative integer", id="count-bool"),
+    pytest.param(_with("count", 2.7), "not a non-negative integer", id="count-float"),
+    pytest.param(_with("count", -3), "not a non-negative integer", id="count-negative"),
+    pytest.param(_with("var", [-1.0, 0.5]), "negative variance", id="var-negative"),
+    pytest.param(_with("env", "nosuchenv"), "unknown environment", id="env-unknown"),
+    pytest.param(_with("theta", [["x", 0.0]]), "bad array", id="theta-str"),
     pytest.param(lambda doc: {**doc, "state_dim": 3, "theta": [[0.0] * 3],
                               "mu": [0.0] * 3, "var": [1.0] * 3},
-                 DimensionMismatchError, id="state_dim-spec"),
+                 "state_dim 3 does not match lqr2d's 2", id="state_dim-spec"),
 ])
-def test_bad_policy_names_path_and_line(tmp_path, edit, error):
+def test_bad_policy_names_path_and_line(tmp_path, edit, fault):
     path = tmp_path / "p.policy"
     norm = ObservationNormalizer(4, np.array([0.5, -0.5]), np.array([4.0, 8.0]))
     save_policy(LinearPolicy(np.zeros((1, 2))), norm, "lqr2d", str(path))
     path.write_text(json.dumps(edit(json.loads(path.read_text()))) + "\n")
-    with pytest.raises(error, match=re.escape(f"{path}: ") + r".*\bline 1\b"):
+    with pytest.raises(FormatError,
+                       match=re.escape(f"{path}: ") + f".*{fault}" + r".*\bline 1\b"):
         load_policy(str(path))
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,16 @@ def test_rollout_records_clipped_actions():
     norm = ObservationNormalizer.for_dim(2)
     _, actions, _, _ = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(3)])
     assert np.max(np.abs(actions)) <= 10.0
+
+
+@pytest.mark.parametrize("width", [pytest.param(1, id="1-wide"),
+                                   pytest.param(3, id="3-wide")])
+def test_rollout_rejects_whitening_statistics_of_another_width(width):
+    # a 1-wide normalizer would broadcast over both lqr2d coordinates
+    norm = ObservationNormalizer(3, np.full(width, 0.5), np.full(width, 3.0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"lqr2d takes 2-wide whitening statistics, got shape ({width},)")):
+        rollout(make_env("lqr2d"), np.array([[0.3, -0.2]]), norm, None, [Rng(0)])
 
 
 def _scalar_episode(name, theta_eff, rng):

@@ -225,7 +225,7 @@ def test_normalizer_count_grows_by_visited_states(riccati_demos):
 def test_no_environment_reward_leakage(riccati_demos):
     demos, _ = riccati_demos
     corrupted = TrajectorySet(
-        demos.env_name, demos.state_dim, demos.action_dim,
+        demos.env_name,
         [dataclasses.replace(t, env_rewards=t.env_rewards + 1000.0)
          for t in demos.trajectories])
     cfg = _small_cfg(max_iterations=4)
@@ -242,7 +242,7 @@ def test_train_ailsrs_rejects_mismatched_demos(riccati_demos):
 
 
 def test_train_ailsrs_rejects_empty_expert_set():
-    empty = TrajectorySet("lqr2d", 2, 1, [])
+    empty = TrajectorySet("lqr2d", [])
     with pytest.raises(ValueError):
         train_ailsrs("lqr2d", empty, _small_cfg())
 
