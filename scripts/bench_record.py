@@ -22,9 +22,9 @@ The JSON holds both commits, each side's `src_lines` (the total lines of
 comment-only and docstring lines) with the net change, the thread pins,
 host and library versions (from the benchmark's header line), and per
 workload the median, quartiles and IQR of every end-to-end metric of
-BENCHMARK.json plus the plain ms per iteration, with every run's value and
-the number of pairs the change wins (ties count for neither side). The
-trees live in a temporary directory that is removed afterwards; the JSON
+BENCHMARK.json plus the plain ms per iteration, with every run's value,
+the number of pairs the change wins (ties count for neither side) and a
+verdict (see `verdict`). The trees live in a temporary directory that is removed afterwards; the JSON
 is written to the repository root as
 BENCH_<short sha of the change>.json.
 """
@@ -147,9 +147,40 @@ def spread(values: list[float]) -> dict:
             "runs": values}
 
 
+def verdict(entry: dict) -> str:
+    """How one metric of one workload compares, from a `summarize` entry:
+
+    * "gain": the change wins at least 9 in 10 pairs and its median is
+      better than the parent's by more than the parent's IQR;
+    * "worse": the change's median is worse than the parent's by more than
+      `bound` times the parent's median;
+    * "unresolved": the parent's IQR exceeds `bound` times its median and
+      not every change run is better than every parent run;
+    * "within bound": none of these;
+    * "no bound": not a gain, for a metric without a bound.
+    """
+    parent, change = entry["parent"], entry["change"]
+    sign = 1.0 if entry["better"] == "lower" else -1.0
+    # positive when the change's median is worse
+    loss = sign * (change["median"] - parent["median"])
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and -loss > parent["iqr"]:
+        return "gain"
+    bound = entry["bound"]
+    if bound is None:
+        return "no bound"
+    allowed = bound * abs(parent["median"])
+    if loss > allowed:
+        return "worse"
+    all_better = (max(sign * v for v in change["runs"])
+                  < min(sign * v for v in parent["runs"]))
+    if parent["iqr"] > allowed and not all_better:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(runs: dict, metrics: dict) -> dict:
     """Per workload and metric: both sides' spreads, the pairs the change
-    wins and the ratio of the medians."""
+    wins, the ratio of the medians and the verdict."""
     workloads = sorted({key.split(".", 1)[0]
                         for key in runs["parent"][0]["metrics"]})
     out = {}
@@ -170,6 +201,7 @@ def summarize(runs: dict, metrics: dict) -> dict:
                      "change_wins": wins, "pairs": len(sides["parent"])}
             base = entry["parent"]["median"]
             entry["median_ratio"] = entry["change"]["median"] / base if base else None
+            entry["verdict"] = verdict(entry)
             out[workload][metric] = entry
     return out
 
@@ -264,7 +296,8 @@ def main(argv=None) -> int:
             print(f"{workload:22s} {metric:12s} parent {entry['parent']['median']:.6g}"
                   f" (IQR {entry['parent']['iqr']:.3g})  change "
                   f"{entry['change']['median']:.6g} (IQR {entry['change']['iqr']:.3g})"
-                  f"  change wins {entry['change_wins']}/{entry['pairs']}")
+                  f"  change wins {entry['change_wins']}/{entry['pairs']}"
+                  f"  {entry['verdict']}")
     return 0
 
 

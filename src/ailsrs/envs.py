@@ -10,7 +10,8 @@ Each environment holds no episode state. It is three pure functions on a
 (B, k) block of internal states x, one row per independent episode:
 
 * `reset(rngs) -> x` draws row b from rngs[b];
-* `step(x, actions) -> x_next` is the dynamics only, into a fresh array;
+* `step(x, actions, out)` is the dynamics only: it writes the next states
+  into `out`, a (B, k) array that does not overlap x;
 * `rewards(xs, actions)` is elementwise over any leading shape, so one call
   on the finished (B, T, k) and (B, T, p) blocks equals T per-step calls.
 
@@ -36,21 +37,30 @@ from .policy import LinearPolicy, ObservationNormalizer
 # that promises "same seed, same episodes" (evaluate, record, riccati)
 EPISODE_STREAM = 100
 
-# Step constants, named by the term they enter. They are numpy scalars: a
-# ufunc converts a Python float operand on every call, which costs more than
-# the arithmetic at desk-scale batches. Cost weights carry the reward's sign.
-_LQR_DT = np.float64(0.1)                # s' = s + dt (v, a)
-_LQR_ACTION_COST = np.float64(-0.1)      # -0.1 a a
-_POINTMASS_DT = np.float64(0.1)
-_PEND_PI = np.float64(math.pi)
-_PEND_TWO_PI = np.float64(2.0 * math.pi)
-_PEND_SQUARE = np.float64(2.0)           # exponent of the libm-pow squares
-_PEND_SPEED_COST = np.float64(-0.1)      # -0.1 phidot^2
-_PEND_ACTION_COST = np.float64(-0.001)   # -0.001 u u
+def _const(value: float) -> np.ndarray:
+    """A read-only 0-d float64 array: numpy converts a numpy-scalar operand
+    on every ufunc call, which costs more than the arithmetic on a 16-row
+    column, and a 0-d array it does not."""
+    c = np.array(value, dtype=np.float64)
+    c.flags.writeable = False
+    return c
+
+
+# Step and reward constants, named by the term they enter. Cost weights
+# carry the reward's sign.
+_LQR_DT = _const(0.1)                    # s' = s + dt (v, a)
+_LQR_ACTION_COST = _const(-0.1)          # -0.1 a a
+_POINTMASS_DT = _const(0.1)
+_PEND_PI = _const(math.pi)
+_PEND_TWO_PI = _const(2.0 * math.pi)
+_PEND_SQUARE = _const(2.0)               # exponent of the libm-pow squares
+_PEND_SPEED_COST = _const(-0.1)          # -0.1 phidot^2
+_PEND_ACTION_COST = _const(-0.001)       # -0.001 u u
 # the rod has length 1 and mass 1, so g / l is exactly 10 and m l^2 exactly 1
-_PEND_G_OVER_L = np.float64(10.0)
-_PEND_DT = np.float64(0.05)
-_PEND_MAX_SPEED = np.float64(8.0)
+_PEND_G_OVER_L = _const(10.0)
+_PEND_DT = _const(0.05)
+_PEND_MAX_SPEED = _const(8.0)
+_PEND_MIN_SPEED = _const(-8.0)
 
 
 @dataclass(frozen=True)
@@ -77,15 +87,13 @@ class Lqr2dEnv:
         return np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)]
                          for rng in rngs])
 
-    def step(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def step(self, x: np.ndarray, actions: np.ndarray, out: np.ndarray) -> None:
         # s' = A s + B a with A = [[1, .1], [0, 1]], B = [[0], [.1]]:
         # s' = s + 0.1 (v, a)
-        x_next = np.empty_like(x)
-        x_next[:, 0] = x[:, 1]
-        x_next[:, 1] = actions[:, 0]
-        x_next *= _LQR_DT
-        x_next += x
-        return x_next
+        out[:, 0] = x[:, 1]
+        out[:, 1] = actions[:, 0]
+        out *= _LQR_DT
+        out += x
 
     def rewards(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # -(x x + v v + 0.1 (a a)) as -0.1 (a a) - (x x + v v)
@@ -106,12 +114,11 @@ class PointMass2dEnv:
         return np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0),
                           0.0, 0.0] for rng in rngs])
 
-    def step(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def step(self, x: np.ndarray, actions: np.ndarray, out: np.ndarray) -> None:
         # semi-implicit Euler: velocity first, then position
-        x_next = x.copy()
-        x_next[:, 2:] += _POINTMASS_DT * actions
-        x_next[:, :2] += _POINTMASS_DT * x_next[:, 2:]
-        return x_next
+        out[...] = x
+        out[:, 2:] += _POINTMASS_DT * actions
+        out[:, :2] += _POINTMASS_DT * out[:, 2:]
 
     def rewards(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # a @ a as a stacked matmul rounds like a 1-d dot product
@@ -135,23 +142,20 @@ class PendulumEnv:
         np.sin(x[:, 3], x[:, 1])
         return x
 
-    def step(self, x: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def step(self, x: np.ndarray, actions: np.ndarray, out: np.ndarray) -> None:
         # phidot' = clamp(phidot + dt acc), phi' = phi + dt phidot', where
         # acc = (g / l) sin(phi) + u / (m l^2) = 10 sin(phi) + u exactly
-        acc = x[:, 1] * _PEND_G_OVER_L
+        acc, phi = out[:, 2], out[:, 3]
+        np.multiply(x[:, 1], _PEND_G_OVER_L, out=acc)
         acc += actions[:, 0]
         acc *= _PEND_DT
         acc += x[:, 2]
-        np.maximum(acc, -_PEND_MAX_SPEED, out=acc)
+        np.maximum(acc, _PEND_MIN_SPEED, out=acc)
         np.minimum(acc, _PEND_MAX_SPEED, out=acc)
-        x_next = np.empty_like(x)
-        x_next[:, 2] = acc
-        acc *= _PEND_DT
-        acc += x[:, 3]
-        x_next[:, 3] = acc
-        np.cos(x_next[:, 3], x_next[:, 0])
-        np.sin(x_next[:, 3], x_next[:, 1])
-        return x_next
+        np.multiply(acc, _PEND_DT, out=phi)
+        phi += x[:, 3]
+        np.cos(phi, out[:, 0])
+        np.sin(phi, out[:, 1])
 
     def rewards(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # -(wrapped^2 + 0.1 phidot^2 + 0.001 u u), negated term by term:
@@ -206,29 +210,33 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     if normalizer.mean.shape != (spec.state_dim,):
         raise ValueError(f"{spec.name} takes {spec.state_dim}-wide whitening "
                          f"statistics, got shape {normalizer.mean.shape}")
+    if len(rngs) == 0:
+        raise ValueError(f"{spec.name} takes one or more episodes, got 0")
+    if np.ndim(thetas) == 3 and len(thetas) != len(rngs):
+        raise ValueError(f"{spec.name} takes one policy per episode, got "
+                         f"{len(thetas)} policies for {len(rngs)} episodes")
     inv_rms = normalizer.snapshot()
     # theta @ (s * inv_rms) == (theta * inv_rms) @ s
     thetas = thetas if inv_rms is None else thetas * inv_rms
-    hi = np.float64(spec.action_clip)
-    lo = -hi
-    n = spec.state_dim
-    x = env.reset(rngs)
-    xs, taken = [], []
-    for _ in range(spec.horizon):
-        s = x[:, :n]
+    hi = _const(spec.action_clip)
+    lo = _const(-spec.action_clip)
+    n, horizon = spec.state_dim, spec.horizon
+    # the time-major block: step t reads the contiguous (B, k) x[t] and
+    # writes x[t + 1]; the actions are (B, p, 1) matmul outputs
+    x_0 = env.reset(rngs)
+    x = np.empty((horizon + 1, *x_0.shape))
+    x[0] = x_0
+    taken = np.empty((horizon, len(rngs), spec.action_dim, 1))
+    for x_t, s_t, x_next, a in zip(x, x[:, :, :n, None], x[1:], taken):
         # a stacked matmul rounds like one episode's theta @ s
-        a = (thetas @ s[:, :, None])[:, :, 0]
-        # clip the fresh matmul output in place; NaN stays NaN, as in np.clip
+        np.matmul(thetas, s_t, out=a)
+        # clip in place; NaN stays NaN, as in np.clip
         np.maximum(a, lo, out=a)
         np.minimum(a, hi, out=a)
-        xs.append(x)
-        taken.append(a)
-        x = env.step(x, a)
-    # the steps' (B, .) arrays side by side are the (B, T, .) block: one
-    # copy, where np.stack would first reshape each of the T arrays
-    shape = (len(x), spec.horizon, -1)
-    x_block = np.concatenate(xs, axis=1).reshape(shape)
-    actions = np.concatenate(taken, axis=1).reshape(shape)
+        env.step(x_t, a[:, :, 0], x_next)
+    # one copy of each into the (B, T, .) blocks the callers index by episode
+    x_block = x[:horizon].transpose(1, 0, 2).copy()
+    actions = taken[..., 0].transpose(1, 0, 2).copy()
     # the block itself when x holds only the observation
     states = np.ascontiguousarray(x_block[..., :n])
     env_rewards = env.rewards(x_block, actions)

@@ -1,0 +1,64 @@
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "scripts", "bench_record.py")
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+# ten runs with median 1.0 and IQR 0.01
+NARROW = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+# ten runs with median 1.5 and IQR 1.0
+WIDE = [1.0, 2.0] * 5
+
+
+def _runs(sides):
+    """Synthetic bench/run.py results: one workload "w", one value per run
+    of each metric, the metric "iter_ms" read from the plain-ms field."""
+    return {side: [{"metrics": {f"w.{metric}": {"value": values[side][i]}
+                                for metric, values in sides.items()},
+                    "iter_ms": {"w": sides["iter_ms"][side][i]}}
+                   for i in range(10)]
+            for side in ("parent", "change")}
+
+
+@pytest.mark.parametrize("better, bound, parent, change, expect", [
+    pytest.param("lower", 0.25, NARROW, [v - 0.2 for v in NARROW], "gain",
+                 id="gain"),
+    pytest.param("higher", 0.25, NARROW, [v + 0.2 for v in NARROW], "gain",
+                 id="gain-higher-is-better"),
+    pytest.param("lower", 0.1, NARROW, [v * 1.2 for v in NARROW], "worse",
+                 id="worse"),
+    pytest.param("higher", 0.1, NARROW, [v * 0.8 for v in NARROW], "worse",
+                 id="worse-higher-is-better"),
+    pytest.param("lower", 0.25, WIDE, WIDE[::-1], "unresolved", id="unresolved"),
+    pytest.param("lower", 0.25, NARROW, [v + 0.01 for v in NARROW],
+                 "within bound", id="within-bound"),
+    # every change run beats every parent run, but the medians differ by
+    # exactly the parent's IQR, so it is no gain either
+    pytest.param("lower", 0.25, WIDE, [0.5] * 10, "within bound",
+                 id="wide-parent-every-run-beaten"),
+    # 8 of 10 pairs won is no gain, however far apart the medians
+    pytest.param("lower", 0.25, NARROW, [v - 0.2 for v in NARROW[:8]] + NARROW[8:],
+                 "within bound", id="8-of-10-pairs"),
+])
+def test_summarize_verdict(better, bound, parent, change, expect):
+    runs = _runs({"m": {"parent": parent, "change": change},
+                  "iter_ms": {"parent": NARROW, "change": NARROW}})
+    metrics = {"m": {"unit": "u", "better": better, "bound": bound}}
+    entry = bench_record.summarize(runs, metrics)["w"]["m"]
+    assert entry["verdict"] == expect
+
+
+def test_summarize_verdict_without_bound():
+    # the plain ms per iteration has no bound: a gain or "no bound"
+    runs = _runs({"m": {"parent": NARROW, "change": NARROW},
+                  "iter_ms": {"parent": NARROW, "change": [v * 2 for v in NARROW]}})
+    metrics = {"iter_ms": {"unit": "ms/iter", "better": "lower"}}
+    assert bench_record.summarize(runs, metrics)["w"]["iter_ms"]["verdict"] == "no bound"
+    runs = _runs({"m": {"parent": NARROW, "change": NARROW},
+                  "iter_ms": {"parent": NARROW, "change": [v / 2 for v in NARROW]}})
+    assert bench_record.summarize(runs, metrics)["w"]["iter_ms"]["verdict"] == "gain"

@@ -53,7 +53,9 @@ def test_lqr_step_arithmetic():
     env = make_env("lqr2d")
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     a = np.array([[0.0], [0.0]])
-    np.testing.assert_allclose(env.step(x, a), [[1.0, 0.0], [0.1, 1.0]])
+    x_next = np.empty_like(x)
+    env.step(x, a, x_next)
+    np.testing.assert_allclose(x_next, [[1.0, 0.0], [0.1, 1.0]])
     np.testing.assert_array_equal(env.rewards(x, a), [-1.0, -1.0])
 
 
@@ -61,7 +63,9 @@ def test_pendulum_equilibrium():
     env = make_env("pendulum")
     # upright at rest: (cos phi, sin phi, phidot, phi) = (1, 0, 0, 0)
     x, a = np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0.0]])
-    np.testing.assert_allclose(env.step(x, a)[:, :3], [[1.0, 0.0, 0.0]])
+    x_next = np.empty_like(x)
+    env.step(x, a, x_next)
+    np.testing.assert_allclose(x_next[:, :3], [[1.0, 0.0, 0.0]])
     assert env.rewards(x, a)[0] == 0.0
 
 
@@ -75,18 +79,23 @@ def test_rewards_never_positive():
                           for _ in range(2)])
             r = env.rewards(x, a)
             assert r.shape == (2,) and np.all(r <= 0.0)
-            x = env.step(x, a)
+            x_next = np.empty_like(x)
+            env.step(x, a, x_next)
+            x = x_next
 
 
 @pytest.mark.parametrize("name", ENVS)
-def test_step_leaves_state_untouched(name):
-    # the engine keeps every x it is handed, so step must return a fresh array
+def test_step_writes_every_column_of_out_and_nothing_else(name):
+    # the engine steps x[t] into x[t + 1] of one block: step must write every
+    # column of out, private ones too, and leave x and the actions as they were
     env = make_env(name)
     x = env.reset([Rng(4), Rng(5)])
-    before = x.tobytes()
-    x_next = env.step(x, np.full((2, env.spec.action_dim), 0.5))
-    assert x.tobytes() == before
-    assert x_next.shape == x.shape and not np.shares_memory(x_next, x)
+    actions = np.full((2, env.spec.action_dim), 0.5)
+    before = x.tobytes(), actions.tobytes()
+    out = np.full_like(x, np.nan)
+    env.step(x, actions, out)
+    assert np.all(np.isfinite(out))
+    assert (x.tobytes(), actions.tobytes()) == before
 
 
 @pytest.mark.parametrize("name, scale", [
@@ -130,7 +139,9 @@ def test_observation_is_leading_columns_of_state(name):
         if name == "pendulum":
             assert x[:, 0].tobytes() == np.cos(x[:, 3]).tobytes()
             assert x[:, 1].tobytes() == np.sin(x[:, 3]).tobytes()
-        x = env.step(x, actions[:, t].copy())
+        x_next = np.empty_like(x)
+        env.step(x, actions[:, t].copy(), x_next)
+        x = x_next
 
 
 class _NegativeZeroEnv:
@@ -141,8 +152,8 @@ class _NegativeZeroEnv:
     def reset(self, rngs):
         return np.zeros((len(rngs), 1))
 
-    def step(self, x, actions):
-        return x.copy()
+    def step(self, x, actions, out):
+        out[...] = x
 
     def rewards(self, xs, actions):
         return np.full(xs.shape[:-1], -0.0)
@@ -223,6 +234,26 @@ def test_rollout_rejects_whitening_statistics_of_another_width(width):
         rollout(make_env("lqr2d"), np.array([[0.3, -0.2]]), norm, None, [Rng(0)])
 
 
+@pytest.mark.parametrize("name", ENVS)
+@pytest.mark.parametrize("thetas_shape, episodes, message", [
+    pytest.param((), 0, "takes one or more episodes, got 0", id="no-episodes"),
+    pytest.param((3,), 0, "takes one or more episodes, got 0",
+                 id="no-episodes-3-policies"),
+    pytest.param((3,), 4, "takes one policy per episode, got 3 policies for 4 "
+                 "episodes", id="3-policies-4-episodes"),
+    pytest.param((1,), 2, "takes one policy per episode, got 1 policies for 2 "
+                 "episodes", id="1-policy-2-episodes")])
+def test_rollout_rejects_episode_and_policy_counts(name, thetas_shape, episodes,
+                                                   message):
+    # the block is sized from the episode list, and a (B, p, n) stack holds
+    # one policy per episode; a (p, n) policy is shared, so any B > 0 takes it
+    spec = make_env(name).spec
+    thetas = np.zeros((*thetas_shape, spec.action_dim, spec.state_dim))
+    with pytest.raises(ValueError, match=re.escape(f"{name} {message}")):
+        rollout(make_env(name), thetas, ObservationNormalizer.for_dim(spec.state_dim),
+                None, [Rng(b) for b in range(episodes)])
+
+
 def _scalar_episode(name, theta_eff, rng):
     """Reference: one episode simulated step by step with scalar
     Python-float physics (math.sin, Python's ** and min/max)."""
@@ -257,12 +288,17 @@ def _scalar_episode(name, theta_eff, rng):
     return (np.array(states), np.array(actions), np.array(rewards)), ret
 
 
-@pytest.mark.parametrize("name, scale", [
-    *(pytest.param(name, 0.3, id=name) for name in ENVS),
-    *(pytest.param(name, 30.0, id=f"{name}-saturating") for name in ENVS)])
-def test_block_rollout_matches_scalar_reference(name, scale):
+@pytest.mark.parametrize("name, scale, shared", [
+    *(pytest.param(name, 0.3, False, id=name) for name in ENVS),
+    *(pytest.param(name, 30.0, False, id=f"{name}-saturating") for name in ENVS),
+    *(pytest.param(name, 0.3, True, id=f"{name}-shared") for name in ENVS),
+    *(pytest.param(name, 30.0, True, id=f"{name}-shared-saturating")
+      for name in ENVS)])
+def test_block_rollout_matches_scalar_reference(name, scale, shared):
     # small weights leave most actions inside the actuator range; large ones
-    # drive them to +-action_clip and the pendulum to +-max_speed
+    # drive them to +-action_clip and the pendulum to +-max_speed. A shared
+    # (p, n) policy is the path of evaluate_policy and record: one policy
+    # broadcast over every episode
     spec = make_env(name).spec
     rng = Rng(12)
     norm = ObservationNormalizer.for_dim(spec.state_dim)
@@ -271,6 +307,8 @@ def test_block_rollout_matches_scalar_reference(name, scale):
     thetas = np.stack([scale * rng.derive(2, b).gaussian_matrix(spec.action_dim,
                                                                spec.state_dim)
                        for b in range(16)])
+    if shared:
+        thetas = thetas[0]
     states, actions, env_rewards, returns = rollout(
         make_env(name), thetas, norm, None, [rng.derive(3, b) for b in range(16)])
     if scale > 1.0:
@@ -281,7 +319,8 @@ def test_block_rollout_matches_scalar_reference(name, scale):
             assert np.any(phidot == 8.0) and np.any(phidot == -8.0)
     for b in range(16):
         (ref_states, ref_actions, ref_rewards), ref_ret = _scalar_episode(
-            name, thetas[b] * norm.snapshot(), rng.derive(3, b))
+            name, (thetas if shared else thetas[b]) * norm.snapshot(),
+            rng.derive(3, b))
         assert states[b].tobytes() == ref_states.tobytes()
         assert actions[b].tobytes() == ref_actions.tobytes()
         assert env_rewards[b].tobytes() == ref_rewards.tobytes()

@@ -28,8 +28,8 @@ class _ConstantStateEnv:
     def reset(self, rngs):
         return np.tile(self.state, (len(rngs), 1))
 
-    def step(self, x, actions):
-        return np.tile(self.state, (len(actions), 1))
+    def step(self, x, actions, out):
+        out[...] = self.state
 
     def rewards(self, xs, actions):
         return np.zeros(xs.shape[:-1])
@@ -109,8 +109,8 @@ class _BasisEnv:
     def reset(self, rngs):
         return np.tile(np.eye(self.spec.state_dim)[0], (len(rngs), 1))
 
-    def step(self, x, actions):
-        return np.roll(x, 1, axis=1)
+    def step(self, x, actions, out):
+        out[...] = np.roll(x, 1, axis=1)
 
     def rewards(self, xs, actions):
         return np.zeros(xs.shape[:-1])
