@@ -10,8 +10,10 @@ each exported tree and with the tree's own, unchanged benchmark:
 * `bench/run.py --workload all --trace 0` in ten alternating pairs (the
   parent first in even pairs, the change first in odd ones), each run at
   BENCHMARK.json's `run_seconds`;
-* one `bench/run.py --workload all --trace 1` run per side, for the
-  per-layer table of every workload;
+* `bench/run.py --workload all --trace 1` in three alternating rounds per
+  side (the parent first in even rounds), for the per-layer table of every
+  workload: one traced run can move a layer by 20% on code the change does
+  not touch;
 * the tier-1 suite, `PYTHONPATH=src python -m pytest -q
   --continue-on-collection-errors`, in three alternating rounds per side
   (the parent first in even rounds), for its pass counts and the median,
@@ -24,9 +26,10 @@ host and library versions (from the benchmark's header line), and per
 workload the median, quartiles and IQR of every end-to-end metric of
 BENCHMARK.json plus the plain ms per iteration, with every run's value,
 the number of pairs the change wins (ties count for neither side) and a
-verdict (see `verdict`). The trees live in a temporary directory that is removed afterwards; the JSON
-is written to the repository root as
-BENCH_<short sha of the change>.json.
+verdict (see `verdict`), and per side the median, quartiles, IQR and
+every run of each traced per-layer metric. The trees live in a temporary
+directory that is removed afterwards; the JSON is written to the
+repository root as BENCH_<short sha of the change>.json.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ RUN_TIMEOUT_S = 3600
 PAIRS = 10
 # tier-1's wall time moves by seconds between back-to-back runs of one tree
 TIER1_ROUNDS = 3
+TRACE_ROUNDS = 3
 ITER_MS = re.compile(r"^iter_ms \(median of untraced calls\) ([0-9.eE+-]+) ms")
 TIER1_COUNTS = re.compile(r"(\d+) (passed|failed|errors?)\b")
 TIER1_COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -64,6 +68,15 @@ def progress(message: str) -> None:
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", ROOT, *args], check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def alternating(rounds: int):
+    """(round, side) in run order: the parent first in even rounds, the
+    change first in odd ones."""
+    for round_ in range(rounds):
+        for side in (("parent", "change") if round_ % 2 == 0
+                     else ("change", "parent")):
+            yield round_, side
 
 
 def export(commit: str, dest: str) -> None:
@@ -145,6 +158,12 @@ def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1,
             "runs": values}
+
+
+def trace_spreads(runs: list[dict]) -> dict:
+    """The `spread` of every metric over one side's traced runs, each run a
+    {metric: value} dict."""
+    return {key: spread([run[key] for run in runs]) for key in runs[0]}
 
 
 def verdict(entry: dict) -> str:
@@ -239,26 +258,22 @@ def main(argv=None) -> int:
                       "--seconds", str(seconds), "--trace", "0"]
         runs = {"parent": [], "change": []}
         headers = {}
-        for pair in range(PAIRS):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                progress(f"pair {pair + 1}/{PAIRS}: {side}")
-                hdrs, result, iter_ms = run_bench(trees[side], bench_args)
-                headers.setdefault(side, hdrs)
-                runs[side].append({**result, "iter_ms": iter_ms})
+        for pair, side in alternating(PAIRS):
+            progress(f"pair {pair + 1}/{PAIRS}: {side}")
+            hdrs, result, iter_ms = run_bench(trees[side], bench_args)
+            headers.setdefault(side, hdrs)
+            runs[side].append({**result, "iter_ms": iter_ms})
         trace_args = ["--workload", "all", "--seed", str(args.seed),
                       "--seconds", str(seconds), "--trace", "1"]
-        traces = {}
-        for side in commits:
-            progress(f"trace run: {side}")
-            traces[side] = {k: v["value"] for k, v in
-                            run_bench(trees[side], trace_args)[1]["metrics"].items()}
+        traces = {"parent": [], "change": []}
+        for round_, side in alternating(TRACE_ROUNDS):
+            progress(f"trace round {round_ + 1}/{TRACE_ROUNDS}: {side}")
+            traces[side].append({k: v["value"] for k, v in
+                                 run_bench(trees[side], trace_args)[1]["metrics"].items()})
         tier1_rounds = {"parent": [], "change": []}
-        for round_ in range(TIER1_ROUNDS):
-            order = ("parent", "change") if round_ % 2 == 0 else ("change", "parent")
-            for side in order:
-                progress(f"tier-1 round {round_ + 1}/{TIER1_ROUNDS}: {side}")
-                tier1_rounds[side].append(tier1(trees[side]))
+        for round_, side in alternating(TIER1_ROUNDS):
+            progress(f"tier-1 round {round_ + 1}/{TIER1_ROUNDS}: {side}")
+            tier1_rounds[side].append(tier1(trees[side]))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -277,7 +292,9 @@ def main(argv=None) -> int:
                        for side in commits},
         "workloads": summarize(runs, metrics),
         "trace": {"command": "python3 bench/run.py " + " ".join(trace_args),
-                  **traces},
+                  "rounds": TRACE_ROUNDS,
+                  **{side: trace_spreads(side_runs)
+                     for side, side_runs in traces.items()}},
         "tier1": {"command": "PYTHONPATH=src python3 " + " ".join(TIER1_COMMAND),
                   **{side: {"rounds": rounds,
                             "wall_s": spread([r["wall_s"] for r in rounds])}

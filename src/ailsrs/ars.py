@@ -19,6 +19,14 @@ from .numerics import Rng
 from .policy import ObservationNormalizer
 
 
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise a ValueError naming the field unless `value` is an integer, a
+    Python or numpy one but not a bool, of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass
 class ArsConfig:
     alpha: float = 0.02        # update step size
@@ -27,10 +35,9 @@ class ArsConfig:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not (0 < self.alpha < math.inf and 0 < self.nu < math.inf) \
-                or self.n_directions < 1:
-            raise ValueError("alpha, nu must be positive and finite; "
-                             "n_directions >= 1")
+        if not (0 < self.alpha < math.inf and 0 < self.nu < math.inf):
+            raise ValueError("alpha, nu must be positive and finite")
+        check_count("n_directions", self.n_directions, 1)
 
 
 def ars_update(theta: np.ndarray, deltas: np.ndarray, returns: np.ndarray,

@@ -6,17 +6,21 @@ Three pure-cost tasks stand in for the usual physics benchmarks:
 * pointmass2d - planar double integrator driven to the origin
 * pendulum    - torque-limited pendulum stabilized upright
 
-Each environment holds no episode state. It is three pure functions on a
-(B, k) block of internal states x, one row per independent episode:
+Each environment holds no episode state. It is three pure functions on
+internal states x, one episode per column:
 
-* `reset(rngs) -> x` draws row b from rngs[b];
-* `step(x, actions, out)` is the dynamics only: it writes the next states
-  into `out`, a (B, k) array that does not overlap x;
+* `reset(rngs) -> x` is a C-contiguous (k, B) block whose column b is
+  drawn from rngs[b];
+* `step(x, actions, out)` is the dynamics only: from the (k, B) x and the
+  (p, B) actions it writes the next states into `out`, a (k, B) block that
+  does not overlap x. Every operand is a contiguous (B,) row, x[j], out[j]
+  or actions[i], so each ufunc runs over all B episodes at unit stride;
 * `rewards(xs, actions)` is elementwise over any leading shape, so one call
-  on the finished (B, T, k) and (B, T, p) blocks equals T per-step calls.
+  on the finished episode-major (B, T, k) and (B, T, p) blocks equals T
+  per-step calls on (B, k) slices.
 
 The observation, what the policy sees and what is recorded, is the leading
-`spec.state_dim` columns of x; any private columns follow it. `rollout`
+`spec.state_dim` rows of x; any private rows follow it. `rollout`
 owns the fixed horizon. There is no early termination, so lockstep is
 exact, and a reward never changes control flow: the loop runs only what
 feeds the next action, and rewards and returns are computed once per
@@ -85,13 +89,13 @@ class Lqr2dEnv:
 
     def reset(self, rngs) -> np.ndarray:
         return np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)]
-                         for rng in rngs])
+                         for rng in rngs]).T.copy()
 
     def step(self, x: np.ndarray, actions: np.ndarray, out: np.ndarray) -> None:
         # s' = A s + B a with A = [[1, .1], [0, 1]], B = [[0], [.1]]:
         # s' = s + 0.1 (v, a)
-        out[:, 0] = x[:, 1]
-        out[:, 1] = actions[:, 0]
+        out[0] = x[1]
+        out[1] = actions[0]
         out *= _LQR_DT
         out += x
 
@@ -112,13 +116,13 @@ class PointMass2dEnv:
 
     def reset(self, rngs) -> np.ndarray:
         return np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0),
-                          0.0, 0.0] for rng in rngs])
+                          0.0, 0.0] for rng in rngs]).T.copy()
 
     def step(self, x: np.ndarray, actions: np.ndarray, out: np.ndarray) -> None:
         # semi-implicit Euler: velocity first, then position
         out[...] = x
-        out[:, 2:] += _POINTMASS_DT * actions
-        out[:, :2] += _POINTMASS_DT * out[:, 2:]
+        out[2:] += _POINTMASS_DT * actions
+        out[:2] += _POINTMASS_DT * out[2:]
 
     def rewards(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # a @ a as a stacked matmul rounds like a 1-d dot product
@@ -129,33 +133,33 @@ class PointMass2dEnv:
 
 class PendulumEnv:
     """Torque-limited pendulum held upright; state (cos phi, sin phi, phidot,
-    phi) with phi unwrapped, observation its first three columns."""
+    phi) with phi unwrapped, observation its first three rows."""
 
     spec = EnvSpec("pendulum", 3, 1, 200, 2.0)
 
     def reset(self, rngs) -> np.ndarray:
-        x = np.empty((len(rngs), 4))
-        # each row draws phi, then phidot, into columns 3 and 2
-        x[:, 3:1:-1] = [(rng.uniform_in(-math.pi, math.pi),
-                         rng.uniform_in(-1.0, 1.0)) for rng in rngs]
-        np.cos(x[:, 3], x[:, 0])
-        np.sin(x[:, 3], x[:, 1])
+        x = np.empty((4, len(rngs)))
+        # each episode draws phi, then phidot, into rows 3 and 2
+        x[3:1:-1] = np.transpose([(rng.uniform_in(-math.pi, math.pi),
+                                   rng.uniform_in(-1.0, 1.0)) for rng in rngs])
+        np.cos(x[3], x[0])
+        np.sin(x[3], x[1])
         return x
 
     def step(self, x: np.ndarray, actions: np.ndarray, out: np.ndarray) -> None:
         # phidot' = clamp(phidot + dt acc), phi' = phi + dt phidot', where
         # acc = (g / l) sin(phi) + u / (m l^2) = 10 sin(phi) + u exactly
-        acc, phi = out[:, 2], out[:, 3]
-        np.multiply(x[:, 1], _PEND_G_OVER_L, out=acc)
-        acc += actions[:, 0]
+        acc, phi = out[2], out[3]
+        np.multiply(x[1], _PEND_G_OVER_L, out=acc)
+        acc += actions[0]
         acc *= _PEND_DT
-        acc += x[:, 2]
+        acc += x[2]
         np.maximum(acc, _PEND_MIN_SPEED, out=acc)
         np.minimum(acc, _PEND_MAX_SPEED, out=acc)
         np.multiply(acc, _PEND_DT, out=phi)
-        phi += x[:, 3]
-        np.cos(phi, out[:, 0])
-        np.sin(phi, out[:, 1])
+        phi += x[3]
+        np.cos(phi, out[0])
+        np.sin(phi, out[1])
 
     def rewards(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # -(wrapped^2 + 0.1 phidot^2 + 0.001 u u), negated term by term:
@@ -202,13 +206,20 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     environment reward, or an object whose `reward_batch(states, actions)`
     scores the whole (B, T, .) block of finished episodes in one call,
     returning (B, T) rewards. The normalizer is read, never written.
+
+    The loop steps one time-major, episode-minor (T + 1, k, B) state block
+    and one (T, p, B) action block: `step` reads the (k, B) x[t] and the
+    (p, B) actions of step t and writes x[t + 1], every row of them the
+    contiguous (B,) values of one coordinate. The finished blocks are
+    copied once into the episode-major blocks returned.
     """
     spec = env.spec
-    if np.shape(thetas)[-2:] != (spec.action_dim, spec.state_dim):
-        raise ValueError(f"{spec.name} takes ({spec.action_dim}, {spec.state_dim})"
-                         f" policies, got shape {np.shape(thetas)}")
-    if normalizer.mean.shape != (spec.state_dim,):
-        raise ValueError(f"{spec.name} takes {spec.state_dim}-wide whitening "
+    n, p, horizon = spec.state_dim, spec.action_dim, spec.horizon
+    if np.ndim(thetas) not in (2, 3) or np.shape(thetas)[-2:] != (p, n):
+        raise ValueError(f"{spec.name} takes ({p}, {n}) or (B, {p}, {n}) "
+                         f"policies, got shape {np.shape(thetas)}")
+    if normalizer.mean.shape != (n,):
+        raise ValueError(f"{spec.name} takes {n}-wide whitening "
                          f"statistics, got shape {normalizer.mean.shape}")
     if len(rngs) == 0:
         raise ValueError(f"{spec.name} takes one or more episodes, got 0")
@@ -220,23 +231,26 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     thetas = thetas if inv_rms is None else thetas * inv_rms
     hi = _const(spec.action_clip)
     lo = _const(-spec.action_clip)
-    n, horizon = spec.state_dim, spec.horizon
-    # the time-major block: step t reads the contiguous (B, k) x[t] and
-    # writes x[t + 1]; the actions are (B, p, 1) matmul outputs
     x_0 = env.reset(rngs)
     x = np.empty((horizon + 1, *x_0.shape))
     x[0] = x_0
-    taken = np.empty((horizon, len(rngs), spec.action_dim, 1))
-    for x_t, s_t, x_next, a in zip(x, x[:, :, :n, None], x[1:], taken):
-        # a stacked matmul rounds like one episode's theta @ s
+    taken = np.empty((horizon, p, len(rngs)))
+    # the matmul's (B, n, 1) operands and (B, p, 1) outputs as views of the
+    # blocks, made once: a view per step costs about what the layout saves
+    obs = x[:, :n].transpose(0, 2, 1)[..., None]
+    acts = taken.transpose(0, 2, 1)[..., None]
+    for x_t, s_t, x_next, a, a_t in zip(x, obs, x[1:], acts, taken):
+        # a stacked matmul rounds like one episode's theta @ s; at the
+        # built-in widths (a BLAS dot for p = 1 and n <= 3, a gemv for
+        # p = 2) strided operands round as contiguous ones do
         np.matmul(thetas, s_t, out=a)
         # clip in place; NaN stays NaN, as in np.clip
-        np.maximum(a, lo, out=a)
-        np.minimum(a, hi, out=a)
-        env.step(x_t, a[:, :, 0], x_next)
+        np.maximum(a_t, lo, out=a_t)
+        np.minimum(a_t, hi, out=a_t)
+        env.step(x_t, a_t, x_next)
     # one copy of each into the (B, T, .) blocks the callers index by episode
-    x_block = x[:horizon].transpose(1, 0, 2).copy()
-    actions = taken[..., 0].transpose(1, 0, 2).copy()
+    x_block = x[:horizon].transpose(2, 0, 1).copy()
+    actions = taken.transpose(2, 0, 1).copy()
     # the block itself when x holds only the observation
     states = np.ascontiguousarray(x_block[..., :n])
     env_rewards = env.rewards(x_block, actions)

@@ -23,7 +23,8 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .ars import ArsConfig, ars_update, evaluate_directions, sample_directions
+from .ars import (ArsConfig, ars_update, check_count, evaluate_directions,
+                  sample_directions)
 from .demo_io import TrajectorySet
 from .discriminator import disc_init, disc_train
 from .envs import evaluate_policy, make_env
@@ -50,15 +51,13 @@ class TrainerConfig:
     early_stop_target: float | None = None  # absolute eval return; None: off
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0 < self.disc_lr < math.inf or self.disc_iters < 0:
-            raise ValueError("disc_lr must be positive and finite, "
-                             "disc_iters >= 0")
-        if self.disc_batch is not None and self.disc_batch < 1:
-            raise ValueError("disc_batch must be >= 1")
-        if self.eval_every < 1 or self.eval_episodes < 1:
-            raise ValueError("eval_every and eval_episodes must be >= 1")
+        if not 0 < self.disc_lr < math.inf:
+            raise ValueError("disc_lr must be positive and finite")
+        for name, minimum in (("max_iterations", 1), ("disc_iters", 0),
+                              ("eval_every", 1), ("eval_episodes", 1)):
+            check_count(name, getattr(self, name), minimum)
+        if self.disc_batch is not None:
+            check_count("disc_batch", self.disc_batch, 1)
 
 
 @dataclass

@@ -62,3 +62,21 @@ def test_summarize_verdict_without_bound():
     runs = _runs({"m": {"parent": NARROW, "change": NARROW},
                   "iter_ms": {"parent": NARROW, "change": [v / 2 for v in NARROW]}})
     assert bench_record.summarize(runs, metrics)["w"]["iter_ms"]["verdict"] == "gain"
+
+
+def test_runs_alternate_which_side_goes_first():
+    assert list(bench_record.alternating(3)) == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"),
+        (2, "parent"), (2, "change")]
+
+
+def test_trace_spreads_take_each_metric_median_over_runs():
+    # one traced run per side could move a layer by 20%; the record keeps
+    # every run and reads the median
+    runs = [{"w.a_ms": 1.0, "w.steps": 200.0}, {"w.a_ms": 3.0, "w.steps": 200.0},
+            {"w.a_ms": 1.5, "w.steps": 200.0}]
+    spreads = bench_record.trace_spreads(runs)
+    assert spreads["w.a_ms"]["median"] == 1.5
+    assert spreads["w.a_ms"]["runs"] == [1.0, 3.0, 1.5]
+    assert spreads["w.steps"]["median"] == 200.0
+    assert spreads["w.steps"]["iqr"] == 0.0

@@ -42,31 +42,32 @@ def test_reset_deterministic():
 def test_reset_ranges():
     env = make_env("lqr2d")
     s = env.reset([Rng(i) for i in range(50)])
-    assert s.shape == (50, 2)
+    assert s.shape == (2, 50)
     assert np.all(s >= -1.0) and np.all(s <= 1.0)
     pm = make_env("pointmass2d")
     s = pm.reset([Rng(0)])
-    np.testing.assert_array_equal(s[0, 2:], [0.0, 0.0])
+    np.testing.assert_array_equal(s[2:, 0], [0.0, 0.0])
 
 
 def test_lqr_step_arithmetic():
     env = make_env("lqr2d")
+    # one episode per column: (1, 0) and (0, 1)
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    a = np.array([[0.0], [0.0]])
+    a = np.array([[0.0, 0.0]])
     x_next = np.empty_like(x)
     env.step(x, a, x_next)
-    np.testing.assert_allclose(x_next, [[1.0, 0.0], [0.1, 1.0]])
-    np.testing.assert_array_equal(env.rewards(x, a), [-1.0, -1.0])
+    np.testing.assert_allclose(x_next, np.transpose([[1.0, 0.0], [0.1, 1.0]]))
+    np.testing.assert_array_equal(env.rewards(x.T, a.T), [-1.0, -1.0])
 
 
 def test_pendulum_equilibrium():
     env = make_env("pendulum")
     # upright at rest: (cos phi, sin phi, phidot, phi) = (1, 0, 0, 0)
-    x, a = np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([[0.0]])
+    x, a = np.array([[1.0], [0.0], [0.0], [0.0]]), np.array([[0.0]])
     x_next = np.empty_like(x)
     env.step(x, a, x_next)
-    np.testing.assert_allclose(x_next[:, :3], [[1.0, 0.0, 0.0]])
-    assert env.rewards(x, a)[0] == 0.0
+    np.testing.assert_allclose(x_next[:3], [[1.0], [0.0], [0.0]])
+    assert env.rewards(x.T, a.T)[0] == 0.0
 
 
 def test_rewards_never_positive():
@@ -77,20 +78,20 @@ def test_rewards_never_positive():
         for _ in range(env.spec.horizon):
             a = np.array([[rng.gaussian() for _ in range(env.spec.action_dim)]
                           for _ in range(2)])
-            r = env.rewards(x, a)
+            r = env.rewards(x.T, a)
             assert r.shape == (2,) and np.all(r <= 0.0)
             x_next = np.empty_like(x)
-            env.step(x, a, x_next)
+            env.step(x, a.T.copy(), x_next)
             x = x_next
 
 
 @pytest.mark.parametrize("name", ENVS)
 def test_step_writes_every_column_of_out_and_nothing_else(name):
     # the engine steps x[t] into x[t + 1] of one block: step must write every
-    # column of out, private ones too, and leave x and the actions as they were
+    # row of out, private ones too, and leave x and the actions as they were
     env = make_env(name)
     x = env.reset([Rng(4), Rng(5)])
-    actions = np.full((2, env.spec.action_dim), 0.5)
+    actions = np.full((env.spec.action_dim, 2), 0.5)
     before = x.tobytes(), actions.tobytes()
     out = np.full_like(x, np.nan)
     env.step(x, actions, out)
@@ -107,7 +108,7 @@ def test_block_rewards_match_step_slices(name, scale):
     env = make_env(name)
     spec = env.spec
     rng = Rng(21)
-    width = env.reset([rng]).shape[1]
+    width = env.reset([rng]).shape[0]
     xs = np.stack([scale * rng.derive(1, b).gaussian_matrix(30, width)
                    for b in range(8)])
     actions = np.stack([scale * rng.derive(2, b).gaussian_matrix(30, spec.action_dim)
@@ -123,8 +124,8 @@ def test_block_rewards_match_step_slices(name, scale):
 
 @pytest.mark.parametrize("name", ENVS)
 def test_observation_is_leading_columns_of_state(name):
-    # rollout records the first state_dim columns of the x that reset and
-    # step reach; the pendulum keeps cos and sin of its angle in columns 0, 1
+    # rollout records the first state_dim rows of the x that reset and step
+    # reach; the pendulum keeps cos and sin of its angle in rows 0, 1
     env = make_env(name)
     n, p = env.spec.state_dim, env.spec.action_dim
     rng = Rng(8)
@@ -133,14 +134,14 @@ def test_observation_is_leading_columns_of_state(name):
     states, actions, _, _ = rollout(env, thetas, ObservationNormalizer.for_dim(n),
                                     None, [rng.derive(3, b) for b in range(4)])
     x = env.reset([rng.derive(3, b) for b in range(4)])
-    assert x.ndim == 2 and x.shape[1] >= n
+    assert x.ndim == 2 and x.shape[0] >= n and x.shape[1] == 4
     for t in range(env.spec.horizon):
-        assert states[:, t].tobytes() == np.ascontiguousarray(x[:, :n]).tobytes()
+        assert states[:, t].tobytes() == np.ascontiguousarray(x[:n].T).tobytes()
         if name == "pendulum":
-            assert x[:, 0].tobytes() == np.cos(x[:, 3]).tobytes()
-            assert x[:, 1].tobytes() == np.sin(x[:, 3]).tobytes()
+            assert x[0].tobytes() == np.cos(x[3]).tobytes()
+            assert x[1].tobytes() == np.sin(x[3]).tobytes()
         x_next = np.empty_like(x)
-        env.step(x, actions[:, t].copy(), x_next)
+        env.step(x, actions[:, t].T.copy(), x_next)
         x = x_next
 
 
@@ -150,7 +151,7 @@ class _NegativeZeroEnv:
     spec = EnvSpec("negzero", 1, 1, 5, 1.0)
 
     def reset(self, rngs):
-        return np.zeros((len(rngs), 1))
+        return np.zeros((1, len(rngs)))
 
     def step(self, x, actions, out):
         out[...] = x
@@ -176,7 +177,7 @@ def test_rollout_zero_policy_matches_drift_oracle():
     norm = ObservationNormalizer.for_dim(2)
     _, _, (env_rewards,), (ret,) = rollout(env, pol.theta, norm, None, [Rng(42)])
 
-    s = make_env("lqr2d").reset([rng])[0]
+    s = make_env("lqr2d").reset([rng])[:, 0]
     expect = 0.0
     for _ in range(100):
         expect -= float(s @ s)
@@ -252,6 +253,61 @@ def test_rollout_rejects_episode_and_policy_counts(name, thetas_shape, episodes,
     with pytest.raises(ValueError, match=re.escape(f"{name} {message}")):
         rollout(make_env(name), thetas, ObservationNormalizer.for_dim(spec.state_dim),
                 None, [Rng(b) for b in range(episodes)])
+
+
+@pytest.mark.parametrize("name", ENVS)
+@pytest.mark.parametrize("stack", [pytest.param((1, 1), id="1x1-stack"),
+                                   pytest.param((2, 2), id="2x2-stack")])
+def test_rollout_rejects_policy_stacks_of_rank_4(name, stack):
+    # a (1, 1, p, n) stack used to broadcast silently over every episode, and
+    # a (2, 2, p, n) one failed inside numpy
+    spec = make_env(name).spec
+    p, n = spec.action_dim, spec.state_dim
+    thetas = np.zeros((*stack, p, n))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} takes ({p}, {n}) or (B, {p}, {n}) policies, got shape "
+            f"{thetas.shape}")):
+        rollout(make_env(name), thetas, ObservationNormalizer.for_dim(n), None,
+                [Rng(b) for b in range(stack[0])])
+
+
+class _RecordingEnv:
+    """Wraps an env and checks the layout of every `step` call it gets."""
+
+    def __init__(self, env):
+        self.env, self.spec, self.steps = env, env.spec, 0
+
+    def reset(self, rngs):
+        return self.env.reset(rngs)
+
+    def step(self, x, actions, out):
+        k, n_episodes = x.shape
+        assert out.shape == (k, n_episodes) and k >= self.spec.state_dim
+        assert actions.shape == (self.spec.action_dim, n_episodes)
+        for block in (x, out, actions):
+            assert all(row.flags.c_contiguous for row in block)
+        assert not np.shares_memory(x, out)
+        self.steps += 1
+        self.env.step(x, actions, out)
+
+    def rewards(self, xs, actions):
+        return self.env.rewards(xs, actions)
+
+
+@pytest.mark.parametrize("name", ENVS)
+@pytest.mark.parametrize("shared", [False, True], ids=["stacked", "shared"])
+def test_rollout_steps_on_contiguous_episode_rows(name, shared):
+    # every step reads and writes (B,) rows, one per coordinate, so a ufunc
+    # runs at unit stride over the episodes; a strided column would pass
+    # the shape checks but not the contiguity one
+    env = _RecordingEnv(make_env(name))
+    n, p = env.spec.state_dim, env.spec.action_dim
+    thetas = np.full((5, p, n), 0.1)
+    states, *_ = rollout(env, thetas[0] if shared else thetas,
+                         ObservationNormalizer.for_dim(n), None,
+                         [Rng(b) for b in range(5)])
+    assert env.steps == env.spec.horizon
+    assert states.shape == (5, env.spec.horizon, n)
 
 
 def _scalar_episode(name, theta_eff, rng):

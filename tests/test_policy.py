@@ -26,10 +26,10 @@ class _ConstantStateEnv:
         self.spec = EnvSpec("constant", len(self.state), action_dim, horizon, 10.0)
 
     def reset(self, rngs):
-        return np.tile(self.state, (len(rngs), 1))
+        return np.tile(self.state[:, None], (1, len(rngs)))
 
     def step(self, x, actions, out):
-        out[...] = self.state
+        out[...] = self.state[:, None]
 
     def rewards(self, xs, actions):
         return np.zeros(xs.shape[:-1])
@@ -107,10 +107,10 @@ class _BasisEnv:
         self.spec = EnvSpec("basis", n, p, n, 1e9)
 
     def reset(self, rngs):
-        return np.tile(np.eye(self.spec.state_dim)[0], (len(rngs), 1))
+        return np.tile(np.eye(self.spec.state_dim)[:, :1], (1, len(rngs)))
 
     def step(self, x, actions, out):
-        out[...] = np.roll(x, 1, axis=1)
+        out[...] = np.roll(x, 1, axis=0)
 
     def rewards(self, xs, actions):
         return np.zeros(xs.shape[:-1])

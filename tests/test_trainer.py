@@ -50,6 +50,32 @@ def test_trainer_config_defaults_match_documented_values():
     assert cfg.disc_batch is None  # resolved to the episode length
 
 
+COUNT_FIELDS = ("n_directions", "max_iterations", "disc_iters", "disc_batch",
+                "eval_every", "eval_episodes")
+
+
+def _config_with(field, value):
+    if field == "n_directions":
+        return ArsConfig(n_directions=value)
+    return TrainerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), True, np.True_],
+                         ids=["2.5", "2.0", "float64", "True", "np.True_"])
+def test_config_counts_reject_non_integers(field, value):
+    # eval_every=2.5 used to evaluate at iterations 4 and 9, and
+    # n_directions=True used to search along one direction
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= "):
+        _config_with(field, value)
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+def test_config_counts_accept_numpy_integers(field):
+    cfg = _config_with(field, np.int64(2))
+    assert getattr(cfg, field) == 2
+
+
 def test_return_target_sign_aware():
     assert return_target(100.0, 0.9) == pytest.approx(90.0)
     # pure-cost returns: within 10% means at most 1/0.9 of the cost
