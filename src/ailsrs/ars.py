@@ -2,7 +2,9 @@
 return-spread-scaled step.
 
 Each iteration samples N random direction matrices as one (N, p, n) array,
-rolls out the policy nudged along +/- each direction, and moves the weights
+Box-Muller on one block of uniform draws over the N directions' stream
+keys, rolls out the policy nudged along +/- each direction, all 2N episodes
+in one rollout on a key array, and moves the weights
 toward the better-scoring side of every pair. The step is divided by the
 standard deviation of all 2N collected returns, which keeps the update size
 meaningful whatever the reward scale.
@@ -15,16 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import make_env, rollout
-from .numerics import Rng
+from .numerics import Rng, check_count, uniform_block
 from .policy import ObservationNormalizer
 
-
-def check_count(name: str, value, minimum: int) -> None:
-    """Raise a ValueError naming the field unless `value` is an integer, a
-    Python or numpy one but not a bool, of at least `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -63,12 +59,26 @@ def ars_update(theta: np.ndarray, deltas: np.ndarray, returns: np.ndarray,
     return theta + (alpha / (len(deltas) * sigma)) * step
 
 
+def _libm(f, a: np.ndarray) -> np.ndarray:
+    """f of every element of `a`, one libm call each."""
+    return np.array([f(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
 def sample_directions(rng: Rng, n_directions: int, p: int, n: int) -> np.ndarray:
-    """(N, p, n) standard-normal directions, one derived stream per direction."""
-    if n_directions < 1 or p < 1 or n < 1:
-        raise ValueError("n_directions, p, n must be >= 1")
-    return np.stack([rng.derive(i).gaussian_matrix(p, n)
-                     for i in range(n_directions)])
+    """C-contiguous (N, p, n) standard-normal directions, direction i filled
+    row-major by Box-Muller over the stream rng.derive(i): uniform draws
+    2m + 1 and 2m + 2 give entry 2m (cosine) and entry 2m + 1 (sine), and an
+    odd p n drops the last sine. Log, cosine and sine are libm's, which
+    numpy's do not round like."""
+    for name, value in (("n_directions", n_directions), ("p", p), ("n", n)):
+        check_count(name, value, 1)
+    u = uniform_block(rng.keys(np.arange(n_directions)), p * n + p * n % 2,
+                      0.0, 1.0).T
+    r = np.sqrt(-2.0 * _libm(math.log, u[:, 0::2]))
+    t = _TWO_PI * u[:, 1::2]
+    z = np.stack([r * _libm(math.cos, t), r * _libm(math.sin, t)], axis=2)
+    return np.ascontiguousarray(
+        z.reshape(n_directions, -1)[:, :p * n]).reshape(n_directions, p, n)
 
 
 def evaluate_directions(theta: np.ndarray, deltas: np.ndarray, nu: float,
@@ -84,8 +94,9 @@ def evaluate_directions(theta: np.ndarray, deltas: np.ndarray, nu: float,
     """
     offsets = nu * deltas
     thetas = np.stack([theta + offsets, theta - offsets], axis=1)
-    rngs = [rng.derive(i, sign_idx) for i in range(len(deltas)) for sign_idx in (0, 1)]
+    # episode (i, sign) runs on the stream rng.derive(i, sign)
+    keys = rng.keys(np.arange(len(deltas))[:, None], (0, 1)).ravel()
     states, actions, _, returns = rollout(make_env(env_name),
                                           thetas.reshape(-1, *theta.shape),
-                                          normalizer, reward_source, rngs)
+                                          normalizer, reward_source, keys)
     return returns.reshape(-1, 2), states, actions

@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .envs import EnvSpec, env_names, episode_rng, make_env, rollout
+from .envs import EnvSpec, env_names, episode_keys, make_env, rollout
 from .policy import LinearPolicy, ObservationNormalizer
 
 FORMAT_VERSION = 1
@@ -87,11 +87,9 @@ def record(policy: LinearPolicy, normalizer: ObservationNormalizer,
     Uses the same per-episode streams as evaluation, so the recorded mean
     return equals the evaluation mean for the same (policy, seed, episodes).
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
     env = make_env(env_name)
     *block, _ = rollout(env, policy.theta, normalizer, None,
-                        [episode_rng(seed, i) for i in range(episodes)])
+                        episode_keys(seed, episodes))
     return TrajectorySet(env_name, [Trajectory(*episode) for episode in zip(*block)])
 
 

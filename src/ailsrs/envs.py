@@ -9,8 +9,9 @@ Three pure-cost tasks stand in for the usual physics benchmarks:
 Each environment holds no episode state. It is three pure functions on
 internal states x, one episode per column:
 
-* `reset(rngs) -> x` is a C-contiguous (k, B) block whose column b is
-  drawn from rngs[b];
+* `reset(keys) -> x` is a C-contiguous (k, B) block whose column b is
+  drawn from the stream at keys[b], a (B,) uint64 array of stream keys
+  (see `Rng.keys`), all B columns in one block draw;
 * `step(x, actions, out)` is the dynamics only: from the (k, B) x and the
   (p, B) actions it writes the next states into `out`, a (k, B) block that
   does not overlap x. Every operand is a contiguous (B,) row, x[j], out[j]
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, check_count, uniform_block
 from .policy import LinearPolicy, ObservationNormalizer
 
 # label for per-episode evaluation/recording streams, shared by everything
@@ -65,6 +66,7 @@ _PEND_G_OVER_L = _const(10.0)
 _PEND_DT = _const(0.05)
 _PEND_MAX_SPEED = _const(8.0)
 _PEND_MIN_SPEED = _const(-8.0)
+_PEND_RESET_RANGE = np.array([[math.pi], [1.0]])  # |phi|, |phidot| at reset
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,8 @@ class Lqr2dEnv:
 
     spec = EnvSpec("lqr2d", 2, 1, 100, 10.0)
 
-    def reset(self, rngs) -> np.ndarray:
-        return np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0)]
-                         for rng in rngs]).T.copy()
+    def reset(self, keys: np.ndarray) -> np.ndarray:
+        return uniform_block(keys, 2, -1.0, 1.0)
 
     def step(self, x: np.ndarray, actions: np.ndarray, out: np.ndarray) -> None:
         # s' = A s + B a with A = [[1, .1], [0, 1]], B = [[0], [.1]]:
@@ -114,9 +115,10 @@ class PointMass2dEnv:
 
     spec = EnvSpec("pointmass2d", 4, 2, 200, 1.0)
 
-    def reset(self, rngs) -> np.ndarray:
-        return np.array([[rng.uniform_in(-1.0, 1.0), rng.uniform_in(-1.0, 1.0),
-                          0.0, 0.0] for rng in rngs]).T.copy()
+    def reset(self, keys: np.ndarray) -> np.ndarray:
+        x = np.zeros((4, len(keys)))
+        x[:2] = uniform_block(keys, 2, -1.0, 1.0)
+        return x
 
     def step(self, x: np.ndarray, actions: np.ndarray, out: np.ndarray) -> None:
         # semi-implicit Euler: velocity first, then position
@@ -137,11 +139,10 @@ class PendulumEnv:
 
     spec = EnvSpec("pendulum", 3, 1, 200, 2.0)
 
-    def reset(self, rngs) -> np.ndarray:
-        x = np.empty((4, len(rngs)))
+    def reset(self, keys: np.ndarray) -> np.ndarray:
+        x = np.empty((4, len(keys)))
         # each episode draws phi, then phidot, into rows 3 and 2
-        x[3:1:-1] = np.transpose([(rng.uniform_in(-math.pi, math.pi),
-                                   rng.uniform_in(-1.0, 1.0)) for rng in rngs])
+        x[3:1:-1] = uniform_block(keys, 2, -_PEND_RESET_RANGE, _PEND_RESET_RANGE)
         np.cos(x[3], x[0])
         np.sin(x[3], x[1])
         return x
@@ -196,16 +197,17 @@ def make_env(name: str):
 
 
 def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
-            reward_source, rngs):
-    """Run B = len(rngs) episodes in lockstep to the horizon T, episode b
-    reset from rngs[b]; returns the raw observed states (B, T, n), actions
-    (B, T, p), env_rewards (B, T) and returns (B,).
+            reward_source, keys: np.ndarray):
+    """Run B = len(keys) episodes in lockstep to the horizon T, episode b
+    reset from the stream at the uint64 key keys[b]; returns the raw observed
+    states (B, T, n), actions (B, T, p), env_rewards (B, T) and returns (B,).
 
-    `thetas` is (B, p, n), one policy per episode, or one (p, n) for all;
-    actions are clipped to the actuator range. `reward_source` is None for
-    environment reward, or an object whose `reward_batch(states, actions)`
-    scores the whole (B, T, .) block of finished episodes in one call,
-    returning (B, T) rewards. The normalizer is read, never written.
+    `thetas` is (B, p, n), one policy per episode, or one (p, n) for all,
+    in any memory layout; actions are clipped to the actuator range.
+    `reward_source` is None for environment reward, or an object whose
+    `reward_batch(states, actions)` scores the whole (B, T, .) block of
+    finished episodes in one call, returning (B, T) rewards. The normalizer
+    is read, never written.
 
     The loop steps one time-major, episode-minor (T + 1, k, B) state block
     and one (T, p, B) action block: `step` reads the (k, B) x[t] and the
@@ -221,20 +223,22 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     if normalizer.mean.shape != (n,):
         raise ValueError(f"{spec.name} takes {n}-wide whitening "
                          f"statistics, got shape {normalizer.mean.shape}")
-    if len(rngs) == 0:
+    if len(keys) == 0:
         raise ValueError(f"{spec.name} takes one or more episodes, got 0")
-    if np.ndim(thetas) == 3 and len(thetas) != len(rngs):
+    if np.ndim(thetas) == 3 and len(thetas) != len(keys):
         raise ValueError(f"{spec.name} takes one policy per episode, got "
-                         f"{len(thetas)} policies for {len(rngs)} episodes")
+                         f"{len(thetas)} policies for {len(keys)} episodes")
     inv_rms = normalizer.snapshot()
-    # theta @ (s * inv_rms) == (theta * inv_rms) @ s
-    thetas = thetas if inv_rms is None else thetas * inv_rms
+    # theta @ (s * inv_rms) == (theta * inv_rms) @ s; in C order, because
+    # the matmul need not round a strided or Fortran-ordered stack as it
+    # rounds a contiguous one
+    thetas = np.ascontiguousarray(thetas if inv_rms is None else thetas * inv_rms)
     hi = _const(spec.action_clip)
     lo = _const(-spec.action_clip)
-    x_0 = env.reset(rngs)
+    x_0 = env.reset(keys)
     x = np.empty((horizon + 1, *x_0.shape))
     x[0] = x_0
-    taken = np.empty((horizon, p, len(rngs)))
+    taken = np.empty((horizon, p, len(keys)))
     # the matmul's (B, n, 1) operands and (B, p, 1) outputs as views of the
     # blocks, made once: a view per step costs about what the layout saves
     obs = x[:, :n].transpose(0, 2, 1)[..., None]
@@ -242,7 +246,7 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     for x_t, s_t, x_next, a, a_t in zip(x, obs, x[1:], acts, taken):
         # a stacked matmul rounds like one episode's theta @ s; at the
         # built-in widths (a BLAS dot for p = 1 and n <= 3, a gemv for
-        # p = 2) strided operands round as contiguous ones do
+        # p = 2) the strided states round as contiguous ones do
         np.matmul(thetas, s_t, out=a)
         # clip in place; NaN stays NaN, as in np.clip
         np.maximum(a_t, lo, out=a_t)
@@ -265,18 +269,18 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     return states, actions, env_rewards, returns
 
 
-def episode_rng(seed: int, index: int) -> Rng:
-    """Stream for evaluation/recording episode `index` under `seed`."""
-    return Rng(seed, (EPISODE_STREAM, index))
+def episode_keys(seed: int, episodes: int) -> np.ndarray:
+    """Stream keys of evaluation/recording episodes 0, ..., episodes - 1
+    under `seed`."""
+    check_count("episodes", episodes, 1)
+    return Rng(seed).keys(EPISODE_STREAM, np.arange(episodes))
 
 
 def evaluate_policy(policy: LinearPolicy, normalizer: ObservationNormalizer,
                     env_name: str, episodes: int, seed: int) -> tuple[float, float]:
     """Mean and population std of environment return over seeded episodes."""
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
     *_, returns = rollout(make_env(env_name), policy.theta, normalizer, None,
-                          [episode_rng(seed, i) for i in range(episodes)])
+                          episode_keys(seed, episodes))
     return float(returns.mean()), float(returns.std())
 
 

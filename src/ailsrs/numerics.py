@@ -1,14 +1,13 @@
 """Deterministic numeric substrate: seeded RNG and Adam.
 
 Everything here is driven by a splitmix64 generator so that any quantity in
-the toolkit is a pure function of (seed, label path). Integer and uniform
-draws come in numpy blocks, bit-identical to the scalar draws they stand
-for; Gaussians are drawn one at a time. Matrices and vectors are plain
-float64 numpy arrays, row-major.
+the toolkit is a pure function of (seed, label path). Every draw is a numpy
+block over uint64 stream keys, bit-identical to the scalar splitmix64 draws
+it stands for, so B episodes' or N directions' streams are one array, not
+B objects. Matrices and vectors are plain float64 numpy arrays, row-major.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,31 @@ def _mix64_block(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def check_count(name: str, value, minimum: int) -> None:
+    """Raise a ValueError naming the field unless `value` is an integer, a
+    Python or numpy one but not a bool, of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _u64_draws(keys: np.ndarray, draws: int) -> np.ndarray:
+    """(draws, *keys.shape) uint64 block whose row d holds draw d + 1 of the
+    stream at each key, mix64(key + (d + 1) golden)."""
+    counters = np.arange(1, draws + 1, dtype=np.uint64)
+    counters *= np.uint64(_GOLDEN)
+    return _mix64_block(np.add.outer(counters, keys))
+
+
+def uniform_block(keys: np.ndarray, draws: int, lo, hi) -> np.ndarray:
+    """(draws, *keys.shape) uniforms in (lo, hi], 53-bit resolution: row d
+    holds draw d + 1 of the stream at each key. `lo` and `hi` broadcast
+    against the block, so each row may have its own range."""
+    u = ((_u64_draws(keys, draws) >> np.uint64(11)) + np.uint64(1)).astype(float)
+    u *= 2.0 ** -53
+    return lo + (hi - lo) * u
+
+
 class Rng:
     """splitmix64 stream addressed by (seed, labels).
 
@@ -52,13 +76,13 @@ class Rng:
     and must not be shared across tasks (drawing advances the state).
 
     splitmix64 is counter-based: draw k after the state is mix64(state +
-    k * golden). So `integers` and `uniforms` compute a whole block of draws
-    in numpy, bit-identical to as many scalar draws, and advance the state
-    past it. Gaussians stay scalar: their Box-Muller step needs libm's
-    log, which np.log does not round like.
+    k * golden). So every draw is a numpy block: `keys` gives many derived
+    streams' keys at once, `uniform_block` draws from all of them, and
+    `integers` and `uniforms` draw a block of this stream and advance the
+    state past it.
     """
 
-    __slots__ = ("_key", "_state", "_gauss_cache")
+    __slots__ = ("_key", "_state")
 
     def __init__(self, seed: int, labels: tuple[int, ...] = ()):
         key = seed & _MASK64
@@ -66,66 +90,41 @@ class Rng:
             key = _mix64(key ^ (lab & _MASK64))
         self._key = key
         self._state = key
-        self._gauss_cache: float | None = None
 
     def derive(self, *labels: int) -> "Rng":
         """Independent sub-stream for the given extra labels."""
         return Rng(self._key, labels)
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
+    def keys(self, *labels) -> np.ndarray:
+        """uint64 array of the keys of `self.derive(*l)` for every l of the
+        broadcast integer label arrays, taken modulo 2^64."""
+        labels = [np.asarray(lab) for lab in labels]
+        if any(lab.dtype.kind not in "iu" for lab in labels):
+            raise ValueError("stream labels must be integers")
+        keys = np.full(np.broadcast(*labels).shape, self._key, dtype=np.uint64)
+        for lab in labels:
+            # in place, so that a 0-d block stays an array
+            np.bitwise_xor(keys, lab.astype(np.uint64), out=keys)
+            _mix64_block(keys)
+        return keys
 
-    def uniform(self) -> float:
-        """Uniform draw in (0, 1], 53-bit resolution."""
-        return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
-
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
-    def _u64_block(self, size: int) -> np.ndarray:
-        """The next `size` draws of `next_u64` as one uint64 array."""
+    def _advance(self, size: int) -> np.uint64:
+        """The state before the next `size` draws; the stream moves past them."""
         if size < 0:
             raise ValueError(f"size must be >= 0, got {size}")
-        counters = np.arange(1, size + 1, dtype=np.uint64)
-        counters *= np.uint64(_GOLDEN)
-        counters += np.uint64(self._state)
+        state = np.uint64(self._state)
         self._state = (self._state + size * _GOLDEN) & _MASK64
-        return _mix64_block(counters)
+        return state
 
     def uniforms(self, lo: float, hi: float, size: int) -> np.ndarray:
-        """`size` draws of `uniform_in(lo, hi)`, as one array."""
-        u = ((self._u64_block(size) >> np.uint64(11)) + np.uint64(1)).astype(float)
-        u *= 2.0 ** -53
-        return lo + (hi - lo) * u
+        """The next `size` uniforms in (lo, hi], as one array."""
+        return uniform_block(self._advance(size), size, lo, hi)
 
     def integers(self, n: int, size: int) -> np.ndarray:
-        """`size` uniform integers in [0, n): each is next_u64() % n."""
+        """`size` uniform integers in [0, n): each is a raw draw % n."""
         if not 1 <= n <= _INTP_MAX + 1:
             raise ValueError(f"n must be in [1, {_INTP_MAX + 1}], got {n}")
-        return (self._u64_block(size) % np.uint64(n)).astype(np.intp)
-
-    def gaussian(self) -> float:
-        """Standard normal via Box-Muller; the sine mate is cached."""
-        if self._gauss_cache is not None:
-            z = self._gauss_cache
-            self._gauss_cache = None
-            return z
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        t = 2.0 * math.pi * u2
-        self._gauss_cache = r * math.sin(t)
-        return r * math.cos(t)
-
-    def gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:
-        """rows x cols standard-normal matrix, filled row-major."""
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be >= 1")
-        out = np.empty(rows * cols)
-        for i in range(rows * cols):
-            out[i] = self.gaussian()
-        return out.reshape(rows, cols)
+        return (_u64_draws(self._advance(size), size) % np.uint64(n)).astype(np.intp)
 
 
 @dataclass

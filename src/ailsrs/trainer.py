@@ -23,12 +23,11 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .ars import (ArsConfig, ars_update, check_count, evaluate_directions,
-                  sample_directions)
+from .ars import ArsConfig, ars_update, evaluate_directions, sample_directions
 from .demo_io import TrajectorySet
 from .discriminator import disc_init, disc_train
 from .envs import evaluate_policy, make_env
-from .numerics import AdamState, Rng
+from .numerics import AdamState, Rng, check_count
 from .policy import LinearPolicy, ObservationNormalizer
 
 # label namespaces for the per-iteration derived streams

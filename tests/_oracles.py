@@ -1,10 +1,74 @@
-"""Reference computations that only the tests use: a generic
-finite-difference gradient, the single-row Welford step, and the
-discriminator's passes, rewards, LSGAN loss and LSGAN gradient written
-out of place."""
+"""Reference computations that only the tests use: the scalar splitmix64
+stream, a generic finite-difference gradient, the single-row Welford step,
+and the discriminator's passes, rewards, LSGAN loss and LSGAN gradient
+written out of place."""
+import math
+
 import numpy as np
 
 from ailsrs.discriminator import REWARD_CLAMP
+from ailsrs.numerics import Rng
+
+_M = (1 << 64) - 1
+_G = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    """splitmix64's finalizer, transcribed independently of the package."""
+    z &= _M
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M
+    return z ^ (z >> 31)
+
+
+class ScalarRng(Rng):
+    """The splitmix64 stream drawn one Python int at a time: the reference
+    for `Rng`'s block draws, and the source of the tests' Gaussian data.
+
+    Its key derivation and draws are plain Python integer arithmetic. It
+    keeps `Rng`'s state, so block draws (`integers`, `uniforms`) and
+    scalar ones may interleave on one stream.
+    """
+
+    __slots__ = ("_gauss_cache",)
+
+    def __init__(self, seed: int, labels: tuple[int, ...] = ()):
+        key = seed & _M
+        for lab in labels:
+            key = _mix(key ^ (lab & _M))
+        self._key = self._state = key
+        self._gauss_cache = None
+
+    def derive(self, *labels: int) -> "ScalarRng":
+        return ScalarRng(self._key, labels)
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _G) & _M
+        return _mix(self._state)
+
+    def uniform(self) -> float:
+        """Uniform draw in (0, 1], 53-bit resolution."""
+        return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
+
+    def uniform_in(self, lo: float, hi: float) -> float:
+        return lo + (hi - lo) * self.uniform()
+
+    def gaussian(self) -> float:
+        """Standard normal via Box-Muller; the sine mate is cached."""
+        if self._gauss_cache is not None:
+            z, self._gauss_cache = self._gauss_cache, None
+            return z
+        u1 = self.uniform()
+        u2 = self.uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        t = 2.0 * math.pi * u2
+        self._gauss_cache = r * math.sin(t)
+        return r * math.cos(t)
+
+    def gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:
+        """rows x cols standard-normal matrix, filled row-major."""
+        return np.array([self.gaussian() for _ in range(rows * cols)]
+                        ).reshape(rows, cols)
 
 
 def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 
 import _acceptance_report
 import _oracles
+from _oracles import ScalarRng
 
 import ailsrs
 from ailsrs.ars import ars_update
@@ -105,7 +106,7 @@ def _fd_gradient(disc, xe, xs, eps):
 
 
 def test_discriminator_gradient_oracle():
-    rng = Rng(2026)
+    rng = ScalarRng(2026)
     started = time.perf_counter()
     worst = 0.0
     for instance in range(20):
@@ -179,7 +180,7 @@ def test_reward_anchors():
 # criterion: search-update invariances
 # ---------------------------------------------------------------------------
 def test_ars_invariances():
-    rng = Rng(99)
+    rng = ScalarRng(99)
     theta = rng.gaussian_matrix(1, 2)
     deltas, returns = [], []
     for _ in range(8):
@@ -207,7 +208,7 @@ def test_ars_invariances():
 # criterion: streaming statistics match two-pass batch statistics
 # ---------------------------------------------------------------------------
 def test_welford_matches_batch_statistics():
-    rng = Rng(314)
+    rng = ScalarRng(314)
     xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(1000)])
     stats = ObservationNormalizer.for_dim(3)
     for row in xs:

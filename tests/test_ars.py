@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import ScalarRng
+
 from ailsrs.ars import (ArsConfig, ars_update, evaluate_directions,
                         sample_directions)
 from ailsrs.discriminator import MlpDiscriminator
@@ -46,7 +48,7 @@ def test_ars_update_equal_returns_is_identity():
 
 
 def test_ars_update_reward_scale_invariance():
-    rng = Rng(1)
+    rng = ScalarRng(1)
     theta = rng.gaussian_matrix(1, 2)
     deltas, returns = _draw(rng, 8, 1, 2)
     base = ars_update(theta, deltas, returns, 0.02)
@@ -56,7 +58,7 @@ def test_ars_update_reward_scale_invariance():
 
 
 def test_ars_update_antisymmetry():
-    rng = Rng(2)
+    rng = ScalarRng(2)
     theta = rng.gaussian_matrix(2, 3)
     deltas, returns = _draw(rng, 5, 2, 3)
     inc = ars_update(theta, deltas, returns, 0.02) - theta
@@ -84,7 +86,7 @@ def test_ars_update_shape_mismatch_errors():
        st.floats(min_value=0.01, max_value=100.0))
 @settings(max_examples=30)
 def test_ars_update_scale_invariance_property(seed, c):
-    rng = Rng(seed)
+    rng = ScalarRng(seed)
     theta = rng.gaussian_matrix(1, 2)
     deltas, returns = _draw(rng, 4, 1, 2)
     np.testing.assert_allclose(ars_update(theta, deltas, c * returns, 0.02),
@@ -101,7 +103,7 @@ def test_ars_update_sums_directions_in_order(shape, n_directions):
     # theta = 0 keeps a last-bit difference in the step from being rounded
     # away by the final addition; ten draws make a reordered sum show.
     for draw in range(10):
-        rng = Rng(draw, (n_directions, *shape))
+        rng = ScalarRng(draw, (n_directions, *shape))
         theta = np.zeros(shape)
         deltas, returns = _draw(rng, n_directions, *shape)
         step = np.zeros(shape)
@@ -122,6 +124,37 @@ def test_sample_directions_shapes_and_determinism():
 def test_sample_directions_zero_mean():
     dirs = sample_directions(Rng(3), 320, 1, 2)
     assert abs(dirs.mean()) <= 0.05
+
+
+@pytest.mark.parametrize("n_directions", [1, 8, 32, 320])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (1, 3), (2, 4), (3, 3)])
+def test_sample_directions_match_scalar_box_muller(n_directions, shape):
+    # direction i is the oracle's row-major matrix on the stream derive(i),
+    # odd entry counts included, and the stack is C-contiguous: a strided
+    # stack would round differently in the rollout's matmul
+    for seed in (0, 2**64 - 1):
+        dirs = sample_directions(Rng(seed, (DIRECTIONS_STREAM, 5)), n_directions,
+                                 *shape)
+        assert dirs.shape == (n_directions, *shape) and dirs.flags.c_contiguous
+        oracle = ScalarRng(seed, (DIRECTIONS_STREAM, 5))
+        expect = np.stack([oracle.derive(i).gaussian_matrix(*shape)
+                           for i in range(n_directions)])
+        assert dirs.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("field, args", [
+    ("n_directions", (True, 1, 2)), ("n_directions", (2.5, 1, 2)),
+    ("n_directions", (np.float64(2.0), 1, 2)), ("n_directions", (0, 1, 2)),
+    ("p", (2, 0, 2)), ("n", (2, 1, 1.0))])
+def test_sample_directions_rejects_counts_that_are_not_integers(field, args):
+    # True used to draw one direction; np.arange would take 2.5 as 3
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1"):
+        sample_directions(Rng(1), *args)
+
+
+def test_sample_directions_take_numpy_integers():
+    dirs = sample_directions(Rng(1), np.int64(3), np.int32(1), np.uint8(2))
+    assert dirs.tobytes() == sample_directions(Rng(1), 3, 1, 2).tobytes()
 
 
 def test_ars_config_validation():
@@ -160,7 +193,7 @@ def test_evaluate_directions_order_independent():
     for i, sign_idx in order:
         sign = +1 if sign_idx == 0 else -1
         *_, (ret,) = rollout(make_env("lqr2d"), theta + sign * 0.03 * deltas[i],
-                             norm, None, [Rng(7).derive(i, sign_idx)])
+                             norm, None, Rng(7).keys([i], sign_idx))
         got[(i, sign_idx)] = ret
     for i, (r_plus, r_minus) in enumerate(returns):
         assert got[(i, 0)] == r_plus

@@ -7,13 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import welford_update
+from _oracles import ScalarRng, welford_update
 
 from ailsrs.demo_io import (FormatError, Trajectory, TrajectorySet, load_policy,
                             load_trajectories, record, save_policy,
                             save_trajectories)
 from ailsrs.envs import evaluate_policy, riccati_optimal
-from ailsrs.numerics import Rng
 from ailsrs.policy import LinearPolicy, ObservationNormalizer
 
 
@@ -29,6 +28,19 @@ def test_record_shapes(riccati):
     assert len(demos) == 10
     assert all(t.states.shape == (100, 2) and t.actions.shape == (100, 1)
                for t in demos.trajectories)
+
+
+@pytest.mark.parametrize("episodes", [True, 2.5, np.float64(2.0), 0], ids=repr)
+def test_record_episode_count_must_be_an_integer(riccati, episodes):
+    # True used to record one episode
+    pol, norm = riccati
+    with pytest.raises(ValueError, match="^episodes must be an integer >= 1"):
+        record(pol, norm, "lqr2d", episodes, 0)
+
+
+def test_record_takes_a_numpy_episode_count(riccati):
+    pol, norm = riccati
+    assert len(record(pol, norm, "lqr2d", np.int64(2), 0)) == 2
 
 
 def test_record_mean_matches_evaluate(riccati):
@@ -47,7 +59,7 @@ def test_record_deterministic_bytes(tmp_path, riccati):
 
 
 def test_trajectory_roundtrip_exact(tmp_path):
-    rng = Rng(11)
+    rng = ScalarRng(11)
     trajs = [Trajectory(rng.gaussian_matrix(5, 2), rng.gaussian_matrix(5, 1),
                         rng.gaussian_matrix(5, 1)[:, 0]) for _ in range(3)]
     demos = TrajectorySet("lqr2d", trajs)
@@ -72,6 +84,20 @@ def test_bench_setup_runs(workload):
                           "--seed", "1", "--setup-probe"],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_bench_traces_every_boundary_but_the_loss():
+    # a renamed or deleted function would make its per-layer metric read 0
+    # without an error; only lsgan_loss, which training never calls, is gone
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "bench")
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import run, tracing; "
+            "tracer = tracing.Tracer(run.BOUNDARIES); tracer.install(); "
+            "print(json.dumps(tracer.absent)); tracer.uninstall()")
+    out = subprocess.run([sys.executable, "-c", code, bench], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == ["discriminator.loss"]
 
 
 def test_truncated_file_names_line(tmp_path, riccati):
@@ -181,7 +207,7 @@ def test_nonfinite_rejected(tmp_path):
 
 
 def test_policy_roundtrip(tmp_path):
-    rng = Rng(21)
+    rng = ScalarRng(21)
     pol = LinearPolicy(rng.gaussian_matrix(1, 2))
     norm = ObservationNormalizer(57, np.array([0.25, -1.5]),
                                  np.array([3.0, 0.125]) * 57)
@@ -224,7 +250,7 @@ def test_policy_env_mismatch_rejected(tmp_path):
 def test_policy_count_preserved_exactly(tmp_path):
     pol = LinearPolicy(np.zeros((1, 2)))
     norm = ObservationNormalizer.for_dim(2)
-    rng = Rng(5)
+    rng = ScalarRng(5)
     for _ in range(1234):
         welford_update(norm, np.array([rng.gaussian(), rng.gaussian()]))
     path = str(tmp_path / "p.policy")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from _oracles import finite_diff
+from _oracles import ScalarRng, finite_diff
 
 import ailsrs
 from ailsrs import discriminator
@@ -77,7 +77,7 @@ def test_forward_saturates_with_large_bias():
 
 
 def test_forward_strictly_inside_unit_interval():
-    rng = Rng(3)
+    rng = ScalarRng(3)
     disc = disc_init(2, 1, rng)
     for _ in range(20):
         s = np.array([rng.gaussian(), rng.gaussian()])
@@ -109,7 +109,7 @@ def test_lsgan_loss_perfect_and_worst_case():
 
 
 def test_lsgan_loss_bounded_unit_interval():
-    rng = Rng(8)
+    rng = ScalarRng(8)
     for _ in range(10):
         disc = disc_init(2, 1, rng)
         xe = np.array([[rng.gaussian() for _ in range(3)] for _ in range(5)])
@@ -124,7 +124,7 @@ def test_lsgan_loss_empty_batch_errors():
 
 
 def test_lsgan_grad_matches_generic_finite_differences():
-    rng = Rng(21)
+    rng = ScalarRng(21)
     disc = disc_init(2, 1, rng)
     xe = np.array([[rng.gaussian() for _ in range(3)] for _ in range(3)])
     xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(3)])
@@ -180,7 +180,7 @@ def test_disc_train_separable_toy_converges():
 
 
 def test_disc_train_zero_iters_is_frozen_on_one_minibatch():
-    rng = Rng(4)
+    rng = ScalarRng(4)
     expert, sampled = _gaussian_rows(rng, 30), _gaussian_rows(rng, 25)
     disc = disc_init(2, 1, Rng(5))
     before = disc.get_params().tobytes()
@@ -205,7 +205,7 @@ def _gaussian_rows(rng, rows, width=3):
 
 
 def test_disc_train_returns_mean_minibatch_loss():
-    rng = Rng(43)
+    rng = ScalarRng(43)
     expert, sampled = _gaussian_rows(rng, 30), _gaussian_rows(rng, 25)
     disc, replay = disc_init(2, 1, Rng(44)), disc_init(2, 1, Rng(44))
     adam, replay_adam = AdamState.zeros(disc.n_params), AdamState.zeros(disc.n_params)
@@ -264,7 +264,7 @@ def test_reward_batch_monotone_in_score():
 
 
 def test_reward_batch_matches_scalar_reward():
-    rng = Rng(9)
+    rng = ScalarRng(9)
     disc = disc_init(2, 1, rng)
     states = np.array([[rng.gaussian() for _ in range(2)] for _ in range(5)])
     actions = np.array([[rng.gaussian()] for _ in range(5)])

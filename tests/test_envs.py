@@ -4,14 +4,22 @@ import re
 import numpy as np
 import pytest
 
+from _oracles import ScalarRng
+
 from ailsrs.discriminator import disc_init
 from ailsrs.envs import (LQR_A, LQR_B, LQR_Q, LQR_R, EnvSpec, env_names,
-                         episode_rng, evaluate_policy, make_env, riccati_optimal,
+                         episode_keys, evaluate_policy, make_env, riccati_optimal,
                          rollout)
 from ailsrs.numerics import Rng
 from ailsrs.policy import LinearPolicy, ObservationNormalizer
 
 ENVS = ("lqr2d", "pointmass2d", "pendulum")
+
+
+def _root_keys(*seeds):
+    """The keys of the root streams Rng(seed), one per episode: a root
+    stream's key is its seed."""
+    return np.array(seeds, dtype=np.uint64)
 
 
 def test_make_env_specs():
@@ -34,18 +42,18 @@ def test_make_env_unknown_name():
 
 def test_reset_deterministic():
     env = make_env("lqr2d")
-    s1 = env.reset([Rng(5)])
-    s2 = make_env("lqr2d").reset([Rng(5)])
+    s1 = env.reset(_root_keys(5))
+    s2 = make_env("lqr2d").reset(_root_keys(5))
     np.testing.assert_array_equal(s1, s2)
 
 
 def test_reset_ranges():
     env = make_env("lqr2d")
-    s = env.reset([Rng(i) for i in range(50)])
+    s = env.reset(_root_keys(*range(50)))
     assert s.shape == (2, 50)
     assert np.all(s >= -1.0) and np.all(s <= 1.0)
     pm = make_env("pointmass2d")
-    s = pm.reset([Rng(0)])
+    s = pm.reset(_root_keys(0))
     np.testing.assert_array_equal(s[2:, 0], [0.0, 0.0])
 
 
@@ -73,8 +81,8 @@ def test_pendulum_equilibrium():
 def test_rewards_never_positive():
     for name in env_names():
         env = make_env(name)
-        rng = Rng(17)
-        x = env.reset([Rng(17), Rng(18)])
+        rng = ScalarRng(17)
+        x = env.reset(_root_keys(17, 18))
         for _ in range(env.spec.horizon):
             a = np.array([[rng.gaussian() for _ in range(env.spec.action_dim)]
                           for _ in range(2)])
@@ -90,7 +98,7 @@ def test_step_writes_every_column_of_out_and_nothing_else(name):
     # the engine steps x[t] into x[t + 1] of one block: step must write every
     # row of out, private ones too, and leave x and the actions as they were
     env = make_env(name)
-    x = env.reset([Rng(4), Rng(5)])
+    x = env.reset(_root_keys(4, 5))
     actions = np.full((env.spec.action_dim, 2), 0.5)
     before = x.tobytes(), actions.tobytes()
     out = np.full_like(x, np.nan)
@@ -107,8 +115,8 @@ def test_block_rewards_match_step_slices(name, scale):
     # bit for bit, one call per (B, .) step slice
     env = make_env(name)
     spec = env.spec
-    rng = Rng(21)
-    width = env.reset([rng]).shape[0]
+    rng = ScalarRng(21)
+    width = env.reset(_root_keys(21)).shape[0]
     xs = np.stack([scale * rng.derive(1, b).gaussian_matrix(30, width)
                    for b in range(8)])
     actions = np.stack([scale * rng.derive(2, b).gaussian_matrix(30, spec.action_dim)
@@ -128,12 +136,12 @@ def test_observation_is_leading_columns_of_state(name):
     # reach; the pendulum keeps cos and sin of its angle in rows 0, 1
     env = make_env(name)
     n, p = env.spec.state_dim, env.spec.action_dim
-    rng = Rng(8)
+    rng = ScalarRng(8)
     thetas = np.stack([3.0 * rng.derive(2, b).gaussian_matrix(p, n)
                        for b in range(4)])
     states, actions, _, _ = rollout(env, thetas, ObservationNormalizer.for_dim(n),
-                                    None, [rng.derive(3, b) for b in range(4)])
-    x = env.reset([rng.derive(3, b) for b in range(4)])
+                                    None, rng.keys(3, np.arange(4)))
+    x = env.reset(rng.keys(3, np.arange(4)))
     assert x.ndim == 2 and x.shape[0] >= n and x.shape[1] == 4
     for t in range(env.spec.horizon):
         assert states[:, t].tobytes() == np.ascontiguousarray(x[:n].T).tobytes()
@@ -150,8 +158,8 @@ class _NegativeZeroEnv:
 
     spec = EnvSpec("negzero", 1, 1, 5, 1.0)
 
-    def reset(self, rngs):
-        return np.zeros((1, len(rngs)))
+    def reset(self, keys):
+        return np.zeros((1, len(keys)))
 
     def step(self, x, actions, out):
         out[...] = x
@@ -164,7 +172,7 @@ def test_all_negative_zero_rewards_return_positive_zero():
     # a running sum started from 0.0 gives +0.0 when every reward is -0.0
     *_, env_rewards, returns = rollout(_NegativeZeroEnv(), np.zeros((1, 1)),
                                        ObservationNormalizer.for_dim(1), None,
-                                       [Rng(0), Rng(1)])
+                                       _root_keys(0, 1))
     assert env_rewards.tobytes() == np.full((2, 5), -0.0).tobytes()
     assert returns.tobytes() == np.zeros(2).tobytes()
 
@@ -172,12 +180,11 @@ def test_all_negative_zero_rewards_return_positive_zero():
 def test_rollout_zero_policy_matches_drift_oracle():
     # oracle: simulate the uncontrolled linear system directly
     env = make_env("lqr2d")
-    rng = Rng(42)
     pol = LinearPolicy.zeros(1, 2)
     norm = ObservationNormalizer.for_dim(2)
-    _, _, (env_rewards,), (ret,) = rollout(env, pol.theta, norm, None, [Rng(42)])
+    _, _, (env_rewards,), (ret,) = rollout(env, pol.theta, norm, None, _root_keys(42))
 
-    s = make_env("lqr2d").reset([rng])[:, 0]
+    s = make_env("lqr2d").reset(_root_keys(42))[:, 0]
     expect = 0.0
     for _ in range(100):
         expect -= float(s @ s)
@@ -192,7 +199,7 @@ def test_rollout_respects_horizon():
     env = make_env("lqr2d")
     pol = LinearPolicy.zeros(1, 2)
     norm = ObservationNormalizer.for_dim(2)
-    states, _, _, returns = rollout(env, pol.theta, norm, None, [Rng(1), Rng(2)])
+    states, _, _, returns = rollout(env, pol.theta, norm, None, _root_keys(1, 2))
     assert states.shape[:2] == (2, 100) and returns.shape == (2,)
 
 
@@ -202,7 +209,7 @@ def test_episodes_run_exactly_to_horizon():
         pol = LinearPolicy.zeros(env.spec.action_dim, env.spec.state_dim)
         norm = ObservationNormalizer.for_dim(env.spec.state_dim)
         states, actions, env_rewards, returns = rollout(env, pol.theta, norm, None,
-                                                        [Rng(2), Rng(3)])
+                                                        _root_keys(2, 3))
         n, p, horizon = env.spec.state_dim, env.spec.action_dim, env.spec.horizon
         assert states.shape == (2, horizon, n) and actions.shape == (2, horizon, p)
         assert env_rewards.shape == (2, horizon) and returns.shape == (2,)
@@ -211,8 +218,8 @@ def test_episodes_run_exactly_to_horizon():
 def test_rollout_deterministic():
     pol = LinearPolicy(np.array([[0.3, -0.2]]))
     norm = ObservationNormalizer.for_dim(2)
-    s1, a1, _, r1 = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(9)])
-    s2, a2, _, r2 = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(9)])
+    s1, a1, _, r1 = rollout(make_env("lqr2d"), pol.theta, norm, None, _root_keys(9))
+    s2, a2, _, r2 = rollout(make_env("lqr2d"), pol.theta, norm, None, _root_keys(9))
     assert r1.tobytes() == r2.tobytes()
     assert s1.tobytes() == s2.tobytes()
     assert a1.tobytes() == a2.tobytes()
@@ -221,7 +228,7 @@ def test_rollout_deterministic():
 def test_rollout_records_clipped_actions():
     pol = LinearPolicy(np.array([[100.0, 0.0]]))  # saturates the actuator
     norm = ObservationNormalizer.for_dim(2)
-    _, actions, _, _ = rollout(make_env("lqr2d"), pol.theta, norm, None, [Rng(3)])
+    _, actions, _, _ = rollout(make_env("lqr2d"), pol.theta, norm, None, _root_keys(3))
     assert np.max(np.abs(actions)) <= 10.0
 
 
@@ -232,7 +239,7 @@ def test_rollout_rejects_whitening_statistics_of_another_width(width):
     norm = ObservationNormalizer(3, np.full(width, 0.5), np.full(width, 3.0))
     with pytest.raises(ValueError, match=re.escape(
             f"lqr2d takes 2-wide whitening statistics, got shape ({width},)")):
-        rollout(make_env("lqr2d"), np.array([[0.3, -0.2]]), norm, None, [Rng(0)])
+        rollout(make_env("lqr2d"), np.array([[0.3, -0.2]]), norm, None, _root_keys(0))
 
 
 @pytest.mark.parametrize("name", ENVS)
@@ -252,7 +259,7 @@ def test_rollout_rejects_episode_and_policy_counts(name, thetas_shape, episodes,
     thetas = np.zeros((*thetas_shape, spec.action_dim, spec.state_dim))
     with pytest.raises(ValueError, match=re.escape(f"{name} {message}")):
         rollout(make_env(name), thetas, ObservationNormalizer.for_dim(spec.state_dim),
-                None, [Rng(b) for b in range(episodes)])
+                None, _root_keys(*range(episodes)))
 
 
 @pytest.mark.parametrize("name", ENVS)
@@ -268,7 +275,7 @@ def test_rollout_rejects_policy_stacks_of_rank_4(name, stack):
             f"{name} takes ({p}, {n}) or (B, {p}, {n}) policies, got shape "
             f"{thetas.shape}")):
         rollout(make_env(name), thetas, ObservationNormalizer.for_dim(n), None,
-                [Rng(b) for b in range(stack[0])])
+                _root_keys(*range(stack[0])))
 
 
 class _RecordingEnv:
@@ -277,8 +284,8 @@ class _RecordingEnv:
     def __init__(self, env):
         self.env, self.spec, self.steps = env, env.spec, 0
 
-    def reset(self, rngs):
-        return self.env.reset(rngs)
+    def reset(self, keys):
+        return self.env.reset(keys)
 
     def step(self, x, actions, out):
         k, n_episodes = x.shape
@@ -305,7 +312,7 @@ def test_rollout_steps_on_contiguous_episode_rows(name, shared):
     thetas = np.full((5, p, n), 0.1)
     states, *_ = rollout(env, thetas[0] if shared else thetas,
                          ObservationNormalizer.for_dim(n), None,
-                         [Rng(b) for b in range(5)])
+                         _root_keys(*range(5)))
     assert env.steps == env.spec.horizon
     assert states.shape == (5, env.spec.horizon, n)
 
@@ -356,7 +363,7 @@ def test_block_rollout_matches_scalar_reference(name, scale, shared):
     # (p, n) policy is the path of evaluate_policy and record: one policy
     # broadcast over every episode
     spec = make_env(name).spec
-    rng = Rng(12)
+    rng = ScalarRng(12)
     norm = ObservationNormalizer.for_dim(spec.state_dim)
     norm.add_states(np.array([[rng.gaussian() for _ in range(spec.state_dim)]
                               for _ in range(20)]))
@@ -366,7 +373,7 @@ def test_block_rollout_matches_scalar_reference(name, scale, shared):
     if shared:
         thetas = thetas[0]
     states, actions, env_rewards, returns = rollout(
-        make_env(name), thetas, norm, None, [rng.derive(3, b) for b in range(16)])
+        make_env(name), thetas, norm, None, rng.keys(3, np.arange(16)))
     if scale > 1.0:
         assert np.any(actions == spec.action_clip)
         assert np.any(actions == -spec.action_clip)
@@ -394,7 +401,7 @@ def test_block_rollout_matches_single_episodes(name, scored):
     # B episodes in lockstep equal B one-episode rollouts bit for bit, with
     # per-episode policies and warm whitening statistics
     spec = make_env(name).spec
-    rng = Rng(11)
+    rng = ScalarRng(11)
     disc = disc_init(spec.state_dim, spec.action_dim, rng.derive(1)) if scored else None
     norm = ObservationNormalizer.for_dim(spec.state_dim)
     norm.add_states(np.array([[rng.gaussian() for _ in range(spec.state_dim)]
@@ -402,11 +409,51 @@ def test_block_rollout_matches_single_episodes(name, scored):
     thetas = np.stack([0.5 * rng.derive(2, b).gaussian_matrix(spec.action_dim,
                                                              spec.state_dim)
                        for b in range(6)])
-    block = rollout(make_env(name), thetas, norm, disc,
-                    [rng.derive(3, b) for b in range(6)])
-    single = [rollout(make_env(name), thetas[b], norm, disc, [rng.derive(3, b)])
+    block = rollout(make_env(name), thetas, norm, disc, rng.keys(3, np.arange(6)))
+    single = [rollout(make_env(name), thetas[b], norm, disc, rng.keys(3, [b]))
               for b in range(6)]
     assert _episode_bytes(*block) == [_episode_bytes(*one)[0] for one in single]
+
+
+@pytest.mark.parametrize("name", ENVS)
+@pytest.mark.parametrize("whitened", [False, True], ids=["raw", "whitened"])
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_rollout_bits_do_not_depend_on_policy_layout(name, whitened, layout):
+    # the stacked matmul need not round a strided or Fortran-ordered stack as
+    # it rounds a C-ordered one, so rollout makes the stack contiguous
+    spec = make_env(name).spec
+    p, n = spec.action_dim, spec.state_dim
+    rng = ScalarRng(13)
+    norm = ObservationNormalizer.for_dim(n)
+    if whitened:
+        norm.add_states(np.array([[rng.gaussian() for _ in range(n)]
+                                  for _ in range(20)]))
+    thetas = np.stack([rng.derive(2, b).gaussian_matrix(p, 2 * n) for b in range(16)])
+    if layout == "fortran":
+        thetas = np.asfortranarray(thetas[:, :, :n])
+    else:
+        thetas = thetas[:, :, ::2]
+    assert not thetas.flags.c_contiguous
+    keys = Rng(13).keys(3, np.arange(16))
+    got = rollout(make_env(name), thetas, norm, None, keys)
+    expect = rollout(make_env(name), np.ascontiguousarray(thetas), norm, None, keys)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in expect]
+
+
+@pytest.mark.parametrize("episodes", [True, 2.5, np.float64(2.0), 0], ids=repr)
+def test_evaluation_episode_counts_must_be_integers(episodes):
+    # True used to run one episode; np.arange would take 2.5 as 3
+    pol = LinearPolicy.zeros(1, 2)
+    with pytest.raises(ValueError, match="^episodes must be an integer >= 1"):
+        evaluate_policy(pol, ObservationNormalizer.for_dim(2), "lqr2d", episodes, 0)
+    with pytest.raises(ValueError, match="^episodes must be an integer >= 1"):
+        episode_keys(0, episodes)
+
+
+def test_evaluation_takes_numpy_episode_counts():
+    pol, norm, _ = riccati_optimal(episodes=1)
+    assert evaluate_policy(pol, norm, "lqr2d", np.int64(3), 0) == \
+        evaluate_policy(pol, norm, "lqr2d", 3, 0)
 
 
 def test_riccati_fixed_point_residual():
@@ -440,10 +487,9 @@ def test_riccati_gain_shape_and_sign():
 def test_riccati_beats_zero_policy_on_every_seed():
     pol, norm, _ = riccati_optimal(episodes=1)
     zero = LinearPolicy.zeros(1, 2)
-    rngs = [episode_rng(0, i) for i in range(100)]
-    *_, opt = rollout(make_env("lqr2d"), pol.theta, norm, None, rngs)
-    rngs = [episode_rng(0, i) for i in range(100)]
-    *_, zero_returns = rollout(make_env("lqr2d"), zero.theta, norm, None, rngs)
+    keys = episode_keys(0, 100)
+    *_, opt = rollout(make_env("lqr2d"), pol.theta, norm, None, keys)
+    *_, zero_returns = rollout(make_env("lqr2d"), zero.theta, norm, None, keys)
     assert np.all(opt >= zero_returns)
 
 

@@ -5,116 +5,169 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import finite_diff, welford_update
+from _oracles import ScalarRng, finite_diff, welford_update
 
-from ailsrs.numerics import AdamState, Rng, adam_step
+from ailsrs.ars import sample_directions
+from ailsrs.envs import EPISODE_STREAM
+from ailsrs.numerics import AdamState, Rng, adam_step, uniform_block
 from ailsrs.policy import ObservationNormalizer
+from ailsrs.trainer import (DIRECTIONS_STREAM, DISC_BATCH_STREAM, DISC_INIT_STREAM,
+                            ROLLOUT_STREAM)
 
-# ---------------------------------------------------------------------------
-# Reference transcription of splitmix64, written independently of the
-# package. Used as the oracle for the RNG stream tests.
-# ---------------------------------------------------------------------------
 _M = (1 << 64) - 1
-_G = 0x9E3779B97F4A7C15
-
-
-def _ref_mix(z):
-    z &= _M
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M
-    return z ^ (z >> 31)
-
-
-def _ref_stream(seed, labels, n):
-    key = seed & _M
-    for lab in labels:
-        key = _ref_mix(key ^ (lab & _M))
-    out = []
-    for _ in range(n):
-        key = (key + _G) & _M
-        out.append(_ref_mix(key))
-    return out
+# every stream label the package derives with, plus the edges of the
+# label range: labels are taken modulo 2^64
+_LABELS_IN_USE = (DIRECTIONS_STREAM, ROLLOUT_STREAM, DISC_BATCH_STREAM,
+                  DISC_INIT_STREAM, EPISODE_STREAM, 0, 1)
+_EDGE_LABELS = (-1, -2**63, 2**63 - 1, 2**63, 2**64 - 1)
 
 
 def test_same_seed_same_stream():
     a = Rng(1)
     b = Rng(1)
-    assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
+    assert a.integers(2**63, 100).tolist() == b.integers(2**63, 100).tolist()
+    assert a.uniforms(0.0, 1.0, 100).tobytes() == b.uniforms(0.0, 1.0, 100).tobytes()
 
 
 def test_labels_change_the_stream():
-    assert Rng(1, (0,)).next_u64() != Rng(1, (1,)).next_u64()
+    assert Rng(1).keys(0) != Rng(1).keys(1)
     # oracle values for both labelled streams
-    assert Rng(1, (0,)).next_u64() == _ref_stream(1, [0], 1)[0]
-    assert Rng(1, (1,)).next_u64() == _ref_stream(1, [1], 1)[0]
+    for lab in (0, 1):
+        expect = ScalarRng(1, (lab,))
+        assert uniform_block(Rng(1).keys(lab), 2, 0.0, 1.0).tolist() == \
+            [expect.uniform(), expect.uniform()]
 
 
 def test_raw_stream_matches_reference_chain():
-    assert Rng(2, (5, 0, 1)).next_u64() == _ref_stream(2, [5, 0, 1], 1)[0]
-    # frozen value guards against coordinated drift of impl and oracle
-    assert Rng(2, (5, 0, 1)).next_u64() == 0xEC851304642CE0B6
-    assert [Rng(1).next_u64() for _ in range(1)] == [0x910A2DEC89025CC1]
+    # frozen values guard against coordinated drift of impl and oracle
+    assert ScalarRng(2, (5, 0, 1)).next_u64() == 0xEC851304642CE0B6
+    assert [ScalarRng(1).next_u64() for _ in range(1)] == [0x910A2DEC89025CC1]
+    # the block draws hold the low 63 and the high 53 bits of those draws
+    for rng, raw in ((Rng(2, (5, 0, 1)), 0xEC851304642CE0B6),
+                     (Rng(2).derive(5, 0, 1), 0xEC851304642CE0B6),
+                     (Rng(1), 0x910A2DEC89025CC1)):
+        assert rng.integers(2**63, 1)[0] == raw % 2**63
+    for keys, raw in ((Rng(2).keys(5, 0, 1), 0xEC851304642CE0B6),
+                      (Rng(1).keys(), 0x910A2DEC89025CC1)):
+        assert uniform_block(keys, 1, 0.0, 1.0)[0] == ((raw >> 11) + 1) * 2.0 ** -53
 
 
 def test_derive_equals_label_construction():
     root = Rng(42)
-    root.next_u64()  # advancing the stream must not affect derivation
+    root.integers(5, 3)  # advancing the stream must not affect derivation
     a = root.derive(3, 7)
     b = Rng(42, (3, 7))
-    assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
+    assert a.integers(2**63, 10).tolist() == b.integers(2**63, 10).tolist()
+    assert root.keys(3, 7).tobytes() == Rng(42).keys(3, 7).tobytes()
+    assert uniform_block(root.keys(3, 7), 10, -1.0, 1.0).tobytes() == \
+        Rng(42, (3, 7)).uniforms(-1.0, 1.0, 10).tobytes()
 
 
 @given(st.integers(min_value=-2**63, max_value=2**63 - 1),
        st.lists(st.integers(min_value=-1000, max_value=1000), max_size=4))
 @settings(max_examples=50)
 def test_stream_determinism_property(seed, labels):
-    xs = [Rng(seed, tuple(labels)).next_u64() for _ in range(3)]
-    ys = [Rng(seed, tuple(labels)).next_u64() for _ in range(3)]
+    xs = Rng(seed, tuple(labels)).integers(2**63, 3).tolist()
+    ys = Rng(seed, tuple(labels)).integers(2**63, 3).tolist()
     assert xs == ys
+
+
+def _label_array(values, axis, depth):
+    """`values` along `axis` of a depth-d array, int64 when they fit, else
+    the uint64 they are modulo 2^64."""
+    if all(-2**63 <= v < 2**63 for v in values):
+        arr = np.array(values, dtype=np.int64)
+    else:
+        arr = np.array([v & _M for v in values], dtype=np.uint64)
+    return arr.reshape([-1 if a == axis else 1 for a in range(depth)])
+
+
+_label = st.one_of(st.sampled_from(_LABELS_IN_USE + _EDGE_LABELS),
+                   st.integers(min_value=-2**63, max_value=2**64 - 1))
+
+
+@given(st.integers(min_value=-2**63, max_value=2**64 - 1),
+       st.lists(st.lists(_label, min_size=1, max_size=3), min_size=0, max_size=3),
+       st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (-math.pi, math.pi)]))
+@settings(max_examples=60, deadline=None)
+def test_keys_and_block_uniforms_match_scalar_derive(seed, columns, bounds):
+    # label j varies along axis j, so the keys are the outer product of the
+    # label lists; each is the key of the oracle's derive, and row d of the
+    # block holds draw d + 1 of every derived stream
+    depth = len(columns)
+    keys = Rng(seed).keys(*(_label_array(c, j, depth)
+                            for j, c in enumerate(columns)))
+    assert keys.dtype == np.uint64 and keys.shape == tuple(len(c) for c in columns)
+    lo, hi = bounds
+    block = uniform_block(keys, 3, lo, hi)
+    assert block.shape == (3, *keys.shape)
+    for index in np.ndindex(keys.shape):
+        labels = tuple(c[i] for c, i in zip(columns, index))
+        oracle = ScalarRng(seed).derive(*labels)
+        assert int(keys[index]) == ScalarRng(seed, labels)._key == oracle._key
+        assert block[(slice(None), *index)].tobytes() == \
+            np.array([oracle.uniform_in(lo, hi) for _ in range(3)]).tobytes()
+
+
+def test_keys_reject_labels_that_are_not_integers():
+    with pytest.raises(ValueError, match="integers"):
+        Rng(1).keys(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="integers"):
+        Rng(1).keys(0, [-1, 2**63])  # numpy makes this pair float64
 
 
 def test_gaussian_first_value_matches_box_muller_oracle():
     # reference: Box-Muller over the splitmix64 stream, cosine branch first
-    raw = _ref_stream(7, [], 2)
+    stream = ScalarRng(7).derive(0)
+    raw = [stream.next_u64(), stream.next_u64()]
     u1 = ((raw[0] >> 11) + 1) * 2.0 ** -53
     u2 = ((raw[1] >> 11) + 1) * 2.0 ** -53
     expect = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    rng = Rng(7)
-    assert rng.gaussian() == expect
-    assert expect == 1.3649922974572279  # frozen
-    # the cached sine mate comes out next
-    assert rng.gaussian() == math.sqrt(-2.0 * math.log(u1)) * math.sin(2.0 * math.pi * u2)
+    first, mate = sample_directions(Rng(7), 1, 1, 2)[0, 0]
+    assert first == expect
+    # the sine mate comes out next
+    assert mate == math.sqrt(-2.0 * math.log(u1)) * math.sin(2.0 * math.pi * u2)
+    rng = ScalarRng(7)
+    assert rng.gaussian() == 1.3649922974572279  # frozen
+    assert ScalarRng(7).derive(0).gaussian() == first
 
 
 def test_gaussian_moments():
-    rng = Rng(123)
-    n = 100_000
-    xs = np.array([rng.gaussian() for _ in range(n)])
+    xs = sample_directions(Rng(123), 50_000, 1, 2).ravel()
     assert abs(xs.mean()) <= 0.02
     assert abs(xs.var() - 1.0) <= 0.03
 
 
 def test_gaussian_matrix_is_sequential_draws():
-    a = Rng(9)
-    b = Rng(9)
+    a = ScalarRng(9)
+    b = ScalarRng(9)
     m = a.gaussian_matrix(2, 3)
     assert m.shape == (2, 3)
     assert m.flatten().tolist() == [b.gaussian() for _ in range(6)]
+    # a direction is the oracle's matrix on its derived stream
+    dirs = sample_directions(Rng(9), 3, 2, 3)
+    for i in range(3):
+        assert dirs[i].tobytes() == ScalarRng(9).derive(i).gaussian_matrix(2, 3).tobytes()
 
 
 def test_gaussian_matrix_stream_advances_between_calls():
-    rng = Rng(11)
+    rng = ScalarRng(11)
     m1 = rng.gaussian_matrix(2, 2)
     m2 = rng.gaussian_matrix(2, 2)
     assert not np.array_equal(m1, m2)
     # concatenation equals 8 sequential draws from a fresh stream
-    fresh = Rng(11)
+    fresh = ScalarRng(11)
     seq = [fresh.gaussian() for _ in range(8)]
     assert np.concatenate([m1.flatten(), m2.flatten()]).tolist() == seq
+    # two directions draw from two streams
+    dirs = sample_directions(Rng(11), 2, 2, 2)
+    assert not np.array_equal(dirs[0], dirs[1])
 
 
 def test_gaussian_matrix_1x1():
-    assert Rng(5).gaussian_matrix(1, 1)[0, 0] == Rng(5).gaussian()
+    # an odd entry count drops the last sine mate
+    assert sample_directions(Rng(5), 1, 1, 1)[0, 0, 0] == \
+        ScalarRng(5).derive(0).gaussian()
 
 
 _BLOCK_SEEDS = (0, 1, -5, 2**64 - 1, 123456789)
@@ -123,9 +176,9 @@ _BLOCK_SIZES = (0, 1, 2, 7, 999)
 
 
 def _twin_streams(seed, labels, pending_mate):
-    """Two identical streams, advanced past three scalar draws and, when
-    `pending_mate`, left holding a cached Box-Muller sine mate."""
-    pair = Rng(seed, labels), Rng(seed, labels)
+    """Two identical oracle streams, advanced past three scalar draws and,
+    when `pending_mate`, left holding a cached Box-Muller sine mate."""
+    pair = ScalarRng(seed, labels), ScalarRng(seed, labels)
     for rng in pair:
         for _ in range(3):
             rng.next_u64()
@@ -168,10 +221,10 @@ def test_uniforms_block_matches_scalar_draws(lo, hi):
 
 @pytest.mark.parametrize("n", [0, -1, -2**70, 2**63 + 1, 2**64])
 def test_integers_rejects_out_of_range_n(n):
-    rng = Rng(1)
+    rng = ScalarRng(1)
     with pytest.raises(ValueError, match=r"\bn\b"):
         rng.integers(n, 3)
-    assert rng.next_u64() == Rng(1).next_u64()  # nothing was drawn
+    assert rng.next_u64() == ScalarRng(1).next_u64()  # nothing was drawn
 
 
 def test_block_draws_reject_negative_size():
@@ -254,7 +307,7 @@ def test_welford_single_observation():
 
 
 def test_welford_matches_two_pass_batch():
-    rng = Rng(2024)
+    rng = ScalarRng(2024)
     xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(1000)])
     stats = ObservationNormalizer.for_dim(3)
     for row in xs:
@@ -266,7 +319,7 @@ def test_welford_matches_two_pass_batch():
 
 
 def test_merge_batch_matches_sequential_updates():
-    rng = Rng(77)
+    rng = ScalarRng(77)
     xs = np.array([[rng.gaussian() for _ in range(2)] for _ in range(500)])
     seq = ObservationNormalizer.for_dim(2)
     for row in xs:

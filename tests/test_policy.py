@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import welford_update
+from _oracles import ScalarRng, welford_update
 
 from ailsrs import envs
 from ailsrs.ars import evaluate_directions
@@ -25,8 +25,8 @@ class _ConstantStateEnv:
         self.state = np.asarray(state, dtype=float)
         self.spec = EnvSpec("constant", len(self.state), action_dim, horizon, 10.0)
 
-    def reset(self, rngs):
-        return np.tile(self.state[:, None], (1, len(rngs)))
+    def reset(self, keys):
+        return np.tile(self.state[:, None], (1, len(keys)))
 
     def step(self, x, actions, out):
         out[...] = self.state[:, None]
@@ -41,7 +41,7 @@ def _first_actions(thetas, norm, state):
     env = _ConstantStateEnv(state, thetas.shape[-2])
     n_episodes = len(thetas) if thetas.ndim == 3 else 1
     _, actions, _, _ = rollout(env, thetas, norm, None,
-                               [Rng(b) for b in range(n_episodes)])
+                               np.arange(n_episodes, dtype=np.uint64))
     return actions[:, 0]
 
 
@@ -69,11 +69,11 @@ def test_act_shifts_and_scales():
 def test_zero_state_gives_zero_action(mean, var, seed):
     # no constant action bias for any whitening statistics, in the whitening
     # and in the rollout's effective-weight path
-    theta = Rng(seed).gaussian_matrix(3, 2)
+    theta = ScalarRng(seed).gaussian_matrix(3, 2)
     norm = _normalizer(mean, var)
     assert np.all(norm.normalize(np.zeros(2)) == 0.0)
     _, actions, _, _ = rollout(_ConstantStateEnv(np.zeros(2), 3, horizon=3), theta,
-                               norm, None, [Rng(seed)])
+                               norm, None, Rng(seed).keys([0]))
     assert np.all(actions == 0.0)
 
 
@@ -106,8 +106,8 @@ class _BasisEnv:
     def __init__(self, p, n):
         self.spec = EnvSpec("basis", n, p, n, 1e9)
 
-    def reset(self, rngs):
-        return np.tile(np.eye(self.spec.state_dim)[:, :1], (1, len(rngs)))
+    def reset(self, keys):
+        return np.tile(np.eye(self.spec.state_dim)[:, :1], (1, len(keys)))
 
     def step(self, x, actions, out):
         out[...] = np.roll(x, 1, axis=0)
@@ -136,7 +136,7 @@ def test_perturb_basic():
 
 
 def test_perturb_pair_averages_to_original():
-    rng = Rng(3)
+    rng = ScalarRng(3)
     theta = rng.gaussian_matrix(2, 3)
     delta = rng.gaussian_matrix(2, 3)
     plus, minus = _perturbed_policies(theta, delta, 0.1)
@@ -147,7 +147,7 @@ def test_perturb_pair_averages_to_original():
        st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=30)
 def test_perturb_antisymmetry(nu, seed):
-    rng = Rng(seed)
+    rng = ScalarRng(seed)
     theta = rng.gaussian_matrix(2, 2)
     delta = rng.gaussian_matrix(2, 2)
     plus, minus = _perturbed_policies(theta, delta, nu)
@@ -169,7 +169,7 @@ def _linear_expert_data(theta_star, n_samples, rng, noise=0.0):
 
 def test_bc_closed_form_recovers_expert_exactly():
     theta_star = np.array([[1.5, -0.7], [0.2, 0.9]])
-    states, actions = _linear_expert_data(theta_star, 50, Rng(10))
+    states, actions = _linear_expert_data(theta_star, 50, ScalarRng(10))
     fitted = bc_closed_form(states, actions, ObservationNormalizer.for_dim(2),
                             ridge=0.0)
     np.testing.assert_allclose(fitted.theta, theta_star, atol=1e-8)
@@ -177,14 +177,14 @@ def test_bc_closed_form_recovers_expert_exactly():
 
 def test_bc_closed_form_large_ridge_shrinks_to_zero():
     theta_star = np.array([[1.0, 2.0]])
-    states, actions = _linear_expert_data(theta_star, 30, Rng(11))
+    states, actions = _linear_expert_data(theta_star, 30, ScalarRng(11))
     fitted = bc_closed_form(states, actions, ObservationNormalizer.for_dim(2),
                             ridge=1e12)
     assert np.max(np.abs(fitted.theta)) < 1e-6
 
 
 def test_bc_closed_form_normal_equation_residual():
-    rng = Rng(12)
+    rng = ScalarRng(12)
     states = np.stack([np.array([rng.gaussian() for _ in range(3)])
                        for _ in range(200)])
     actions = np.stack([np.array([rng.gaussian() for _ in range(2)])
@@ -207,7 +207,7 @@ def test_bc_closed_form_singular_without_ridge():
 
 
 def test_bc_fit_zero_actions_gives_zero_policy():
-    rng = Rng(14)
+    rng = ScalarRng(14)
     states = np.stack([np.array([rng.gaussian() for _ in range(2)])
                        for _ in range(40)])
     fitted = bc_closed_form(states, np.zeros((40, 1)),
