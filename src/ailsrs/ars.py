@@ -83,14 +83,14 @@ def sample_directions(rng: Rng, n_directions: int, p: int, n: int) -> np.ndarray
 
 def evaluate_directions(theta: np.ndarray, deltas: np.ndarray, nu: float,
                         env_name: str, normalizer: ObservationNormalizer,
-                        reward_source, rng: Rng):
+                        rng: Rng):
     """Roll out the +/- perturbation pair of every direction in one batch.
 
     Returns (returns, states, actions): row i of the (N, 2) `returns` holds
-    the + and - return of direction i; `states` (2N, T, n) and `actions`
-    (2N, T, p) hold all 2N episodes in (direction, sign) order. Each episode
-    draws from its own (direction, sign)-labelled stream, so results do not
-    depend on execution order.
+    the + and - environment return of direction i; `states` (2N, T, n) and
+    `actions` (2N, T, p) hold all 2N episodes in (direction, sign) order.
+    Each episode draws from its own (direction, sign)-labelled stream, so
+    results do not depend on execution order.
     """
     offsets = nu * deltas
     thetas = np.stack([theta + offsets, theta - offsets], axis=1)
@@ -98,5 +98,5 @@ def evaluate_directions(theta: np.ndarray, deltas: np.ndarray, nu: float,
     keys = rng.keys(np.arange(len(deltas))[:, None], (0, 1)).ravel()
     states, actions, _, returns = rollout(make_env(env_name),
                                           thetas.reshape(-1, *theta.shape),
-                                          normalizer, reward_source, keys)
+                                          normalizer, keys)
     return returns.reshape(-1, 2), states, actions

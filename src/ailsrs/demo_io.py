@@ -88,7 +88,7 @@ def record(policy: LinearPolicy, normalizer: ObservationNormalizer,
     return equals the evaluation mean for the same (policy, seed, episodes).
     """
     env = make_env(env_name)
-    *block, _ = rollout(env, policy.theta, normalizer, None,
+    *block, _ = rollout(env, policy.theta, normalizer,
                         episode_keys(seed, episodes))
     return TrajectorySet(env_name, [Trajectory(*episode) for episode in zip(*block)])
 

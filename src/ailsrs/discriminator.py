@@ -23,15 +23,19 @@ The passes write their (rows, 100) activations and deltas into scratch
 blocks that the discriminator keeps, grown to the largest minibatch or
 scoring stack seen and never shrunk, with the same ufuncs in the same
 order as fresh temporaries would take, so every bit is unchanged. There
-are two such lanes, because the work splits into two independent halves
-that run at once: `lsgan_grad` backpropagates its sampled half on one
-helper thread in lane 1 while the caller does the expert half in lane 0,
-and `reward_batch` scores the second half of a block of episodes on the
-helper. The helper is one thread per process, made on first use in that
-process (a forked child makes its own). Every matmul keeps its shape
-and BLAS keeps one thread, so each result is bit-identical whichever
-thread computes it. Nothing returned aliases a lane, but a discriminator
-is not to be shared across threads: each of these calls uses both lanes.
+are two such lanes, lane 0 for the calling thread and lane 1 for one
+helper thread, and each two-lane call splits its work into jobs that the
+two threads claim one at a time from one shared list: the two halves of
+an `lsgan_grad` minibatch, or the stacked passes of a `reward_batch`
+block. The caller may first run other work: `reward_batch(..., meanwhile)`
+scores on the helper while the caller runs `meanwhile()`, then helps with
+the passes left. A helper still busy with earlier work when the caller
+has claimed every job is not waited for. The helper is one thread per
+process, made on first use in that process (a forked child makes its
+own). Every matmul keeps its shape and BLAS keeps one thread, so each
+result is bit-identical whichever thread computes it. Nothing returned
+aliases a lane, but a discriminator is not to be shared across threads:
+each of these calls uses both lanes.
 """
 from __future__ import annotations
 
@@ -71,61 +75,72 @@ class MlpDiscriminator:
             self._scratch[lane] = np.empty((3, rows, HIDDEN))
         return self._scratch[lane][:, :rows]
 
-    def _layers(self, x: np.ndarray, lane: int):
-        """(h1, h2, D) of a (B, n+p) block, or of an (E, T, n+p) stack of E
-        episodes, which numpy's stacked matmul multiplies one (T, n+p)
-        episode at a time with the BLAS call a lone episode gets. h1 and h2
-        are views of the lane, valid until its next pass; D is a fresh
-        array."""
+    def _params(self) -> tuple:
+        """(w1, b1, w2, b2, w3, b3), the arrays themselves. `set_params`
+        binds fresh arrays and never writes into these, so a pass that
+        captured them reads them unchanged while the caller takes Adam
+        steps."""
+        return self.w1, self.b1, self.w2, self.b2, self.w3, self.b3
+
+    def _layers(self, x: np.ndarray, lane: int, params: tuple):
+        """(h1, h2, D) under `params` of a (B, n+p) block, or of an
+        (E, T, n+p) stack of E episodes, which numpy's stacked matmul
+        multiplies one (T, n+p) episode at a time with the BLAS call a lone
+        episode gets. h1 and h2 are views of the lane, valid until its next
+        pass; D is a fresh array."""
         if x.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
             raise ValueError(
                 f"expected inputs of width {self.input_dim}, got shape {x.shape}")
+        w1, b1, w2, b2, w3, b3 = params
         h1, h2, _ = self._blocks(x.size // self.input_dim, lane).reshape(
             3, *x.shape[:-1], HIDDEN)
-        np.matmul(x, self.w1.T, out=h1)
-        h1 += self.b1
+        np.matmul(x, w1.T, out=h1)
+        h1 += b1
         np.tanh(h1, out=h1)
-        np.matmul(h1, self.w2.T, out=h2)
-        h2 += self.b2
+        np.matmul(h1, w2.T, out=h2)
+        h2 += b2
         np.tanh(h2, out=h2)
-        z = h2 @ self.w3.T + self.b3
+        z = h2 @ w3.T + b3
         return h1, h2, 1.0 / (1.0 + np.exp(-z[..., 0]))
 
-    def reward_batch(self, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    def reward_batch(self, states: np.ndarray, actions: np.ndarray,
+                     meanwhile=None) -> np.ndarray:
         """Per-step rewards -log(1 - D), clamped near D = 1: (B, T) rewards of
-        a (B, T, .) block of B episodes, the bits of one forward pass per
-        episode. Episodes [:B//2] are scored on the calling thread and
-        [B//2:] on the helper, each half in stacked passes of whole
-        episodes."""
+        a (B, T, .) block of B episodes under the parameters as they are at
+        entry, the bits of one forward pass per episode.
+
+        The block goes in stacked passes of whole episodes, about SCORE_ROWS
+        rows each, claimed one at a time by the helper thread from the start
+        and by the caller once `meanwhile()`, if given, has returned. So
+        `meanwhile` may train this discriminator while the helper scores:
+        the passes read the parameter arrays captured here, which
+        `set_params` replaces and never writes into. An exception from
+        `meanwhile` is raised once the helper is done."""
         if states.ndim != 3 or actions.ndim != 3 \
                 or states.shape[:2] != actions.shape[:2]:
             raise ValueError("expected (B, T, .) blocks of states and actions "
                              f"with equal (B, T), got {states.shape} and "
                              f"{actions.shape}")
         out = np.empty(states.shape[:2])
-        half = len(states) // 2
-        _in_both_lanes(self._score, (states[:half], actions[:half], out[:half]),
-                       (states[half:], actions[half:], out[half:]))
+        per_pass = max(1, SCORE_ROWS // max(out.shape[1], 1))
+        params = self._params()
+        _in_both_lanes(MlpDiscriminator._score, [
+            (self, params, states[i:i + per_pass], actions[i:i + per_pass],
+             out[i:i + per_pass]) for i in range(0, len(out), per_pass)],
+            meanwhile)
         return out
 
-    def _score(self, states: np.ndarray, actions: np.ndarray, out: np.ndarray,
-               lane: int) -> None:
-        """Rewards of each episode of a (B, T, .) block into the rows of `out`,
-        in stacked passes of whole episodes, about SCORE_ROWS rows each."""
-        steps = out.shape[1]
-        if steps == 0:
-            return
-        per_pass = max(1, SCORE_ROWS // steps)
-        for i in range(0, len(out), per_pass):
-            x = np.concatenate([states[i:i + per_pass], actions[i:i + per_pass]],
-                               axis=2)
-            d = self._layers(x, lane)[2]
-            out[i:i + per_pass] = -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
+    def _score(self, params: tuple, states: np.ndarray, actions: np.ndarray,
+               out: np.ndarray, lane: int) -> None:
+        """Rewards of an (E, T, .) stack of whole episodes into `out`, in one
+        stacked pass."""
+        d = self._layers(np.concatenate([states, actions], axis=2), lane,
+                         params)[2]
+        out[...] = -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
 
     def get_params(self) -> np.ndarray:
         """Flat copy of all parameters (w1, b1, w2, b2, w3, b3 order)."""
-        return np.concatenate([self.w1.ravel(), self.b1, self.w2.ravel(),
-                               self.b2, self.w3.ravel(), [self.b3]])
+        return np.concatenate([np.ravel(a) for a in self._params()])
 
     def set_params(self, flat: np.ndarray) -> None:
         if np.shape(flat) != (self.n_params,):
@@ -139,6 +154,8 @@ class MlpDiscriminator:
             size = int(np.prod(shape))
             arrays.append(flat[pos:pos + size].reshape(shape).copy())
             pos += size
+        # fresh arrays, never written in place: a scoring pass on the helper
+        # may still read the old ones
         self.w1, self.b1, self.w2, self.b2, self.w3 = arrays
         self.b3 = float(flat[pos])
 
@@ -167,7 +184,9 @@ def disc_init(n: int, p: int, rng: Rng) -> MlpDiscriminator:
 def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float,
                    lane: int):
     """0.5 * mean((D - target)^2) over one labelled batch, and its gradient."""
-    h1, h2, d = disc._layers(x, lane)
+    params = disc._params()
+    w2, w3 = params[2], params[4]
+    h1, h2, d = disc._layers(x, lane, params)
     d2 = disc._blocks(len(x), lane)[2]
     # dL/dz = (D - target) * D(1-D) / B   (the 0.5 cancels the square's 2)
     dz = ((d - target) * d * (1.0 - d) / len(x))[:, None]
@@ -177,7 +196,7 @@ def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float,
     # K = 1, so the broadcast product rounds the same
     np.multiply(h2, h2, out=h2)
     np.subtract(1.0, h2, out=h2)
-    np.multiply(dz, disc.w3, out=d2)
+    np.multiply(dz, w3, out=d2)
     d2 *= h2
     gw2 = d2.T @ h1
     gb2 = d2.sum(axis=0)
@@ -185,7 +204,7 @@ def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float,
     d1 = h2
     np.multiply(h1, h1, out=h1)
     np.subtract(1.0, h1, out=h1)
-    np.matmul(d2, disc.w2, out=d1)
+    np.matmul(d2, w2, out=d1)
     d1 *= h1
     gw1 = d1.T @ x
     gb1 = d1.sum(axis=0)
@@ -204,28 +223,52 @@ def _helper(pid: int):
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="ailsrs-disc")
 
 
-def _in_both_lanes(fn, here: tuple, there: tuple):
-    """(fn(*here, 0), fn(*there, 1)), the first on the calling thread and the
-    second on the helper thread, at once. `fn` must be private: bench/tracing.py
-    wraps public functions around one span stack, which two threads would
-    interleave."""
-    later = _helper(os.getpid()).submit(fn, *there, 1)
+def _in_both_lanes(fn, jobs: list, meanwhile=None) -> list:
+    """[fn(*job, lane) for job in jobs], the jobs claimed one at a time from
+    one shared iterator (its next() holds the interpreter lock) by the
+    helper thread in lane 1 and by the calling thread in lane 0, the caller
+    first running `meanwhile()` if given. Lane 0 is only ever the calling
+    thread's and lane 1 the helper's, so `meanwhile` may itself make
+    two-lane calls on the same discriminator.
+
+    A helper that has not started when the caller has claimed the last job
+    is cancelled, not waited for: it may be busy with other work, such as
+    scoring an earlier block. One that has started owns lane 1 until it is
+    done, so an error on either thread is raised only after that. `fn`
+    must be private: bench/tracing.py wraps public functions around one
+    span stack, which two threads would interleave. An exhausted claim
+    iterator drops `jobs`, so a cancelled task left in the helper's queue
+    holds none of their arguments."""
+    claims = enumerate(jobs)
+    results = [None] * len(jobs)
+
+    def claim(lane):
+        for i, job in claims:
+            results[i] = fn(*job, lane)
+
+    later = _helper(os.getpid()).submit(claim, 1)
     try:
-        result = fn(*here, 0)
+        if meanwhile is not None:
+            meanwhile()
+        claim(0)
     finally:
-        later.exception()  # wait: lane 1 is the helper's until it is done
-    return result, later.result()
+        helped = not later.cancel()
+        if helped:
+            later.exception()  # wait: lane 1 is the helper's until it is done
+    if helped:
+        later.result()  # raises the helper's error, if any
+    return results
 
 
 def lsgan_grad(disc: MlpDiscriminator, expert_inputs: np.ndarray,
                sampled_inputs: np.ndarray) -> tuple[float, np.ndarray]:
     """The LSGAN loss 0.5 E_expert[(D-1)^2] + 0.5 E_sampled[D^2] and its exact
     gradient flattened in get_params order, both from one forward pass; the
-    sampled half runs on the helper thread."""
+    two threads claim the expert and the sampled half."""
     if len(expert_inputs) == 0 or len(sampled_inputs) == 0:
         raise ValueError("both batches must be nonempty")
     (loss_e, ge), (loss_s, gs) = _in_both_lanes(
-        _backprop_half, (disc, expert_inputs, 1.0), (disc, sampled_inputs, 0.0))
+        _backprop_half, [(disc, expert_inputs, 1.0), (disc, sampled_inputs, 0.0)])
     return loss_e + loss_s, np.concatenate([np.ravel(e + s)
                                             for e, s in zip(ge, gs)])
 

@@ -197,17 +197,16 @@ def make_env(name: str):
 
 
 def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
-            reward_source, keys: np.ndarray):
+            keys: np.ndarray):
     """Run B = len(keys) episodes in lockstep to the horizon T, episode b
-    reset from the stream at the uint64 key keys[b]; returns the raw observed
-    states (B, T, n), actions (B, T, p), env_rewards (B, T) and returns (B,).
+    reset from the stream at the uint64 key keys[b] of the 1-D `keys`;
+    returns the raw observed states (B, T, n), actions (B, T, p),
+    env_rewards (B, T) and the environment returns (B,). A discriminator
+    scores the returned block afterwards (`trainer.search`).
 
     `thetas` is (B, p, n), one policy per episode, or one (p, n) for all,
-    in any memory layout; actions are clipped to the actuator range.
-    `reward_source` is None for environment reward, or an object whose
-    `reward_batch(states, actions)` scores the whole (B, T, .) block of
-    finished episodes in one call, returning (B, T) rewards. The normalizer
-    is read, never written.
+    in any memory layout; actions are clipped to the actuator range. The
+    normalizer is read, never written.
 
     The loop steps one time-major, episode-minor (T + 1, k, B) state block
     and one (T, p, B) action block: `step` reads the (k, B) x[t] and the
@@ -223,6 +222,9 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     if normalizer.mean.shape != (n,):
         raise ValueError(f"{spec.name} takes {n}-wide whitening "
                          f"statistics, got shape {normalizer.mean.shape}")
+    if np.ndim(keys) != 1:
+        raise ValueError(f"{spec.name} takes a 1-D array of keys, one per "
+                         f"episode, got shape {np.shape(keys)}")
     if len(keys) == 0:
         raise ValueError(f"{spec.name} takes one or more episodes, got 0")
     if np.ndim(thetas) == 3 and len(thetas) != len(keys):
@@ -258,14 +260,9 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     # the block itself when x holds only the observation
     states = np.ascontiguousarray(x_block[..., :n])
     env_rewards = env.rewards(x_block, actions)
-    if reward_source is None:
-        # cumsum adds in step order, like a scalar running sum; + 0.0 gives
-        # the +0.0 that a sum started from 0.0 leaves when every reward is -0.0
-        returns = np.cumsum(env_rewards, axis=1)[:, -1] + 0.0
-    else:
-        # each row of the C-contiguous (B, T) block is summed pairwise, as
-        # np.sum sums that row alone
-        returns = reward_source.reward_batch(states, actions).sum(axis=1)
+    # cumsum adds in step order, like a scalar running sum; + 0.0 gives the
+    # +0.0 that a sum started from 0.0 leaves when every reward is -0.0
+    returns = np.cumsum(env_rewards, axis=1)[:, -1] + 0.0
     return states, actions, env_rewards, returns
 
 
@@ -279,7 +276,7 @@ def episode_keys(seed: int, episodes: int) -> np.ndarray:
 def evaluate_policy(policy: LinearPolicy, normalizer: ObservationNormalizer,
                     env_name: str, episodes: int, seed: int) -> tuple[float, float]:
     """Mean and population std of environment return over seeded episodes."""
-    *_, returns = rollout(make_env(env_name), policy.theta, normalizer, None,
+    *_, returns = rollout(make_env(env_name), policy.theta, normalizer,
                           episode_keys(seed, episodes))
     return float(returns.mean()), float(returns.std())
 

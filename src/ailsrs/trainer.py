@@ -3,17 +3,20 @@
 `search` climbs the environment reward (expert training) or, given
 demonstrations, a discriminator reward (imitation). One iteration:
 
-1. sample N directions and roll out the +/- policy pair for each, scoring
-   every episode with the environment or with the *current* discriminator
-   (one frozen snapshot for all 2N episodes, so the pairwise comparisons
-   are meaningful);
-2. update the policy weights from those returns;
-3. imitation only: take a few Adam steps on the discriminator, batching the
-   fresh episodes against the demonstrations;
-4. fold all visited states into the observation normalizer.
+1. sample N directions and roll out the +/- policy pair for each, which
+   gives the environment returns;
+2. imitation only: score every episode with the discriminator as it is at
+   the start of the iteration (one frozen snapshot for all 2N episodes, so
+   the pairwise comparisons are meaningful), on the discriminator's helper
+   thread, while the calling thread takes a few Adam steps on it, batching
+   the fresh episodes against the demonstrations, and then helps score;
+3. fold all visited states into the observation normalizer (in
+   imitation, during step 2, before the caller helps score);
+4. update the policy weights from the returns.
 
-In imitation, environment rewards are logged for evaluation only and never
-reach the policy update.
+Neither the Adam steps nor the merge reads a score, and the scores read the
+parameters captured before the first step, so the overlap changes no bit.
+In imitation, environment returns never reach the policy update.
 """
 from __future__ import annotations
 
@@ -122,6 +125,7 @@ def search(env_name: str, cfg: TrainerConfig,
         disc = disc_init(spec.state_dim, spec.action_dim,
                          root.derive(DISC_INIT_STREAM))
         adam = AdamState.zeros(disc.n_params)
+        batch = cfg.disc_batch if cfg.disc_batch is not None else spec.horizon
     if init is None:
         init = (LinearPolicy.zeros(spec.action_dim, spec.state_dim),
                 ObservationNormalizer.for_dim(spec.state_dim))
@@ -135,27 +139,36 @@ def search(env_name: str, cfg: TrainerConfig,
                                    cfg.ars.n_directions, spec.action_dim,
                                    spec.state_dim)
         returns, states, actions = evaluate_directions(
-            theta, deltas, cfg.ars.nu, env_name, normalizer, disc,
+            theta, deltas, cfg.ars.nu, env_name, normalizer,
             root.derive(ROLLOUT_STREAM, t))
+        visited = states.reshape(-1, spec.state_dim)
+        disc_loss = None
+        if expert is None:
+            normalizer.add_states(visited)
+        else:
+            def train_and_fold():
+                nonlocal disc_loss
+                sampled_pairs = np.concatenate([states, actions], axis=2).reshape(
+                    -1, spec.state_dim + spec.action_dim)
+                disc_loss = disc_train(disc, adam, expert_pairs, sampled_pairs,
+                                       cfg.disc_iters, batch,
+                                       root.derive(DISC_BATCH_STREAM, t),
+                                       lr=cfg.disc_lr)
+                normalizer.add_states(visited)
+
+            # each row of the C-contiguous (2N, T) rewards is summed
+            # pairwise, as np.sum sums that row alone
+            returns = disc.reward_batch(states, actions, train_and_fold).sum(
+                axis=1).reshape(-1, 2)
         theta = ars_update(theta, deltas, returns, cfg.ars.alpha)
         if not (np.isfinite(returns).all() and np.isfinite(theta).all()):
             bad = np.flatnonzero(~np.isfinite(returns).all(axis=1))
             where = (f"the returns of direction {bad[0]}" if bad.size
                      else "the updated weights")
             raise FloatingPointError(f"iteration {t}: non-finite value in {where}")
-        disc_loss = None
-        if expert is not None:
-            batch = cfg.disc_batch if cfg.disc_batch is not None else spec.horizon
-            sampled_pairs = np.concatenate([states, actions], axis=2).reshape(
-                -1, spec.state_dim + spec.action_dim)
-            disc_loss = disc_train(disc, adam, expert_pairs, sampled_pairs,
-                                   cfg.disc_iters, batch,
-                                   root.derive(DISC_BATCH_STREAM, t),
-                                   lr=cfg.disc_lr)
-            if not np.isfinite(disc.get_params()).all():
-                raise FloatingPointError(f"iteration {t}: non-finite value in "
-                                         "the discriminator parameters")
-        normalizer.add_states(states.reshape(-1, spec.state_dim))
+        if expert is not None and not np.isfinite(disc.get_params()).all():
+            raise FloatingPointError(f"iteration {t}: non-finite value in "
+                                     "the discriminator parameters")
         wall_ms = (time.perf_counter() - started) * 1000.0
         yield theta, normalizer, MetricsRow(
             t, float(returns.mean()), float(returns.std()), disc_loss,

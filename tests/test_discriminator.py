@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import multiprocessing
@@ -47,6 +48,26 @@ def _episode_rewards(disc, x):
 
 def _oracle_d(disc, x):
     return _oracles.disc_layers(disc, x)[2]
+
+
+@contextlib.contextmanager
+def _helper_held():
+    """The helper thread blocked on an event until the block exits, so every
+    two-lane job inside it runs on the caller, in lane 0. Yields the
+    blocking task, which a call that waited for the helper would outlive."""
+    release = threading.Event()
+    blocker = discriminator._helper(os.getpid()).submit(release.wait, 60)
+    try:
+        yield blocker
+    finally:
+        release.set()
+        blocker.result()
+
+
+def _after_helper():
+    """A `meanwhile` that returns once the helper has run every task queued
+    before it: the passes of the block are all scored in lane 1."""
+    discriminator._helper(os.getpid()).submit(lambda: None).result()
 
 
 def test_disc_init_biases_zero_and_bounded_weights():
@@ -300,7 +321,7 @@ def test_passes_byte_equal_to_out_of_place_reference(width):
     for rows in (1000, 7, 100, 1, 2000):
         xe = _uniform_rows(rng, rows, width)
         xs = _uniform_rows(rng, max(1, rows // 3), width)
-        # two episodes, one in each lane, then one episode in lane 1
+        # two episodes, then one
         pair = np.stack([xe, xe[::-1]])
         assert (disc.reward_batch(pair[..., :-1], pair[..., -1:]).tobytes()
                 == np.stack([_oracles.disc_rewards(disc, e[:, :-1], e[:, -1:])
@@ -308,7 +329,7 @@ def test_passes_byte_equal_to_out_of_place_reference(width):
         states, actions = xs[:, :-1], xs[:, -1:]
         assert (_episode_rewards(disc, xs).tobytes()
                 == _oracles.disc_rewards(disc, states, actions).tobytes())
-        # the sampled half, in lane 1, smaller and then larger than lane 0's
+        # the sampled half smaller and then larger than the expert half
         for expert, sampled in ((xe, xs), (xs, xe)):
             loss, grad = lsgan_grad(disc, expert, sampled)
             ref_loss, ref_grad = _oracles.lsgan_grad(disc, expert, sampled)
@@ -342,13 +363,17 @@ def test_empty_blocks_score_to_empty_rewards(episodes, steps):
 
 @pytest.mark.parametrize("episodes, steps", [(64, 100), (4, 1000), (64, 1)])
 def test_scoring_lanes_hold_at_most_one_stack(episodes, steps):
-    # a lane grows to one pass of whole episodes, not to its half of the block
+    # a lane grows to one pass of whole episodes, not to its share of the
+    # block; which lane scores which pass is the threads' race
     rng = Rng(69)
     disc = disc_init(2, 1, rng)
     block = _uniform_rows(rng, episodes * steps, 3).reshape(episodes, steps, 3)
-    disc.reward_batch(block[..., :2], block[..., 2:])
+    rewards = disc.reward_batch(block[..., :2], block[..., 2:])
     for lane in disc._scratch:
-        assert 0 < lane.shape[1] <= max(discriminator.SCORE_ROWS, steps)
+        assert lane.shape[1] <= max(discriminator.SCORE_ROWS, steps)
+    with _helper_held():
+        one_lane = disc.reward_batch(block[..., :2], block[..., 2:])
+    assert rewards.tobytes() == one_lane.tobytes()
 
 
 def test_returned_arrays_do_not_alias_the_scratch():
@@ -363,8 +388,10 @@ def test_returned_arrays_do_not_alias_the_scratch():
     kept = [a.copy() for a in returned]
     for rows in (10, 500):  # smaller views, then grown lanes
         y = _uniform_rows(rng, rows, 6)
-        _episode_rewards(disc, y)
-        disc.reward_batch(y[None, :, :4].repeat(3, 0), y[None, :, 4:].repeat(3, 0))
+        with _helper_held():  # lane 0
+            _episode_rewards(disc, y)
+        disc.reward_batch(y[None, :, :4].repeat(3, 0), y[None, :, 4:].repeat(3, 0),
+                          _after_helper)  # lane 1
         assert lsgan_grad(disc, y, _uniform_rows(rng, rows, 6))[0] != loss
         for fresh, copy in zip(returned, kept):
             assert fresh.tobytes() == copy.tobytes()
@@ -392,7 +419,7 @@ def test_helper_error_reaches_the_caller_and_the_next_call_is_exact(monkeypatch)
     disc = disc_init(2, 1, rng)
     xe, xs = _uniform_rows(rng, 30, 3), _uniform_rows(rng, 20, 3)
     with pytest.raises(ValueError, match="width 3"):
-        lsgan_grad(disc, xe, _uniform_rows(rng, 20, 4))  # fails on the helper
+        lsgan_grad(disc, xe, _uniform_rows(rng, 20, 4))  # fails in either lane
     # a failing expert half still waits for the sampled half in lane 1
     helper_started, helper_done = threading.Event(), []
 
@@ -415,6 +442,72 @@ def test_helper_error_reaches_the_caller_and_the_next_call_is_exact(monkeypatch)
     ref_loss, ref_grad = _oracles.lsgan_grad(disc, xe, xs)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     assert grad.tobytes() == ref_grad.tobytes()
+
+
+@pytest.mark.parametrize("meanwhile_waits", [False, True],
+                         ids=["caller-scores", "helper-scores"])
+def test_scores_read_the_parameters_of_entry_while_meanwhile_sets_new_ones(
+        meanwhile_waits):
+    rng = Rng(71)
+    disc = disc_init(2, 1, rng)
+    block = _uniform_rows(rng, 64 * 100, 3).reshape(64, 100, 3)
+    states, actions = block[..., :2], block[..., 2:]
+    before = disc.reward_batch(states, actions)
+    new = disc_init(2, 1, Rng(72)).get_params()
+
+    def set_new_params():
+        disc.set_params(new)
+        if meanwhile_waits:  # every pass then starts on the helper after it
+            _after_helper()
+
+    rewards = disc.reward_batch(states, actions, set_new_params)
+    assert rewards.tobytes() == before.tobytes()
+    assert disc.get_params().tobytes() == new.tobytes()
+    assert disc.reward_batch(states, actions).tobytes() != before.tobytes()
+
+
+@pytest.mark.parametrize("rows", [100, 1000])
+def test_lsgan_grad_with_the_helper_busy_runs_both_halves_on_the_caller(rows):
+    rng = Rng(73)
+    disc = disc_init(4, 2, rng)
+    xe, xs = _uniform_rows(rng, rows, 6), _uniform_rows(rng, rows, 6)
+    loss, grad = lsgan_grad(disc, xe, xs)
+    with _helper_held() as blocker:
+        held_loss, held_grad = lsgan_grad(disc, xe, xs)
+        assert not blocker.done()  # returned without waiting for the helper
+    assert np.float64(held_loss).tobytes() == np.float64(loss).tobytes()
+    assert held_grad.tobytes() == grad.tobytes()
+
+
+def test_meanwhile_error_reaches_the_caller_once_the_helper_is_done(monkeypatch):
+    rng = Rng(74)
+    disc = disc_init(2, 1, rng)
+    # 8 episodes of 100 steps: two passes, of 5 and 3 episodes
+    block = _uniform_rows(rng, 8 * 100, 3).reshape(8, 100, 3)
+    states, actions = block[..., :2], block[..., 2:]
+    helper_started, helper_done = threading.Event(), []
+
+    def slow_score(self, params, states, actions, out, lane):
+        if lane == 1:
+            helper_started.set()
+            time.sleep(0.05)
+            helper_done.append(len(out))
+        return score(self, params, states, actions, out, lane)
+
+    def failing_meanwhile():
+        helper_started.wait(timeout=10)  # fail only once the helper is busy
+        raise RuntimeError("meanwhile failed")
+
+    score = MlpDiscriminator._score
+    monkeypatch.setattr(MlpDiscriminator, "_score", slow_score)
+    with pytest.raises(RuntimeError, match="meanwhile failed"):
+        disc.reward_batch(states, actions, failing_meanwhile)
+    assert helper_done == [5, 3]  # the caller claimed no pass
+    monkeypatch.undo()
+    expect = np.stack([_oracles.disc_rewards(disc, s, a)
+                       for s, a in zip(states, actions)]).tobytes()
+    assert disc.reward_batch(states, actions).tobytes() == expect
+    assert disc.reward_batch(states, actions, lambda: None).tobytes() == expect
 
 
 def test_forked_child_starts_its_own_helper():

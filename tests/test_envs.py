@@ -6,7 +6,6 @@ import pytest
 
 from _oracles import ScalarRng
 
-from ailsrs.discriminator import disc_init
 from ailsrs.envs import (LQR_A, LQR_B, LQR_Q, LQR_R, EnvSpec, env_names,
                          episode_keys, evaluate_policy, make_env, riccati_optimal,
                          rollout)
@@ -140,7 +139,7 @@ def test_observation_is_leading_columns_of_state(name):
     thetas = np.stack([3.0 * rng.derive(2, b).gaussian_matrix(p, n)
                        for b in range(4)])
     states, actions, _, _ = rollout(env, thetas, ObservationNormalizer.for_dim(n),
-                                    None, rng.keys(3, np.arange(4)))
+                                    rng.keys(3, np.arange(4)))
     x = env.reset(rng.keys(3, np.arange(4)))
     assert x.ndim == 2 and x.shape[0] >= n and x.shape[1] == 4
     for t in range(env.spec.horizon):
@@ -171,7 +170,7 @@ class _NegativeZeroEnv:
 def test_all_negative_zero_rewards_return_positive_zero():
     # a running sum started from 0.0 gives +0.0 when every reward is -0.0
     *_, env_rewards, returns = rollout(_NegativeZeroEnv(), np.zeros((1, 1)),
-                                       ObservationNormalizer.for_dim(1), None,
+                                       ObservationNormalizer.for_dim(1),
                                        _root_keys(0, 1))
     assert env_rewards.tobytes() == np.full((2, 5), -0.0).tobytes()
     assert returns.tobytes() == np.zeros(2).tobytes()
@@ -182,7 +181,7 @@ def test_rollout_zero_policy_matches_drift_oracle():
     env = make_env("lqr2d")
     pol = LinearPolicy.zeros(1, 2)
     norm = ObservationNormalizer.for_dim(2)
-    _, _, (env_rewards,), (ret,) = rollout(env, pol.theta, norm, None, _root_keys(42))
+    _, _, (env_rewards,), (ret,) = rollout(env, pol.theta, norm, _root_keys(42))
 
     s = make_env("lqr2d").reset(_root_keys(42))[:, 0]
     expect = 0.0
@@ -199,7 +198,7 @@ def test_rollout_respects_horizon():
     env = make_env("lqr2d")
     pol = LinearPolicy.zeros(1, 2)
     norm = ObservationNormalizer.for_dim(2)
-    states, _, _, returns = rollout(env, pol.theta, norm, None, _root_keys(1, 2))
+    states, _, _, returns = rollout(env, pol.theta, norm, _root_keys(1, 2))
     assert states.shape[:2] == (2, 100) and returns.shape == (2,)
 
 
@@ -208,7 +207,7 @@ def test_episodes_run_exactly_to_horizon():
         env = make_env(name)
         pol = LinearPolicy.zeros(env.spec.action_dim, env.spec.state_dim)
         norm = ObservationNormalizer.for_dim(env.spec.state_dim)
-        states, actions, env_rewards, returns = rollout(env, pol.theta, norm, None,
+        states, actions, env_rewards, returns = rollout(env, pol.theta, norm,
                                                         _root_keys(2, 3))
         n, p, horizon = env.spec.state_dim, env.spec.action_dim, env.spec.horizon
         assert states.shape == (2, horizon, n) and actions.shape == (2, horizon, p)
@@ -218,8 +217,8 @@ def test_episodes_run_exactly_to_horizon():
 def test_rollout_deterministic():
     pol = LinearPolicy(np.array([[0.3, -0.2]]))
     norm = ObservationNormalizer.for_dim(2)
-    s1, a1, _, r1 = rollout(make_env("lqr2d"), pol.theta, norm, None, _root_keys(9))
-    s2, a2, _, r2 = rollout(make_env("lqr2d"), pol.theta, norm, None, _root_keys(9))
+    s1, a1, _, r1 = rollout(make_env("lqr2d"), pol.theta, norm, _root_keys(9))
+    s2, a2, _, r2 = rollout(make_env("lqr2d"), pol.theta, norm, _root_keys(9))
     assert r1.tobytes() == r2.tobytes()
     assert s1.tobytes() == s2.tobytes()
     assert a1.tobytes() == a2.tobytes()
@@ -228,7 +227,7 @@ def test_rollout_deterministic():
 def test_rollout_records_clipped_actions():
     pol = LinearPolicy(np.array([[100.0, 0.0]]))  # saturates the actuator
     norm = ObservationNormalizer.for_dim(2)
-    _, actions, _, _ = rollout(make_env("lqr2d"), pol.theta, norm, None, _root_keys(3))
+    _, actions, _, _ = rollout(make_env("lqr2d"), pol.theta, norm, _root_keys(3))
     assert np.max(np.abs(actions)) <= 10.0
 
 
@@ -239,7 +238,7 @@ def test_rollout_rejects_whitening_statistics_of_another_width(width):
     norm = ObservationNormalizer(3, np.full(width, 0.5), np.full(width, 3.0))
     with pytest.raises(ValueError, match=re.escape(
             f"lqr2d takes 2-wide whitening statistics, got shape ({width},)")):
-        rollout(make_env("lqr2d"), np.array([[0.3, -0.2]]), norm, None, _root_keys(0))
+        rollout(make_env("lqr2d"), np.array([[0.3, -0.2]]), norm, _root_keys(0))
 
 
 @pytest.mark.parametrize("name", ENVS)
@@ -259,7 +258,7 @@ def test_rollout_rejects_episode_and_policy_counts(name, thetas_shape, episodes,
     thetas = np.zeros((*thetas_shape, spec.action_dim, spec.state_dim))
     with pytest.raises(ValueError, match=re.escape(f"{name} {message}")):
         rollout(make_env(name), thetas, ObservationNormalizer.for_dim(spec.state_dim),
-                None, _root_keys(*range(episodes)))
+                _root_keys(*range(episodes)))
 
 
 @pytest.mark.parametrize("name", ENVS)
@@ -274,8 +273,24 @@ def test_rollout_rejects_policy_stacks_of_rank_4(name, stack):
     with pytest.raises(ValueError, match=re.escape(
             f"{name} takes ({p}, {n}) or (B, {p}, {n}) policies, got shape "
             f"{thetas.shape}")):
-        rollout(make_env(name), thetas, ObservationNormalizer.for_dim(n), None,
+        rollout(make_env(name), thetas, ObservationNormalizer.for_dim(n),
                 _root_keys(*range(stack[0])))
+
+
+@pytest.mark.parametrize("name", ENVS)
+@pytest.mark.parametrize("labels", [
+    pytest.param((np.arange(3)[:, None], (0, 1)), id="3x2-keys"),
+    pytest.param((0,), id="0d-key")])
+def test_rollout_rejects_keys_that_are_not_1d(name, labels):
+    # the (N, 2) block of evaluate_directions' keys before their ravel used to
+    # pass the count check and fail inside numpy; a 0-d key had no length
+    spec = make_env(name).spec
+    keys = Rng(5).keys(*labels)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} takes a 1-D array of keys, one per episode, got shape "
+            f"{keys.shape}")):
+        rollout(make_env(name), np.zeros((spec.action_dim, spec.state_dim)),
+                ObservationNormalizer.for_dim(spec.state_dim), keys)
 
 
 class _RecordingEnv:
@@ -311,7 +326,7 @@ def test_rollout_steps_on_contiguous_episode_rows(name, shared):
     n, p = env.spec.state_dim, env.spec.action_dim
     thetas = np.full((5, p, n), 0.1)
     states, *_ = rollout(env, thetas[0] if shared else thetas,
-                         ObservationNormalizer.for_dim(n), None,
+                         ObservationNormalizer.for_dim(n),
                          _root_keys(*range(5)))
     assert env.steps == env.spec.horizon
     assert states.shape == (5, env.spec.horizon, n)
@@ -373,7 +388,7 @@ def test_block_rollout_matches_scalar_reference(name, scale, shared):
     if shared:
         thetas = thetas[0]
     states, actions, env_rewards, returns = rollout(
-        make_env(name), thetas, norm, None, rng.keys(3, np.arange(16)))
+        make_env(name), thetas, norm, rng.keys(3, np.arange(16)))
     if scale > 1.0:
         assert np.any(actions == spec.action_clip)
         assert np.any(actions == -spec.action_clip)
@@ -395,22 +410,23 @@ def _episode_bytes(states, actions, env_rewards, returns):
             for episode in zip(states, actions, env_rewards, returns)]
 
 
-@pytest.mark.parametrize("name", ENVS)
-@pytest.mark.parametrize("scored", [False, True], ids=["env-reward", "disc-reward"])
-def test_block_rollout_matches_single_episodes(name, scored):
+# rollout returns environment returns; the discriminator's rewards of a block
+# are checked against one episode at a time by test_discriminator.py's
+# test_episode_block_rewards_byte_equal_to_one_episode_at_a_time
+@pytest.mark.parametrize("name", ENVS, ids=[f"env-reward-{n}" for n in ENVS])
+def test_block_rollout_matches_single_episodes(name):
     # B episodes in lockstep equal B one-episode rollouts bit for bit, with
     # per-episode policies and warm whitening statistics
     spec = make_env(name).spec
     rng = ScalarRng(11)
-    disc = disc_init(spec.state_dim, spec.action_dim, rng.derive(1)) if scored else None
     norm = ObservationNormalizer.for_dim(spec.state_dim)
     norm.add_states(np.array([[rng.gaussian() for _ in range(spec.state_dim)]
                               for _ in range(20)]))
     thetas = np.stack([0.5 * rng.derive(2, b).gaussian_matrix(spec.action_dim,
                                                              spec.state_dim)
                        for b in range(6)])
-    block = rollout(make_env(name), thetas, norm, disc, rng.keys(3, np.arange(6)))
-    single = [rollout(make_env(name), thetas[b], norm, disc, rng.keys(3, [b]))
+    block = rollout(make_env(name), thetas, norm, rng.keys(3, np.arange(6)))
+    single = [rollout(make_env(name), thetas[b], norm, rng.keys(3, [b]))
               for b in range(6)]
     assert _episode_bytes(*block) == [_episode_bytes(*one)[0] for one in single]
 
@@ -435,8 +451,8 @@ def test_rollout_bits_do_not_depend_on_policy_layout(name, whitened, layout):
         thetas = thetas[:, :, ::2]
     assert not thetas.flags.c_contiguous
     keys = Rng(13).keys(3, np.arange(16))
-    got = rollout(make_env(name), thetas, norm, None, keys)
-    expect = rollout(make_env(name), np.ascontiguousarray(thetas), norm, None, keys)
+    got = rollout(make_env(name), thetas, norm, keys)
+    expect = rollout(make_env(name), np.ascontiguousarray(thetas), norm, keys)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in expect]
 
 
@@ -488,8 +504,8 @@ def test_riccati_beats_zero_policy_on_every_seed():
     pol, norm, _ = riccati_optimal(episodes=1)
     zero = LinearPolicy.zeros(1, 2)
     keys = episode_keys(0, 100)
-    *_, opt = rollout(make_env("lqr2d"), pol.theta, norm, None, keys)
-    *_, zero_returns = rollout(make_env("lqr2d"), zero.theta, norm, None, keys)
+    *_, opt = rollout(make_env("lqr2d"), pol.theta, norm, keys)
+    *_, zero_returns = rollout(make_env("lqr2d"), zero.theta, norm, keys)
     assert np.all(opt >= zero_returns)
 
 

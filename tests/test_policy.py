@@ -40,7 +40,7 @@ def _first_actions(thetas, norm, state):
     thetas = np.asarray(thetas, dtype=float)
     env = _ConstantStateEnv(state, thetas.shape[-2])
     n_episodes = len(thetas) if thetas.ndim == 3 else 1
-    _, actions, _, _ = rollout(env, thetas, norm, None,
+    _, actions, _, _ = rollout(env, thetas, norm,
                                np.arange(n_episodes, dtype=np.uint64))
     return actions[:, 0]
 
@@ -73,7 +73,7 @@ def test_zero_state_gives_zero_action(mean, var, seed):
     norm = _normalizer(mean, var)
     assert np.all(norm.normalize(np.zeros(2)) == 0.0)
     _, actions, _, _ = rollout(_ConstantStateEnv(np.zeros(2), 3, horizon=3), theta,
-                               norm, None, Rng(seed).keys([0]))
+                               norm, Rng(seed).keys([0]))
     assert np.all(actions == 0.0)
 
 
@@ -122,7 +122,7 @@ def _perturbed_policies(theta, delta, nu):
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(envs._ENV_CLASSES, "basis", lambda: _BasisEnv(p, n))
         _, _, actions = evaluate_directions(theta, delta[None], nu, "basis",
-                                            ObservationNormalizer.for_dim(n), None,
+                                            ObservationNormalizer.for_dim(n),
                                             Rng(0))
     return list(actions.transpose(0, 2, 1))
 

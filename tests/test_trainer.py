@@ -228,7 +228,7 @@ def test_discriminator_loss_decreases_on_first_iteration(riccati_demos):
     disc = disc_init(2, 1, root.derive(3))
     deltas = sample_directions(root.derive(DIRECTIONS_STREAM, 0), 8, 1, 2)
     _, states, actions = evaluate_directions(np.zeros((1, 2)), deltas, 0.03, "lqr2d",
-                                             norm, disc, root.derive(ROLLOUT_STREAM, 0))
+                                             norm, root.derive(ROLLOUT_STREAM, 0))
     epool = np.concatenate(
         [np.concatenate([t.states, t.actions], axis=1) for t in demos.trajectories])
     spool = np.concatenate([states, actions], axis=2).reshape(-1, 3)
