@@ -16,8 +16,16 @@ not: OpenBLAS rounds a row by the row count of its call). `lsgan_grad`
 returns the loss of a minibatch pair with its hand-derived gradient from
 one forward pass (no autodiff dependency); `disc_train` takes Adam steps
 on minibatches drawn from two (M, n+p) arrays of [state, action] pairs,
-and when frozen (no steps) reports the loss of one such pair, never
-reading the whole pool.
+all of a call's indices in one draw, and when frozen (no steps) reports
+the loss of one such pair, never reading the whole pool.
+
+The parameters are one float64 vector in get_params order, and w1, b1,
+w2, b2, w3 and b3 are read-only views of it. A vector is never written
+once bound: `set_params` binds a copy of its input and each Adam step
+binds the fresh vector that `adam_step` returns, so a pass that captured
+the views of the old one reads it unchanged. Each half of a gradient is
+written into a fresh vector in the same order, through views of it, and
+the two halves are added in place.
 
 The passes write their (rows, 100) activations and deltas into scratch
 blocks that the discriminator keeps, grown to the largest minibatch or
@@ -56,10 +64,18 @@ class MlpDiscriminator:
     """Two-hidden-layer tanh MLP with a sigmoid head over [state; action].
     Not to be shared across threads: every pass writes into a scratch lane."""
 
+    # the read-only views of the vector bound now; assigning one would leave
+    # the vector stale, so they have no setter
+    w1, b1, w2, b2, w3, b3 = (property(lambda self, i=i: self._params[i])
+                              for i in range(6))
+
     def __init__(self, w1, b1, w2, b2, w3, b3):
-        self.w1, self.b1 = w1, b1
-        self.w2, self.b2 = w2, b2
-        self.w3, self.b3 = w3, b3
+        params = (w1, b1, w2, b2, w3, b3)
+        ends = np.cumsum([np.size(a) for a in params]).tolist()
+        # (start, stop, shape) of each array in the parameter vector
+        self._layout = [(end - np.size(a), end, np.shape(a))
+                        for a, end in zip(params, ends)]
+        self._bind(np.concatenate([np.ravel(a) for a in params], dtype=float))
         # lane 0 for the calling thread, lane 1 for the helper
         self._scratch = [np.empty((3, 0, HIDDEN)), np.empty((3, 0, HIDDEN))]
 
@@ -75,12 +91,19 @@ class MlpDiscriminator:
             self._scratch[lane] = np.empty((3, rows, HIDDEN))
         return self._scratch[lane][:, :rows]
 
-    def _params(self) -> tuple:
-        """(w1, b1, w2, b2, w3, b3), the arrays themselves. `set_params`
-        binds fresh arrays and never writes into these, so a pass that
-        captured them reads them unchanged while the caller takes Adam
-        steps."""
-        return self.w1, self.b1, self.w2, self.b2, self.w3, self.b3
+    def _views(self, vector: np.ndarray) -> tuple:
+        """(w1, b1, w2, b2, w3, b3) as views of a vector in get_params order."""
+        return tuple(vector[start:stop].reshape(shape)
+                     for start, stop, shape in self._layout)
+
+    def _bind(self, vector: np.ndarray) -> None:
+        """Make a fresh float64 vector the parameters, and `_params` its
+        views. It is made read-only and never written again, so a pass that
+        captured the old views reads them unchanged while the caller binds
+        new ones."""
+        vector.flags.writeable = False
+        self._vector = vector
+        self._params = self._views(vector)
 
     def _layers(self, x: np.ndarray, lane: int, params: tuple):
         """(h1, h2, D) under `params` of a (B, n+p) block, or of an
@@ -113,8 +136,8 @@ class MlpDiscriminator:
         rows each, claimed one at a time by the helper thread from the start
         and by the caller once `meanwhile()`, if given, has returned. So
         `meanwhile` may train this discriminator while the helper scores:
-        the passes read the parameter arrays captured here, which
-        `set_params` replaces and never writes into. An exception from
+        the passes read the views of the parameter vector captured here,
+        which training replaces and never writes into. An exception from
         `meanwhile` is raised once the helper is done."""
         if states.ndim != 3 or actions.ndim != 3 \
                 or states.shape[:2] != actions.shape[:2]:
@@ -123,7 +146,7 @@ class MlpDiscriminator:
                              f"{actions.shape}")
         out = np.empty(states.shape[:2])
         per_pass = max(1, SCORE_ROWS // max(out.shape[1], 1))
-        params = self._params()
+        params = self._params
         _in_both_lanes(MlpDiscriminator._score, [
             (self, params, states[i:i + per_pass], actions[i:i + per_pass],
              out[i:i + per_pass]) for i in range(0, len(out), per_pass)],
@@ -139,30 +162,18 @@ class MlpDiscriminator:
         out[...] = -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
 
     def get_params(self) -> np.ndarray:
-        """Flat copy of all parameters (w1, b1, w2, b2, w3, b3 order)."""
-        return np.concatenate([np.ravel(a) for a in self._params()])
+        """Copy of the parameter vector (w1, b1, w2, b2, w3, b3 order)."""
+        return self._vector.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         if np.shape(flat) != (self.n_params,):
             raise ValueError(f"expected a vector of {self.n_params} parameters, "
                              f"got shape {np.shape(flat)}")
-        shapes = [self.w1.shape, self.b1.shape, self.w2.shape, self.b2.shape,
-                  self.w3.shape]
-        pos = 0
-        arrays = []
-        for shape in shapes:
-            size = int(np.prod(shape))
-            arrays.append(flat[pos:pos + size].reshape(shape).copy())
-            pos += size
-        # fresh arrays, never written in place: a scoring pass on the helper
-        # may still read the old ones
-        self.w1, self.b1, self.w2, self.b2, self.w3 = arrays
-        self.b3 = float(flat[pos])
+        self._bind(np.array(flat, dtype=float))
 
     @property
     def n_params(self) -> int:
-        return (self.w1.size + self.b1.size + self.w2.size + self.b2.size
-                + self.w3.size + 1)
+        return self._vector.size
 
 
 def disc_init(n: int, p: int, rng: Rng) -> MlpDiscriminator:
@@ -183,32 +194,35 @@ def disc_init(n: int, p: int, rng: Rng) -> MlpDiscriminator:
 
 def _backprop_half(disc: MlpDiscriminator, x: np.ndarray, target: float,
                    lane: int):
-    """0.5 * mean((D - target)^2) over one labelled batch, and its gradient."""
-    params = disc._params()
+    """0.5 * mean((D - target)^2) over one labelled batch, and its gradient
+    as a fresh vector in get_params order."""
+    params = disc._params
     w2, w3 = params[2], params[4]
+    grad = np.empty(disc.n_params)
+    gw1, gb1, gw2, gb2, gw3, _ = disc._views(grad)
     h1, h2, d = disc._layers(x, lane, params)
     d2 = disc._blocks(len(x), lane)[2]
     # dL/dz = (D - target) * D(1-D) / B   (the 0.5 cancels the square's 2)
     dz = ((d - target) * d * (1.0 - d) / len(x))[:, None]
-    gw3 = dz.T @ h2
-    gb3 = float(dz.sum())
+    np.matmul(dz.T, h2, out=gw3)
+    grad[-1] = dz.sum()
     # d2 = (dz @ w3) * (1 - h2^2), with 1 - h2^2 in h2's block; dz @ w3 has
     # K = 1, so the broadcast product rounds the same
     np.multiply(h2, h2, out=h2)
     np.subtract(1.0, h2, out=h2)
     np.multiply(dz, w3, out=d2)
     d2 *= h2
-    gw2 = d2.T @ h1
-    gb2 = d2.sum(axis=0)
+    np.matmul(d2.T, h1, out=gw2)
+    np.sum(d2, axis=0, out=gb2)
     # d1 = (d2 w2) * (1 - h1^2), in h2's block
     d1 = h2
     np.multiply(h1, h1, out=h1)
     np.subtract(1.0, h1, out=h1)
     np.matmul(d2, w2, out=d1)
     d1 *= h1
-    gw1 = d1.T @ x
-    gb1 = d1.sum(axis=0)
-    return 0.5 * float(np.mean((d - target) ** 2)), [gw1, gb1, gw2, gb2, gw3, gb3]
+    np.matmul(d1.T, x, out=gw1)
+    np.sum(d1, axis=0, out=gb1)
+    return 0.5 * float(np.mean((d - target) ** 2)), grad
 
 
 @functools.cache
@@ -269,8 +283,8 @@ def lsgan_grad(disc: MlpDiscriminator, expert_inputs: np.ndarray,
         raise ValueError("both batches must be nonempty")
     (loss_e, ge), (loss_s, gs) = _in_both_lanes(
         _backprop_half, [(disc, expert_inputs, 1.0), (disc, sampled_inputs, 0.0)])
-    return loss_e + loss_s, np.concatenate([np.ravel(e + s)
-                                            for e, s in zip(ge, gs)])
+    ge += gs
+    return loss_e + loss_s, ge
 
 
 def disc_train(disc: MlpDiscriminator, adam: AdamState, expert_pairs: np.ndarray,
@@ -286,12 +300,14 @@ def disc_train(disc: MlpDiscriminator, adam: AdamState, expert_pairs: np.ndarray
     """
     if len(expert_pairs) == 0 or len(sampled_pairs) == 0:
         raise ValueError("both the expert and sampled pools must be nonempty")
+    # every step's two index rows in one draw, in the stream order of two
+    # draws per step
+    steps = rng.integers([[len(expert_pairs)], [len(sampled_pairs)]],
+                         (max(iters, 1), 2, batch_size))
     losses = []
-    for step in range(max(iters, 1)):
-        e_batch = expert_pairs[rng.integers(len(expert_pairs), batch_size)]
-        s_batch = sampled_pairs[rng.integers(len(sampled_pairs), batch_size)]
-        loss, grad = lsgan_grad(disc, e_batch, s_batch)
+    for step, (e_rows, s_rows) in enumerate(steps):
+        loss, grad = lsgan_grad(disc, expert_pairs[e_rows], sampled_pairs[s_rows])
         losses.append(loss)
         if step < iters:
-            disc.set_params(adam_step(adam, disc.get_params(), grad, lr))
+            disc._bind(adam_step(adam, disc._vector, grad, lr))
     return float(np.mean(losses))

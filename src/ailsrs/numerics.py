@@ -4,10 +4,14 @@ Everything here is driven by a splitmix64 generator so that any quantity in
 the toolkit is a pure function of (seed, label path). Every draw is a numpy
 block over uint64 stream keys, bit-identical to the scalar splitmix64 draws
 it stands for, so B episodes' or N directions' streams are one array, not
-B objects. Matrices and vectors are plain float64 numpy arrays, row-major.
+B objects; `Rng.integers` takes a range per row, so rows of different
+ranges are one draw too. Matrices and vectors are plain float64 numpy
+arrays, row-major. `adam_step` updates its moment buffers in place and
+returns the new parameters as a fresh vector.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,16 +124,36 @@ class Rng:
         """The next `size` uniforms in (lo, hi], as one array."""
         return uniform_block(self._advance(size), size, lo, hi)
 
-    def integers(self, n: int, size: int) -> np.ndarray:
-        """`size` uniform integers in [0, n): each is a raw draw % n."""
-        if not 1 <= n <= _INTP_MAX + 1:
-            raise ValueError(f"n must be in [1, {_INTP_MAX + 1}], got {n}")
-        return (_u64_draws(self._advance(size), size) % np.uint64(n)).astype(np.intp)
+    def integers(self, n, size) -> np.ndarray:
+        """Uniform integers in [0, n), each a raw draw % n, as an array of
+        shape `size` (an int or a tuple) filled in row-major order. `n` is
+        an integer or an integer array that broadcasts against that shape,
+        so one call may draw rows of different ranges."""
+        # as Python objects: numpy would make [[3], [2**63]] a float array
+        bounds = np.asarray(n, dtype=object)
+        if not all(isinstance(b, (int, np.integer)) and not isinstance(b, bool)
+                   and 1 <= b <= _INTP_MAX + 1 for b in bounds.flat):
+            raise ValueError(f"n must be integers in [1, {_INTP_MAX + 1}], "
+                             f"got {n!r}")
+        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+        if any(d < 0 for d in shape):
+            raise ValueError(f"size must be >= 0, got {size}")
+        try:
+            fits = np.broadcast_shapes(bounds.shape, shape) == shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ValueError(f"n of shape {bounds.shape} does not broadcast "
+                             f"to size {shape}")
+        count = math.prod(shape)
+        draws = _u64_draws(self._advance(count), count).reshape(shape)
+        return (draws % bounds.astype(np.uint64)).astype(np.intp)
 
 
 @dataclass
 class AdamState:
-    """Adam moment buffers for a flat parameter vector."""
+    """Adam moment buffers for a flat parameter vector, which `adam_step`
+    updates in place."""
 
     m: np.ndarray
     v: np.ndarray
@@ -142,14 +166,29 @@ class AdamState:
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
               lr: float) -> np.ndarray:
-    """One Adam update with bias correction. Mutates `state`, returns new params."""
+    """One Adam update with bias correction. Updates `state.m` and `state.v`
+    in place, through one scratch vector, and returns the new parameters as
+    a fresh vector; `params` is never written. The operations are Kingma &
+    Ba's, in the order of the out-of-place update b1 m + (1 - b1) g,
+    b2 v + ((1 - b2) g) g and p - (lr m_hat) / (sqrt(v_hat) + eps), so
+    every bit is that update's."""
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError("params, grads and moment buffers must share a shape")
     if not lr > 0:  # NaN fails too
         raise ValueError(f"learning rate must be positive, got {lr}")
     state.step += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
-    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    scratch = np.multiply(1.0 - ADAM_BETA1, grads)
+    state.m *= ADAM_BETA1
+    state.m += scratch
+    np.multiply(1.0 - ADAM_BETA2, grads, out=scratch)
+    scratch *= grads
+    state.v *= ADAM_BETA2
+    state.v += scratch
+    # sqrt(v_hat) + eps, then lr m_hat over it
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** state.step, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    new = np.divide(state.m, 1.0 - ADAM_BETA1 ** state.step)
+    new *= lr
+    new /= scratch
+    return np.subtract(params, new, out=new)

@@ -166,7 +166,7 @@ def search(env_name: str, cfg: TrainerConfig,
             where = (f"the returns of direction {bad[0]}" if bad.size
                      else "the updated weights")
             raise FloatingPointError(f"iteration {t}: non-finite value in {where}")
-        if expert is not None and not np.isfinite(disc.get_params()).all():
+        if expert is not None and not np.isfinite(disc._vector).all():
             raise FloatingPointError(f"iteration {t}: non-finite value in "
                                      "the discriminator parameters")
         wall_ms = (time.perf_counter() - started) * 1000.0

@@ -1,13 +1,13 @@
 """Reference computations that only the tests use: the scalar splitmix64
 stream, a generic finite-difference gradient, the single-row Welford step,
-and the discriminator's passes, rewards, LSGAN loss and LSGAN gradient
-written out of place."""
+the Adam update, and the discriminator's passes, rewards, LSGAN loss and
+LSGAN gradient written out of place."""
 import math
 
 import numpy as np
 
 from ailsrs.discriminator import REWARD_CLAMP
-from ailsrs.numerics import Rng
+from ailsrs.numerics import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, Rng
 
 _M = (1 << 64) - 1
 _G = 0x9E3779B97F4A7C15
@@ -92,6 +92,19 @@ def welford_update(stats, x: np.ndarray) -> None:
     delta = x - stats.mean
     stats.mean = stats.mean + delta / stats.count
     stats.m2 = stats.m2 + delta * (x - stats.mean)
+
+
+def adam_step(state, params: np.ndarray, grads: np.ndarray,
+              lr: float) -> np.ndarray:
+    """One Adam update with bias correction, each moment and the update a
+    fresh array: the pinned reference for the in-place
+    `numerics.adam_step`. Rebinds `state.m` and `state.v`."""
+    state.step += 1
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def disc_layers(disc, x: np.ndarray):

@@ -22,11 +22,11 @@ from ailsrs.discriminator import MlpDiscriminator, disc_init, disc_train, lsgan_
 from ailsrs.numerics import AdamState, Rng, adam_step
 
 
-def _zero_disc(n=2, p=1):
+def _zero_disc(n=2, p=1, b3=0.0):
     return MlpDiscriminator(
         np.zeros((100, n + p)), np.zeros(100),
         np.zeros((100, 100)), np.zeros(100),
-        np.zeros((1, 100)), 0.0,
+        np.zeros((1, 100)), b3,
     )
 
 
@@ -92,8 +92,7 @@ def test_forward_zero_parameters_gives_half():
 
 
 def test_forward_saturates_with_large_bias():
-    disc = _zero_disc()
-    disc.b3 = 20.0
+    disc = _zero_disc(b3=20.0)
     assert _oracle_d(disc, np.zeros((1, 3)))[0] > 1.0 - 1e-8
 
 
@@ -266,8 +265,7 @@ def test_reward_batch_anchors():
     assert low.reward_batch(-np.ones((1, 1, 2)),
                             -np.ones((1, 1, 1)))[0, 0] == pytest.approx(0.0, abs=1e-8)
     # saturated-high side hits the clamp ceiling
-    high = _zero_disc()
-    high.b3 = 50.0
+    high = _zero_disc(b3=50.0)
     assert high.reward_batch(np.zeros((1, 1, 2)),
                              np.zeros((1, 1, 1)))[0, 0] == pytest.approx(
         -math.log(1e-6), abs=1e-9)
@@ -277,8 +275,7 @@ def test_reward_batch_monotone_in_score():
     # sweep D over a grid by varying b3 on an otherwise zero network
     rewards = []
     for d_target in np.linspace(0.01, 0.99, 50):
-        disc = _zero_disc()
-        disc.b3 = math.log(d_target / (1.0 - d_target))
+        disc = _zero_disc(b3=math.log(d_target / (1.0 - d_target)))
         rewards.append(disc.reward_batch(np.zeros((1, 1, 2)),
                                          np.zeros((1, 1, 1)))[0, 0])
     assert all(b > a for a, b in zip(rewards, rewards[1:]))
@@ -444,19 +441,34 @@ def test_helper_error_reaches_the_caller_and_the_next_call_is_exact(monkeypatch)
     assert grad.tobytes() == ref_grad.tobytes()
 
 
-@pytest.mark.parametrize("meanwhile_waits", [False, True],
-                         ids=["caller-scores", "helper-scores"])
+@pytest.mark.parametrize("meanwhile_waits, trains", [
+    pytest.param(False, False, id="caller-scores"),
+    pytest.param(True, False, id="helper-scores"),
+    pytest.param(False, True, id="train-caller-scores"),
+    pytest.param(True, True, id="train-helper-scores"),
+])
 def test_scores_read_the_parameters_of_entry_while_meanwhile_sets_new_ones(
-        meanwhile_waits):
+        meanwhile_waits, trains):
     rng = Rng(71)
     disc = disc_init(2, 1, rng)
     block = _uniform_rows(rng, 64 * 100, 3).reshape(64, 100, 3)
     states, actions = block[..., :2], block[..., 2:]
     before = disc.reward_batch(states, actions)
-    new = disc_init(2, 1, Rng(72)).get_params()
+    expert, sampled = _uniform_rows(rng, 300, 3), block.reshape(-1, 3)
+    if trains:  # disc_train binds each Adam step's vector, not via set_params
+        twin = disc_init(2, 1, Rng(71))
+        disc_train(twin, AdamState.zeros(twin.n_params), expert, sampled,
+                   iters=4, batch_size=100, rng=Rng(75), lr=0.01)
+        new = twin.get_params()
+    else:
+        new = disc_init(2, 1, Rng(72)).get_params()
 
     def set_new_params():
-        disc.set_params(new)
+        if trains:
+            disc_train(disc, AdamState.zeros(disc.n_params), expert, sampled,
+                       iters=4, batch_size=100, rng=Rng(75), lr=0.01)
+        else:
+            disc.set_params(new)
         if meanwhile_waits:  # every pass then starts on the helper after it
             _after_helper()
 
@@ -464,6 +476,29 @@ def test_scores_read_the_parameters_of_entry_while_meanwhile_sets_new_ones(
     assert rewards.tobytes() == before.tobytes()
     assert disc.get_params().tobytes() == new.tobytes()
     assert disc.reward_batch(states, actions).tobytes() != before.tobytes()
+
+
+def test_parameters_are_one_read_only_vector_that_set_params_copies():
+    disc = disc_init(2, 1, Rng(76))
+    flat = disc.get_params()
+    views = (disc.w1, disc.b1, disc.w2, disc.b2, disc.w3, disc.b3)
+    assert [a.shape for a in views] == [(100, 3), (100,), (100, 100), (100,),
+                                        (1, 100), ()]
+    assert np.concatenate([a.ravel() for a in views]).tobytes() == flat.tobytes()
+    for view in views:
+        assert not view.flags.writeable
+        assert np.shares_memory(view, disc._vector)
+    got = disc.get_params()
+    got[0] = 7.0  # a copy: writing it leaves the discriminator alone
+    assert disc.w1[0, 0] == flat[0]
+    disc.set_params(got)
+    got[0] = 8.0  # set_params copied its input
+    assert disc.w1[0, 0] == 7.0
+    assert not np.shares_memory(disc.w1, views[0])  # rebound, not written
+    assert views[0][0, 0] == flat[0]
+    for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        with pytest.raises(AttributeError):
+            setattr(disc, name, views[0])
 
 
 @pytest.mark.parametrize("rows", [100, 1000])

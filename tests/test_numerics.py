@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from _oracles import ScalarRng, finite_diff, welford_update
 
 from ailsrs.ars import sample_directions
@@ -227,9 +228,48 @@ def test_integers_rejects_out_of_range_n(n):
     assert rng.next_u64() == ScalarRng(1).next_u64()  # nothing was drawn
 
 
+@pytest.mark.parametrize("bounds", [(1, 1), (3, 7), (1000, 2**63), (2**40 + 7, 5)])
+def test_integers_with_broadcast_n_match_interleaved_scalar_draws(bounds):
+    # one (steps, 2, batch) call with n = [[a], [b]] takes, step by step, a
+    # call of `batch` draws % a and then one of `batch` draws % b
+    for i, (seed, labels, (steps, batch)) in enumerate(
+            (seed, labels, shape) for seed in _BLOCK_SEEDS
+            for labels in _BLOCK_LABELS
+            for shape in ((1, 0), (1, 1), (3, 8), (20, 5))):
+        block, scalar = _twin_streams(seed, labels, pending_mate=i % 2 == 0)
+        got = block.integers([[bounds[0]], [bounds[1]]], (steps, 2, batch))
+        assert got.dtype == np.intp and got.shape == (steps, 2, batch)
+        assert got.tolist() == [[[scalar.next_u64() % n for _ in range(batch)]
+                                 for n in bounds] for _ in range(steps)]
+        _assert_same_stream_after(block, scalar)
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param([[5], [0]], id="zero"),
+    pytest.param([[-1], [3]], id="negative"),
+    pytest.param(np.array([[3], [-2**63]]), id="int64-min"),
+    pytest.param([[3], [2**63 + 1]], id="above-intp-max-plus-one"),
+    pytest.param([[2**64], [3]], id="above-uint64"),
+    pytest.param(True, id="bool"),
+    pytest.param([[True], [True]], id="bool-array"),
+    pytest.param(np.True_, id="numpy-bool"),
+    pytest.param(3.0, id="float"),
+    pytest.param([[3.0], [4.0]], id="float-array"),
+    pytest.param(np.float64(2.0), id="numpy-float"),
+    pytest.param([[2], [3], [4]], id="does-not-broadcast"),
+])
+def test_integers_rejects_n_out_of_range_or_not_integer(n):
+    rng = ScalarRng(1)
+    with pytest.raises(ValueError, match=r"\bn\b"):
+        rng.integers(n, (4, 2, 3))
+    assert rng.next_u64() == ScalarRng(1).next_u64()  # nothing was drawn
+
+
 def test_block_draws_reject_negative_size():
     with pytest.raises(ValueError, match="size"):
         Rng(1).integers(5, -1)
+    with pytest.raises(ValueError, match="size"):
+        Rng(1).integers(5, (3, -1))
     with pytest.raises(ValueError, match="size"):
         Rng(1).uniforms(0.0, 1.0, -1)
 
@@ -275,6 +315,31 @@ def test_adam_minimizes_quadratic():
         params = adam_step(state, params, grads, 0.1)
     assert abs(params[0]) < 0.05
     np.testing.assert_allclose(params[0], ref_adam(1.0, 0.1, 200), rtol=1e-12)
+
+
+_ADAM_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=8),
+       st.integers(min_value=5, max_value=9),
+       st.floats(min_value=1e-6, max_value=1.0))
+def test_adam_step_has_the_bytes_of_the_out_of_place_update(data, size, steps, lr):
+    vectors = st.lists(_ADAM_VALUES, min_size=size, max_size=size).map(np.array)
+    params = ref_params = data.draw(vectors)
+    state, ref_state = AdamState.zeros(size), AdamState.zeros(size)
+    for step in range(1, steps + 1):
+        grads = data.draw(vectors)
+        entry, entry_bytes = params, params.tobytes()
+        params = adam_step(state, params, grads, lr)
+        ref_params = _oracles.adam_step(ref_state, ref_params, grads, lr)
+        assert entry.tobytes() == entry_bytes  # never written
+        assert state.step == ref_state.step == step
+        assert params.tobytes() == ref_params.tobytes()
+        assert state.m.tobytes() == ref_state.m.tobytes()
+        assert state.v.tobytes() == ref_state.v.tobytes()
+        for other in (entry, grads, state.m, state.v):
+            assert not np.shares_memory(params, other)
 
 
 def test_adam_shape_mismatch_errors():

@@ -158,7 +158,9 @@ def test_search_stops_on_nonfinite_values(riccati_demos, imitate, weight, where)
 def test_search_stops_on_nonfinite_discriminator(riccati_demos, monkeypatch):
     def poisoned_train(disc, *args, **kwargs):
         loss = disc_train(disc, *args, **kwargs)
-        disc.w2[3, 7] = np.nan
+        poisoned = disc.get_params()
+        poisoned[disc.w1.size + disc.b1.size + 3 * disc.w2.shape[1] + 7] = np.nan
+        disc.set_params(poisoned)  # w2[3, 7]
         return loss
 
     monkeypatch.setattr(ailsrs.trainer, "disc_train", poisoned_train)
