@@ -81,13 +81,13 @@ def cmd_bc(args) -> int:
 def cmd_train(args) -> int:
     demos = load_trajectories(args.demos)
     env = demos.env_name
+    target = None if args.target_frac is None else return_target(
+        demos.mean_env_return(), args.target_frac)
     cfg = TrainerConfig(ars=_ars_config(args), max_iterations=args.iters,
                         disc_lr=args.disc_lr, disc_iters=args.disc_iters,
                         disc_batch=args.disc_batch, eval_every=args.eval_every,
-                        eval_episodes=args.eval_episodes, seed=args.seed)
-    if args.target_frac is not None:
-        cfg.early_stop_target = return_target(demos.mean_env_return(),
-                                              args.target_frac)
+                        eval_episodes=args.eval_episodes, seed=args.seed,
+                        early_stop_target=target)
     init = None
     if args.init:
         pol, norm, init_env = load_policy(args.init)

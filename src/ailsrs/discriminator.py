@@ -7,17 +7,17 @@ which keeps gradients alive even when the two distributions are far apart.
 Its score doubles as the reward signal: -log(1 - D).
 
 Layers: input(n+p) -> 100 tanh -> 100 tanh -> sigmoid scalar, all float64
-numpy, written once in `MlpDiscriminator._layers`. `reward_batch` scores a
-(B, T, .) block of rollout episodes in stacked passes of whole episodes,
-about SCORE_ROWS rows each: numpy's stacked matmul makes for each episode
-the BLAS call that a lone episode gets, so the rewards are those of one
-pass per episode, bit for bit (one 2-D pass over the flattened rows is
-not: OpenBLAS rounds a row by the row count of its call). `lsgan_grad`
-returns the loss of a minibatch pair with its hand-derived gradient from
-one forward pass (no autodiff dependency); `disc_train` takes Adam steps
-on minibatches drawn from two (M, n+p) arrays of [state, action] pairs,
-all of a call's indices in one draw, and when frozen (no steps) reports
-the loss of one such pair, never reading the whole pool.
+numpy, written once in `MlpDiscriminator._layers`; an input row is one
+[state, action] pair. `reward_batch` scores a (B, T, n+p) block of rollout
+episodes in stacked passes of whole episodes, about SCORE_ROWS rows each:
+numpy's stacked matmul makes for each episode the BLAS call that a lone
+episode gets, so the rewards are those of one pass per episode, bit for
+bit (one 2-D pass over the flattened rows is not: OpenBLAS rounds a row by
+the row count of its call). `lsgan_grad` returns a minibatch pair's loss
+with its hand-derived gradient from one forward pass (no autodiff
+dependency); `disc_train` takes Adam steps on minibatches drawn from two
+(M, n+p) arrays of rows, all indices of a call in one draw, and when
+frozen (no steps) reports one pair's loss, never reading the whole pool.
 
 The parameters are one float64 vector in get_params order, and w1, b1,
 w2, b2, w3 and b3 are read-only views of it. A vector is never written
@@ -52,7 +52,7 @@ import os
 
 import numpy as np
 
-from .numerics import AdamState, Rng, adam_step
+from .numerics import AdamState, Rng, adam_step, check_count
 
 HIDDEN = 100
 REWARD_CLAMP = 1.0 - 1e-6  # -log(1 - D) diverges as D -> 1
@@ -126,11 +126,10 @@ class MlpDiscriminator:
         z = h2 @ w3.T + b3
         return h1, h2, 1.0 / (1.0 + np.exp(-z[..., 0]))
 
-    def reward_batch(self, states: np.ndarray, actions: np.ndarray,
-                     meanwhile=None) -> np.ndarray:
+    def reward_batch(self, pairs: np.ndarray, meanwhile=None) -> np.ndarray:
         """Per-step rewards -log(1 - D), clamped near D = 1: (B, T) rewards of
-        a (B, T, .) block of B episodes under the parameters as they are at
-        entry, the bits of one forward pass per episode.
+        a (B, T, n+p) block of [state, action] rows of B episodes under the
+        parameters at entry, the bits of one forward pass per episode.
 
         The block goes in stacked passes of whole episodes, about SCORE_ROWS
         rows each, claimed one at a time by the helper thread from the start
@@ -139,26 +138,19 @@ class MlpDiscriminator:
         the passes read the views of the parameter vector captured here,
         which training replaces and never writes into. An exception from
         `meanwhile` is raised once the helper is done."""
-        if states.ndim != 3 or actions.ndim != 3 \
-                or states.shape[:2] != actions.shape[:2]:
-            raise ValueError("expected (B, T, .) blocks of states and actions "
-                             f"with equal (B, T), got {states.shape} and "
-                             f"{actions.shape}")
-        out = np.empty(states.shape[:2])
+        if pairs.ndim != 3:
+            raise ValueError(f"expected a (B, T, n+p) block, got shape {pairs.shape}")
+        out = np.empty(pairs.shape[:2])
         per_pass = max(1, SCORE_ROWS // max(out.shape[1], 1))
-        params = self._params
         _in_both_lanes(MlpDiscriminator._score, [
-            (self, params, states[i:i + per_pass], actions[i:i + per_pass],
-             out[i:i + per_pass]) for i in range(0, len(out), per_pass)],
-            meanwhile)
+            (self, self._params, pairs[i:i + per_pass], out[i:i + per_pass])
+            for i in range(0, len(out), per_pass)], meanwhile)
         return out
 
-    def _score(self, params: tuple, states: np.ndarray, actions: np.ndarray,
-               out: np.ndarray, lane: int) -> None:
-        """Rewards of an (E, T, .) stack of whole episodes into `out`, in one
-        stacked pass."""
-        d = self._layers(np.concatenate([states, actions], axis=2), lane,
-                         params)[2]
+    def _score(self, params: tuple, pairs: np.ndarray, out: np.ndarray,
+               lane: int) -> None:
+        """Rewards of an (E, T, n+p) stack of episodes into `out`, in one pass."""
+        d = self._layers(pairs, lane, params)[2]
         out[...] = -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
 
     def get_params(self) -> np.ndarray:
@@ -298,6 +290,8 @@ def disc_train(disc: MlpDiscriminator, adam: AdamState, expert_pairs: np.ndarray
     discriminator stays frozen and the loss of one such minibatch pair is
     returned. Mutates `disc` and `adam`.
     """
+    check_count("iters", iters, 0)
+    check_count("batch_size", batch_size, 1)
     if len(expert_pairs) == 0 or len(sampled_pairs) == 0:
         raise ValueError("both the expert and sampled pools must be nonempty")
     # every step's two index rows in one draw, in the stream order of two

@@ -5,11 +5,11 @@ demonstrations, a discriminator reward (imitation). One iteration:
 
 1. sample N directions and roll out the +/- policy pair for each, which
    gives the environment returns;
-2. imitation only: score every episode with the discriminator as it is at
-   the start of the iteration (one frozen snapshot for all 2N episodes, so
-   the pairwise comparisons are meaningful), on the discriminator's helper
-   thread, while the calling thread takes a few Adam steps on it, batching
-   the fresh episodes against the demonstrations, and then helps score;
+2. imitation only: score the (2N, T, n+p) block of [state, action] rows,
+   joined once, under the discriminator of the iteration's start (one
+   frozen snapshot for all 2N episodes, so the pairwise comparisons are
+   meaningful) on its helper thread; the caller takes a few Adam steps on
+   a flat view of the block against the demonstrations, then helps score;
 3. fold all visited states into the observation normalizer (in
    imitation, during step 2, before the caller helps score);
 4. update the policy weights from the returns.
@@ -60,6 +60,8 @@ class TrainerConfig:
             check_count(name, getattr(self, name), minimum)
         if self.disc_batch is not None:
             check_count("disc_batch", self.disc_batch, 1)
+        if not math.isfinite(self.early_stop_target or 0.0):  # None is off
+            raise ValueError("early_stop_target must be finite or None")
 
 
 @dataclass
@@ -91,8 +93,10 @@ def return_target(reference_return: float, fraction: float) -> float:
     the reference; there the bound is reference / fraction, i.e. cost at
     most 1/fraction times the reference cost.
     """
-    if fraction <= 0:
-        raise ValueError("fraction must be positive")
+    if not 0 < fraction < math.inf:
+        raise ValueError(f"fraction must be positive and finite, got {fraction!r}")
+    if not math.isfinite(reference_return):
+        raise ValueError(f"reference_return must be finite, got {reference_return!r}")
     if reference_return >= 0:
         return reference_return * fraction
     return reference_return / fraction
@@ -146,19 +150,20 @@ def search(env_name: str, cfg: TrainerConfig,
         if expert is None:
             normalizer.add_states(visited)
         else:
+            # (2N, T, n+p) rows, scored as episodes and trained on as a view
+            pairs = np.concatenate([states, actions], axis=2)
+
             def train_and_fold():
                 nonlocal disc_loss
-                sampled_pairs = np.concatenate([states, actions], axis=2).reshape(
-                    -1, spec.state_dim + spec.action_dim)
-                disc_loss = disc_train(disc, adam, expert_pairs, sampled_pairs,
-                                       cfg.disc_iters, batch,
-                                       root.derive(DISC_BATCH_STREAM, t),
-                                       lr=cfg.disc_lr)
+                disc_loss = disc_train(
+                    disc, adam, expert_pairs, pairs.reshape(-1, pairs.shape[-1]),
+                    cfg.disc_iters, batch, root.derive(DISC_BATCH_STREAM, t),
+                    lr=cfg.disc_lr)
                 normalizer.add_states(visited)
 
             # each row of the C-contiguous (2N, T) rewards is summed
             # pairwise, as np.sum sums that row alone
-            returns = disc.reward_batch(states, actions, train_and_fold).sum(
+            returns = disc.reward_batch(pairs, train_and_fold).sum(
                 axis=1).reshape(-1, 2)
         theta = ars_update(theta, deltas, returns, cfg.ars.alpha)
         if not (np.isfinite(returns).all() and np.isfinite(theta).all()):

@@ -116,9 +116,10 @@ def disc_layers(disc, x: np.ndarray):
     return h1, h2, 1.0 / (1.0 + np.exp(-z[:, 0]))
 
 
-def disc_rewards(disc, states: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Out-of-place reference for `MlpDiscriminator.reward_batch`."""
-    d = disc_layers(disc, np.concatenate([states, actions], axis=1))[2]
+def disc_rewards(disc, pairs: np.ndarray) -> np.ndarray:
+    """Out-of-place reference for `MlpDiscriminator.reward_batch` on one
+    (T, n+p) episode of [state, action] rows."""
+    d = disc_layers(disc, pairs)[2]
     return -np.log(1.0 - np.minimum(d, REWARD_CLAMP))
 
 

@@ -167,11 +167,11 @@ def test_reward_anchors():
     half = ailsrs.MlpDiscriminator(np.zeros((HIDDEN, 3)), np.zeros(HIDDEN),
                                    np.zeros((HIDDEN, HIDDEN)), np.zeros(HIDDEN),
                                    np.zeros((1, HIDDEN)), 0.0)
-    at_half = half.reward_batch(np.zeros((1, 1, 2)), np.zeros((1, 1, 1)))[0, 0]
+    at_half = half.reward_batch(np.zeros((1, 1, 3)))[0, 0]
     ceiling = half.get_params()
     ceiling[-1] = 60.0  # b3: saturates the score to 1.0, clamp takes over
     half.set_params(ceiling)
-    at_ceiling = half.reward_batch(np.zeros((1, 1, 2)), np.zeros((1, 1, 1)))[0, 0]
+    at_ceiling = half.reward_batch(np.zeros((1, 1, 3)))[0, 0]
     ok = abs(at_half - math.log(2.0)) <= 1e-12
     ok &= abs(at_ceiling - (-math.log(1e-6))) <= 1e-9
     assert _report("reward anchors", ok,

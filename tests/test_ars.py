@@ -217,7 +217,8 @@ def test_constant_discriminator_freezes_theta():
     _, states, actions = evaluate_directions(theta, deltas, 0.03, "lqr2d",
                                              ObservationNormalizer.for_dim(2),
                                              root.derive(ROLLOUT_STREAM, 0))
-    returns = disc.reward_batch(states, actions).sum(axis=1).reshape(-1, 2)
+    returns = disc.reward_batch(np.concatenate([states, actions], axis=2)).sum(
+        axis=1).reshape(-1, 2)
     assert returns.mean() == pytest.approx(100 * math.log(2.0), rel=1e-12)
     assert returns.std() == 0.0
     np.testing.assert_array_equal(ars_update(theta, deltas, returns, 0.02),

@@ -217,6 +217,19 @@ def test_train_smoke_and_artifacts(demos_file, tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_train_target_frac_stops_at_the_first_reaching_evaluation(
+        demos_file, tmp_path, capsys):
+    # the target is the config's from its construction: a fraction this
+    # small makes a cost target that the first evaluation meets
+    metrics = str(tmp_path / "metrics.csv")
+    rc = main(["train", "--demos", demos_file, "--n-dirs", "4", "--iters", "10",
+               "--eval-every", "2", "--eval-episodes", "2", "--seed", "1",
+               "--target-frac", "1e-9", "--out", str(tmp_path / "x.policy"),
+               "--metrics", metrics])
+    assert rc == 0
+    assert len(open(metrics).read().splitlines()) == 1 + 2
+
+
 def test_train_demo_env_mismatch_exits_1(demos_file, tmp_path, capsys):
     # the demonstrations name the env; an --init policy of another env is refused
     init = str(tmp_path / "pendulum.policy")

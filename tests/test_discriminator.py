@@ -41,9 +41,8 @@ def _saturated_disc(n=2, p=1):
 
 def _episode_rewards(disc, x):
     """`reward_batch` of the rows of a (T, n+p) input as one episode: (T,)
-    rewards. The split between state and action columns does not matter,
-    because the discriminator reads them joined."""
-    return disc.reward_batch(x[None, :, :1], x[None, :, 1:])[0]
+    rewards."""
+    return disc.reward_batch(x[None])[0]
 
 
 def _oracle_d(disc, x):
@@ -220,6 +219,24 @@ def test_disc_train_zero_iters_is_frozen_on_one_minibatch():
         assert lane.shape[1] <= 8
 
 
+@pytest.mark.parametrize("field, value", [
+    ("iters", -1), ("iters", 2.5), ("iters", True),
+    ("batch_size", 0), ("batch_size", 2.5), ("batch_size", True),
+])
+def test_disc_train_rejects_bad_counts_before_drawing(field, value):
+    # iters=-1 used to act as a frozen discriminator, batch_size=0 to fail
+    # late in lsgan_grad, and 2.5 or True to raise numpy TypeErrors
+    disc = disc_init(2, 1, Rng(8))
+    before = disc.get_params().tobytes()
+    adam, rng = AdamState.zeros(disc.n_params), Rng(9)
+    counts = {"iters": 3, "batch_size": 8, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= "):
+        disc_train(disc, adam, np.ones((5, 3)), -np.ones((5, 3)), rng=rng,
+                   lr=0.01, **counts)
+    assert disc.get_params().tobytes() == before and adam.step == 0
+    assert rng.integers(7, 3).tobytes() == Rng(9).integers(7, 3).tobytes()
+
+
 def _gaussian_rows(rng, rows, width=3):
     return np.array([[rng.gaussian() for _ in range(width)] for _ in range(rows)])
 
@@ -257,17 +274,15 @@ def test_disc_train_descends_on_easy_data():
 
 def test_reward_batch_anchors():
     disc = _zero_disc()  # D = 0.5 everywhere
-    r = disc.reward_batch(np.zeros((1, 1, 2)), np.zeros((1, 1, 1)))[0, 0]
+    r = disc.reward_batch(np.zeros((1, 1, 3)))[0, 0]
     assert r == pytest.approx(math.log(2.0), abs=1e-12)
 
     low = _saturated_disc()
     # all-minus-ones input drives D to ~0: reward tends to -log(1) = 0
-    assert low.reward_batch(-np.ones((1, 1, 2)),
-                            -np.ones((1, 1, 1)))[0, 0] == pytest.approx(0.0, abs=1e-8)
+    assert low.reward_batch(-np.ones((1, 1, 3)))[0, 0] == pytest.approx(0.0, abs=1e-8)
     # saturated-high side hits the clamp ceiling
     high = _zero_disc(b3=50.0)
-    assert high.reward_batch(np.zeros((1, 1, 2)),
-                             np.zeros((1, 1, 1)))[0, 0] == pytest.approx(
+    assert high.reward_batch(np.zeros((1, 1, 3)))[0, 0] == pytest.approx(
         -math.log(1e-6), abs=1e-9)
 
 
@@ -276,8 +291,7 @@ def test_reward_batch_monotone_in_score():
     rewards = []
     for d_target in np.linspace(0.01, 0.99, 50):
         disc = _zero_disc(b3=math.log(d_target / (1.0 - d_target)))
-        rewards.append(disc.reward_batch(np.zeros((1, 1, 2)),
-                                         np.zeros((1, 1, 1)))[0, 0])
+        rewards.append(disc.reward_batch(np.zeros((1, 1, 3)))[0, 0])
     assert all(b > a for a, b in zip(rewards, rewards[1:]))
 
 
@@ -286,9 +300,9 @@ def test_reward_batch_matches_scalar_reward():
     disc = disc_init(2, 1, rng)
     states = np.array([[rng.gaussian() for _ in range(2)] for _ in range(5)])
     actions = np.array([[rng.gaussian()] for _ in range(5)])
-    batch = disc.reward_batch(states[None], actions[None])[0]
-    singles = [disc.reward_batch(s[None, None], a[None, None])[0, 0]
-               for s, a in zip(states, actions)]
+    pairs = np.concatenate([states, actions], axis=1)
+    batch = disc.reward_batch(pairs[None])[0]
+    singles = [disc.reward_batch(row[None, None])[0, 0] for row in pairs]
     np.testing.assert_allclose(batch, singles, rtol=1e-15)
 
 
@@ -296,18 +310,15 @@ def _uniform_rows(rng, rows, width):
     return rng.uniforms(-2.0, 2.0, rows * width).reshape(rows, width)
 
 
-@pytest.mark.parametrize("states_shape, actions_shape", [
-    pytest.param((4, 5, 2), (3, 5, 1), id="fewer-action-episodes"),
-    pytest.param((4, 5, 2), (4, 6, 1), id="unequal-lengths"),
-    pytest.param((5, 2), (5, 1), id="2d-rows"),
-    pytest.param((1, 4, 5, 2), (1, 4, 5, 1), id="4d"),
+@pytest.mark.parametrize("shape", [
+    pytest.param((5, 3), id="2d-rows"),
+    pytest.param((1, 4, 5, 3), id="4d"),
+    pytest.param((4, 5, 2), id="wrong-width"),  # rejected by the pass itself
 ])
-def test_reward_batch_rejects_anything_but_matching_episode_blocks(
-        states_shape, actions_shape):
+def test_reward_batch_rejects_anything_but_matching_episode_blocks(shape):
     disc = disc_init(2, 1, Rng(67))
-    with pytest.raises(ValueError, match=re.escape(
-            f"{states_shape} and {actions_shape}")):
-        disc.reward_batch(np.zeros(states_shape), np.zeros(actions_shape))
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        disc.reward_batch(np.zeros(shape))
 
 
 @pytest.mark.parametrize("width", [3, 5, 6])
@@ -320,12 +331,11 @@ def test_passes_byte_equal_to_out_of_place_reference(width):
         xs = _uniform_rows(rng, max(1, rows // 3), width)
         # two episodes, then one
         pair = np.stack([xe, xe[::-1]])
-        assert (disc.reward_batch(pair[..., :-1], pair[..., -1:]).tobytes()
-                == np.stack([_oracles.disc_rewards(disc, e[:, :-1], e[:, -1:])
+        assert (disc.reward_batch(pair).tobytes()
+                == np.stack([_oracles.disc_rewards(disc, e)
                              for e in pair]).tobytes())
-        states, actions = xs[:, :-1], xs[:, -1:]
         assert (_episode_rewards(disc, xs).tobytes()
-                == _oracles.disc_rewards(disc, states, actions).tobytes())
+                == _oracles.disc_rewards(disc, xs).tobytes())
         # the sampled half smaller and then larger than the expert half
         for expert, sampled in ((xe, xs), (xs, xe)):
             loss, grad = lsgan_grad(disc, expert, sampled)
@@ -342,19 +352,16 @@ def test_episode_block_rewards_byte_equal_to_one_episode_at_a_time(width):
         for episodes in (1, 2, 3, 64):
             block = _uniform_rows(rng, episodes * steps, width).reshape(
                 episodes, steps, width)
-            states, actions = block[..., :-1], block[..., -1:]
-            rewards = disc.reward_batch(states, actions)
+            rewards = disc.reward_batch(block)
             assert rewards.shape == (episodes, steps)
             assert rewards.tobytes() == np.stack([
-                _oracles.disc_rewards(disc, s, a)
-                for s, a in zip(states, actions)]).tobytes()
+                _oracles.disc_rewards(disc, e) for e in block]).tobytes()
 
 
 @pytest.mark.parametrize("episodes, steps", [(0, 100), (64, 0), (0, 0)])
 def test_empty_blocks_score_to_empty_rewards(episodes, steps):
     disc = disc_init(2, 1, Rng(68))
-    rewards = disc.reward_batch(np.zeros((episodes, steps, 2)),
-                                np.zeros((episodes, steps, 1)))
+    rewards = disc.reward_batch(np.zeros((episodes, steps, 3)))
     assert rewards.shape == (episodes, steps)
 
 
@@ -365,11 +372,11 @@ def test_scoring_lanes_hold_at_most_one_stack(episodes, steps):
     rng = Rng(69)
     disc = disc_init(2, 1, rng)
     block = _uniform_rows(rng, episodes * steps, 3).reshape(episodes, steps, 3)
-    rewards = disc.reward_batch(block[..., :2], block[..., 2:])
+    rewards = disc.reward_batch(block)
     for lane in disc._scratch:
         assert lane.shape[1] <= max(discriminator.SCORE_ROWS, steps)
     with _helper_held():
-        one_lane = disc.reward_batch(block[..., :2], block[..., 2:])
+        one_lane = disc.reward_batch(block)
     assert rewards.tobytes() == one_lane.tobytes()
 
 
@@ -379,7 +386,7 @@ def test_returned_arrays_do_not_alias_the_scratch():
     x = _uniform_rows(rng, 50, 6)
     rewards = _episode_rewards(disc, x)
     block = x.reshape(5, 10, 6)
-    block_rewards = disc.reward_batch(block[..., :4], block[..., 4:])
+    block_rewards = disc.reward_batch(block)
     loss, grad = lsgan_grad(disc, x, _uniform_rows(rng, 40, 6))
     returned = (rewards, block_rewards, grad)
     kept = [a.copy() for a in returned]
@@ -387,8 +394,7 @@ def test_returned_arrays_do_not_alias_the_scratch():
         y = _uniform_rows(rng, rows, 6)
         with _helper_held():  # lane 0
             _episode_rewards(disc, y)
-        disc.reward_batch(y[None, :, :4].repeat(3, 0), y[None, :, 4:].repeat(3, 0),
-                          _after_helper)  # lane 1
+        disc.reward_batch(y[None].repeat(3, 0), _after_helper)  # lane 1
         assert lsgan_grad(disc, y, _uniform_rows(rng, rows, 6))[0] != loss
         for fresh, copy in zip(returned, kept):
             assert fresh.tobytes() == copy.tobytes()
@@ -403,8 +409,7 @@ def test_helper_keeps_no_discriminator_alive():
     disc = disc_init(2, 1, rng)
     x = _uniform_rows(rng, 40, 3)
     lsgan_grad(disc, x, x)
-    block = x.reshape(4, 10, 3)
-    disc.reward_batch(block[..., :2], block[..., 2:])
+    disc.reward_batch(x.reshape(4, 10, 3))
     ref = weakref.ref(disc)
     del disc
     gc.collect()
@@ -452,8 +457,7 @@ def test_scores_read_the_parameters_of_entry_while_meanwhile_sets_new_ones(
     rng = Rng(71)
     disc = disc_init(2, 1, rng)
     block = _uniform_rows(rng, 64 * 100, 3).reshape(64, 100, 3)
-    states, actions = block[..., :2], block[..., 2:]
-    before = disc.reward_batch(states, actions)
+    before = disc.reward_batch(block)
     expert, sampled = _uniform_rows(rng, 300, 3), block.reshape(-1, 3)
     if trains:  # disc_train binds each Adam step's vector, not via set_params
         twin = disc_init(2, 1, Rng(71))
@@ -472,10 +476,10 @@ def test_scores_read_the_parameters_of_entry_while_meanwhile_sets_new_ones(
         if meanwhile_waits:  # every pass then starts on the helper after it
             _after_helper()
 
-    rewards = disc.reward_batch(states, actions, set_new_params)
+    rewards = disc.reward_batch(block, set_new_params)
     assert rewards.tobytes() == before.tobytes()
     assert disc.get_params().tobytes() == new.tobytes()
-    assert disc.reward_batch(states, actions).tobytes() != before.tobytes()
+    assert disc.reward_batch(block).tobytes() != before.tobytes()
 
 
 def test_parameters_are_one_read_only_vector_that_set_params_copies():
@@ -519,15 +523,14 @@ def test_meanwhile_error_reaches_the_caller_once_the_helper_is_done(monkeypatch)
     disc = disc_init(2, 1, rng)
     # 8 episodes of 100 steps: two passes, of 5 and 3 episodes
     block = _uniform_rows(rng, 8 * 100, 3).reshape(8, 100, 3)
-    states, actions = block[..., :2], block[..., 2:]
     helper_started, helper_done = threading.Event(), []
 
-    def slow_score(self, params, states, actions, out, lane):
+    def slow_score(self, params, pairs, out, lane):
         if lane == 1:
             helper_started.set()
             time.sleep(0.05)
             helper_done.append(len(out))
-        return score(self, params, states, actions, out, lane)
+        return score(self, params, pairs, out, lane)
 
     def failing_meanwhile():
         helper_started.wait(timeout=10)  # fail only once the helper is busy
@@ -536,13 +539,12 @@ def test_meanwhile_error_reaches_the_caller_once_the_helper_is_done(monkeypatch)
     score = MlpDiscriminator._score
     monkeypatch.setattr(MlpDiscriminator, "_score", slow_score)
     with pytest.raises(RuntimeError, match="meanwhile failed"):
-        disc.reward_batch(states, actions, failing_meanwhile)
+        disc.reward_batch(block, failing_meanwhile)
     assert helper_done == [5, 3]  # the caller claimed no pass
     monkeypatch.undo()
-    expect = np.stack([_oracles.disc_rewards(disc, s, a)
-                       for s, a in zip(states, actions)]).tobytes()
-    assert disc.reward_batch(states, actions).tobytes() == expect
-    assert disc.reward_batch(states, actions, lambda: None).tobytes() == expect
+    expect = np.stack([_oracles.disc_rewards(disc, e) for e in block]).tobytes()
+    assert disc.reward_batch(block).tobytes() == expect
+    assert disc.reward_batch(block, lambda: None).tobytes() == expect
 
 
 def test_forked_child_starts_its_own_helper():
@@ -550,12 +552,11 @@ def test_forked_child_starts_its_own_helper():
     disc = disc_init(2, 1, rng)
     xe, xs = _uniform_rows(rng, 30, 3), _uniform_rows(rng, 20, 3)
     block = xs.reshape(4, 5, 3)
-    rewards = disc.reward_batch(block[..., :2], block[..., 2:])  # helper started
+    rewards = disc.reward_batch(block)  # helper started
     loss, grad = lsgan_grad(disc, xe, xs)
 
     def child():  # a failed assertion exits 1
-        assert disc.reward_batch(block[..., :2], block[..., 2:]).tobytes() \
-            == rewards.tobytes()
+        assert disc.reward_batch(block).tobytes() == rewards.tobytes()
         child_loss, child_grad = lsgan_grad(disc, xe, xs)
         assert child_loss == loss and child_grad.tobytes() == grad.tobytes()
         helpers = [t for t in threading.enumerate()

@@ -85,6 +85,24 @@ def test_return_target_sign_aware():
         return_target(1.0, 0.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_return_target_rejects_non_finite_inputs(value):
+    # a nan fraction used to give a nan target and an infinite one -0.0
+    with pytest.raises(ValueError, match="^fraction must be positive and finite"):
+        return_target(-10.0, value)
+    with pytest.raises(ValueError, match="^reference_return must be finite"):
+        return_target(value, 0.9)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_config_rejects_a_non_finite_early_stop_target(value):
+    # a nan target used to be accepted and never stop training
+    with pytest.raises(ValueError, match="^early_stop_target must be finite"):
+        TrainerConfig(early_stop_target=value)
+
+
 def test_train_expert_rejects_zero_iterations():
     with pytest.raises(ValueError):
         train_expert("lqr2d", ArsConfig(n_directions=2), 0, seed=1)
@@ -169,6 +187,31 @@ def test_search_stops_on_nonfinite_discriminator(riccati_demos, monkeypatch):
     with pytest.raises(FloatingPointError, match="iteration 0: non-finite "
                        "value in the discriminator parameters"):
         next(run)
+
+
+def test_search_trains_on_a_view_of_the_block_it_scores(riccati_demos,
+                                                       monkeypatch):
+    # one [state, action] block per imitation iteration: disc_train reads
+    # the rows that reward_batch scores, not a second concatenation
+    seen = {}
+    reward_batch = ailsrs.MlpDiscriminator.reward_batch
+
+    def scoring(self, *args, **kwargs):
+        seen["scored"] = args[0]
+        return reward_batch(self, *args, **kwargs)
+
+    def training(disc, adam, expert_pairs, sampled_pairs, *args, **kwargs):
+        seen["trained"] = sampled_pairs
+        return disc_train(disc, adam, expert_pairs, sampled_pairs, *args, **kwargs)
+
+    monkeypatch.setattr(ailsrs.MlpDiscriminator, "reward_batch", scoring)
+    monkeypatch.setattr(ailsrs.trainer, "disc_train", training)
+    demos, _ = riccati_demos
+    next(search("lqr2d", _small_cfg(), demos))
+    scored, trained = seen["scored"], seen["trained"]
+    assert scored.shape == (8, 100, 3) and trained.shape == (800, 3)
+    assert np.shares_memory(trained, scored)
+    assert trained.tobytes() == scored.tobytes()
 
 
 _BLAS_DIGEST = """
