@@ -140,6 +140,10 @@ class MlpDiscriminator:
         `meanwhile` is raised once the helper is done."""
         if pairs.ndim != 3:
             raise ValueError(f"expected a (B, T, n+p) block, got shape {pairs.shape}")
+        # checked here too: an empty block runs no pass
+        if pairs.shape[-1] != self.input_dim:
+            raise ValueError(
+                f"expected inputs of width {self.input_dim}, got shape {pairs.shape}")
         out = np.empty(pairs.shape[:2])
         per_pass = max(1, SCORE_ROWS // max(out.shape[1], 1))
         _in_both_lanes(MlpDiscriminator._score, [

@@ -12,10 +12,11 @@ internal states x, one episode per column:
 * `reset(keys) -> x` is a C-contiguous (k, B) block whose column b is
   drawn from the stream at keys[b], a (B,) uint64 array of stream keys
   (see `Rng.keys`), all B columns in one block draw;
-* `step(x, actions, out)` is the dynamics only: from the (k, B) x and the
-  (p, B) actions it writes the next states into `out`, a (k, B) block that
-  does not overlap x. Every operand is a contiguous (B,) row, x[j], out[j]
-  or actions[i], so each ufunc runs over all B episodes at unit stride;
+* `step(x, actions, out)` is the dynamics only: x, actions and out are
+  sequences of k, p and k contiguous (B,) rows, one per coordinate, and
+  from the states x and the actions it writes the next states into the
+  rows of out, which share no memory with x. So each ufunc runs over all
+  B episodes at unit stride, and a (k, B) block is such a sequence;
 * `rewards(xs, actions)` is elementwise over any leading shape, so one call
   on the finished episode-major (B, T, k) and (B, T, p) blocks equals T
   per-step calls on (B, k) slices.
@@ -30,7 +31,10 @@ charged on the state where the action was taken.
 """
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,10 @@ from .policy import LinearPolicy, ObservationNormalizer
 # label for per-episode evaluation/recording streams, shared by everything
 # that promises "same seed, same episodes" (evaluate, record, riccati)
 EPISODE_STREAM = 100
+
+# the operands of `step`: contiguous (B,) rows, one per coordinate
+Rows = Sequence[np.ndarray]
+
 
 def _const(value: float) -> np.ndarray:
     """A read-only 0-d float64 array: numpy converts a numpy-scalar operand
@@ -92,13 +100,13 @@ class Lqr2dEnv:
     def reset(self, keys: np.ndarray) -> np.ndarray:
         return uniform_block(keys, 2, -1.0, 1.0)
 
-    def step(self, x: np.ndarray, actions: np.ndarray, out: np.ndarray) -> None:
+    def step(self, x: Rows, actions: Rows, out: Rows) -> None:
         # s' = A s + B a with A = [[1, .1], [0, 1]], B = [[0], [.1]]:
         # s' = s + 0.1 (v, a)
-        out[0] = x[1]
-        out[1] = actions[0]
-        out *= _LQR_DT
-        out += x
+        np.multiply(x[1], _LQR_DT, out[0])
+        np.add(out[0], x[0], out[0])
+        np.multiply(actions[0], _LQR_DT, out[1])
+        np.add(out[1], x[1], out[1])
 
     def rewards(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # -(x x + v v + 0.1 (a a)) as -0.1 (a a) - (x x + v v)
@@ -120,11 +128,17 @@ class PointMass2dEnv:
         x[:2] = uniform_block(keys, 2, -1.0, 1.0)
         return x
 
-    def step(self, x: np.ndarray, actions: np.ndarray, out: np.ndarray) -> None:
+    def step(self, x: Rows, actions: Rows, out: Rows) -> None:
         # semi-implicit Euler: velocity first, then position
-        out[...] = x
-        out[2:] += _POINTMASS_DT * actions
-        out[:2] += _POINTMASS_DT * out[2:]
+        vx, vy = out[2], out[3]
+        np.multiply(actions[0], _POINTMASS_DT, vx)
+        np.add(x[2], vx, vx)
+        np.multiply(actions[1], _POINTMASS_DT, vy)
+        np.add(x[3], vy, vy)
+        np.multiply(vx, _POINTMASS_DT, out[0])
+        np.add(x[0], out[0], out[0])
+        np.multiply(vy, _POINTMASS_DT, out[1])
+        np.add(x[1], out[1], out[1])
 
     def rewards(self, xs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         # a @ a as a stacked matmul rounds like a 1-d dot product
@@ -147,7 +161,7 @@ class PendulumEnv:
         np.sin(x[3], x[1])
         return x
 
-    def step(self, x: np.ndarray, actions: np.ndarray, out: np.ndarray) -> None:
+    def step(self, x: Rows, actions: Rows, out: Rows) -> None:
         # phidot' = clamp(phidot + dt acc), phi' = phi + dt phidot', where
         # acc = (g / l) sin(phi) + u / (m l^2) = 10 sin(phi) + u exactly
         acc, phi = out[2], out[3]
@@ -196,6 +210,27 @@ def make_env(name: str):
         ) from None
 
 
+@functools.lru_cache(maxsize=4)
+def _workspace(k: int, n: int, p: int, horizon: int, episodes: int,
+               thread: int):
+    """The blocks and step operands of `rollout` for one shape on one
+    thread (`thread` only keys the cache, so no two threads share them):
+    the (T + 1, k, B) state block x, the (T, p, B) action block and, for
+    every step t, the matmul's (B, n, 1) states and (B, p, 1) output views,
+    the (p, B) actions to clip, and the (B,) row tuples of x[t], of the
+    actions and of x[t + 1] that `step` takes. Made every step, these
+    views cost about a sixth of a pendulum step on 16 episodes, so they are
+    made once; a search uses two shapes, its 2N episodes and its
+    evaluation episodes."""
+    x = np.empty((horizon + 1, k, episodes))
+    taken = np.empty((horizon, p, episodes))
+    obs = x[:, :n].transpose(0, 2, 1)[..., None]
+    acts = taken.transpose(0, 2, 1)[..., None]
+    x_rows = [tuple(x_t) for x_t in x]
+    steps = tuple(zip(obs, acts, taken, x_rows, map(tuple, taken), x_rows[1:]))
+    return x, taken, steps
+
+
 def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
             keys: np.ndarray):
     """Run B = len(keys) episodes in lockstep to the horizon T, episode b
@@ -209,10 +244,13 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     normalizer is read, never written.
 
     The loop steps one time-major, episode-minor (T + 1, k, B) state block
-    and one (T, p, B) action block: `step` reads the (k, B) x[t] and the
-    (p, B) actions of step t and writes x[t + 1], every row of them the
-    contiguous (B,) values of one coordinate. The finished blocks are
-    copied once into the episode-major blocks returned.
+    and one (T, p, B) action block: `step` reads the rows of x[t] and of the
+    actions of step t and writes the rows of x[t + 1], each row the
+    contiguous (B,) values of one coordinate. The blocks and every step's
+    operands are a workspace cached per (k, n, p, T, B, thread), at most
+    four of them, made on a shape's first rollout on a thread and reused
+    after; the finished blocks are copied once into the episode-major
+    blocks returned, so nothing returned aliases the workspace.
     """
     spec = env.spec
     n, p, horizon = spec.state_dim, spec.action_dim, spec.horizon
@@ -238,22 +276,21 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     hi = _const(spec.action_clip)
     lo = _const(-spec.action_clip)
     x_0 = env.reset(keys)
-    x = np.empty((horizon + 1, *x_0.shape))
+    x, taken, steps = _workspace(len(x_0), n, p, horizon, len(keys),
+                                 threading.get_ident())
     x[0] = x_0
-    taken = np.empty((horizon, p, len(keys)))
-    # the matmul's (B, n, 1) operands and (B, p, 1) outputs as views of the
-    # blocks, made once: a view per step costs about what the layout saves
-    obs = x[:, :n].transpose(0, 2, 1)[..., None]
-    acts = taken.transpose(0, 2, 1)[..., None]
-    for x_t, s_t, x_next, a, a_t in zip(x, obs, x[1:], acts, taken):
+    # looked up per call, so a wrapper installed on the class sees every step
+    step = env.step
+    matmul, maximum, minimum = np.matmul, np.maximum, np.minimum
+    for s_t, a, a_t, x_t, u_t, x_next in steps:
         # a stacked matmul rounds like one episode's theta @ s; at the
         # built-in widths (a BLAS dot for p = 1 and n <= 3, a gemv for
         # p = 2) the strided states round as contiguous ones do
-        np.matmul(thetas, s_t, out=a)
+        matmul(thetas, s_t, out=a)
         # clip in place; NaN stays NaN, as in np.clip
-        np.maximum(a_t, lo, out=a_t)
-        np.minimum(a_t, hi, out=a_t)
-        env.step(x_t, a_t, x_next)
+        maximum(a_t, lo, out=a_t)
+        minimum(a_t, hi, out=a_t)
+        step(x_t, u_t, x_next)
     # one copy of each into the (B, T, .) blocks the callers index by episode
     x_block = x[:horizon].transpose(2, 0, 1).copy()
     actions = taken.transpose(2, 0, 1).copy()

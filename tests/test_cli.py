@@ -1,3 +1,4 @@
+import collections
 import re
 import shlex
 from pathlib import Path
@@ -278,7 +279,11 @@ def test_eval_matches_riccati_estimate(tmp_path, expert_policy_file, capsys):
 def _documented_commands():
     """The arguments of every `ailsrs ...` line in README.md's CLI block and
     in scripts/*.sh, one pytest param each, with `\\` continuations joined,
-    README's `[...]` optional brackets dropped and shell variables read as 1."""
+    README's `[...]` optional brackets dropped and shell variables read as 1.
+
+    A param's id is `source:command`, and `source:command:i` for the i-th
+    line of one command in one source: an edit renames no line before it
+    and no line of another command."""
     root = Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text()
     cli_block = readme.split("## CLI pipeline", 1)[1].split("```")[1]
@@ -287,10 +292,14 @@ def _documented_commands():
                 for path in sorted((root / "scripts").glob("*.sh"))]
     commands = []
     for name, text in sources:
+        seen = collections.Counter()
         for line in text.replace("\\\n", " ").splitlines():
             words = shlex.split(re.sub(r"\$\{?\w+\}?", "1", line), comments=True)
             if words[:1] == ["ailsrs"]:
-                commands.append(pytest.param(words[1:], id=f"{name}:{words[1]}"))
+                command = words[1]
+                seen[command] += 1
+                nth = f":{seen[command]}" if seen[command] > 1 else ""
+                commands.append(pytest.param(words[1:], id=f"{name}:{command}{nth}"))
     return commands
 
 

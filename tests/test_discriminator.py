@@ -310,14 +310,16 @@ def _uniform_rows(rng, rows, width):
     return rng.uniforms(-2.0, 2.0, rows * width).reshape(rows, width)
 
 
-@pytest.mark.parametrize("shape", [
-    pytest.param((5, 3), id="2d-rows"),
-    pytest.param((1, 4, 5, 3), id="4d"),
-    pytest.param((4, 5, 2), id="wrong-width"),  # rejected by the pass itself
+@pytest.mark.parametrize("shape, expected", [
+    pytest.param((5, 3), "a (B, T, n+p) block", id="2d-rows"),
+    pytest.param((1, 4, 5, 3), "a (B, T, n+p) block", id="4d"),
+    pytest.param((4, 5, 2), "inputs of width 3", id="wrong-width"),
+    # no pass runs on an empty block, so no pass can reject it
+    pytest.param((0, 5, 7), "inputs of width 3", id="empty-wrong-width"),
 ])
-def test_reward_batch_rejects_anything_but_matching_episode_blocks(shape):
+def test_reward_batch_rejects_anything_but_matching_episode_blocks(shape, expected):
     disc = disc_init(2, 1, Rng(67))
-    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+    with pytest.raises(ValueError, match=re.escape(f"expected {expected}, got shape {shape}")):
         disc.reward_batch(np.zeros(shape))
 
 

@@ -1,11 +1,16 @@
+import gc
 import math
 import re
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from _oracles import ScalarRng
 
+from ailsrs import envs
 from ailsrs.envs import (LQR_A, LQR_B, LQR_Q, LQR_R, EnvSpec, env_names,
                          episode_keys, evaluate_policy, make_env, riccati_optimal,
                          rollout)
@@ -161,7 +166,7 @@ class _NegativeZeroEnv:
         return np.zeros((1, len(keys)))
 
     def step(self, x, actions, out):
-        out[...] = x
+        np.copyto(out[0], x[0])
 
     def rewards(self, xs, actions):
         return np.full(xs.shape[:-1], -0.0)
@@ -303,12 +308,14 @@ class _RecordingEnv:
         return self.env.reset(keys)
 
     def step(self, x, actions, out):
-        k, n_episodes = x.shape
-        assert out.shape == (k, n_episodes) and k >= self.spec.state_dim
-        assert actions.shape == (self.spec.action_dim, n_episodes)
-        for block in (x, out, actions):
-            assert all(row.flags.c_contiguous for row in block)
-        assert not np.shares_memory(x, out)
+        # k, p and k (B,) rows, each contiguous, and no x row overlaps an
+        # out row
+        k, (n_episodes,) = len(x), x[0].shape
+        assert len(out) == k >= self.spec.state_dim
+        assert len(actions) == self.spec.action_dim
+        for row in (*x, *out, *actions):
+            assert row.shape == (n_episodes,) and row.flags.c_contiguous
+        assert not any(np.shares_memory(a, b) for a in x for b in out)
         self.steps += 1
         self.env.step(x, actions, out)
 
@@ -454,6 +461,100 @@ def test_rollout_bits_do_not_depend_on_policy_layout(name, whitened, layout):
     got = rollout(make_env(name), thetas, norm, keys)
     expect = rollout(make_env(name), np.ascontiguousarray(thetas), norm, keys)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in expect]
+
+
+def _rollout_args(env, episodes, seed):
+    """Policies, warm whitening statistics and keys of `episodes` episodes,
+    with enough gain to clip some actions."""
+    n, p = env.spec.state_dim, env.spec.action_dim
+    rng = Rng(seed)
+    norm = ObservationNormalizer.for_dim(n)
+    norm.add_states(rng.uniforms(-1.0, 1.0, 20 * n).reshape(20, n))
+    thetas = rng.uniforms(-3.0, 3.0, episodes * p * n).reshape(episodes, p, n)
+    return thetas, norm, rng.keys(3, np.arange(episodes))
+
+
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("name", ENVS)
+def test_next_rollout_of_a_shape_leaves_returned_arrays_alone(name):
+    # every rollout of a shape steps in one cached workspace; what it
+    # returns is copied out of it, so the next rollout writes none of it
+    env = make_env(name)
+    first = rollout(env, *_rollout_args(env, 6, 1))
+    before = _bytes(first)
+    second = rollout(env, *_rollout_args(env, 6, 2))
+    assert _bytes(first) == before
+    assert all(a.tobytes() != b for a, b in zip(second, before))
+
+
+def test_two_threads_rolling_out_one_shape_get_sequential_bytes():
+    # the workspace is keyed by thread, so two threads that interleave
+    # rollouts of one shape never step in the same blocks
+    env = make_env("pendulum")
+    args = [_rollout_args(env, 8, seed) for seed in range(6)]
+    expect = [_bytes(rollout(env, *a)) for a in args]
+    start = threading.Barrier(2)
+
+    def run(order):
+        start.wait(timeout=10)
+        return [_bytes(rollout(env, *args[i])) for i in order]
+
+    orders = [[0, 1, 2, 3, 4, 5] * 4, [5, 4, 3, 2, 1, 0] * 4]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        lanes = [pool.submit(run, order) for order in orders]
+        for order, lane in zip(orders, lanes):
+            assert lane.result() == [expect[i] for i in order]
+
+
+class _FailingEnv:
+    """Wraps an env; its step `fail_at` fills out with NaN and raises."""
+
+    def __init__(self, env, fail_at):
+        self.env, self.spec, self.fail_at, self.steps = env, env.spec, fail_at, 0
+
+    def reset(self, keys):
+        return self.env.reset(keys)
+
+    def step(self, x, actions, out):
+        if self.steps == self.fail_at:
+            for row in out:
+                row.fill(np.nan)
+            raise RuntimeError(f"step {self.steps}")
+        self.steps += 1
+        self.env.step(x, actions, out)
+
+    def rewards(self, xs, actions):
+        return self.env.rewards(xs, actions)
+
+
+@pytest.mark.parametrize("name", ENVS)
+def test_rollout_that_raises_leaves_the_next_one_exact(name):
+    env = make_env(name)
+    args = _rollout_args(env, 5, 1)
+    expect = _bytes(rollout(env, *args))
+    with pytest.raises(RuntimeError, match="^step 50$"):
+        rollout(_FailingEnv(env, 50), *_rollout_args(env, 5, 2))
+    assert _bytes(rollout(env, *args)) == expect
+
+
+def test_workspace_cache_stays_at_its_bound():
+    # a search uses two shapes; rollouts of many episode counts keep at
+    # most the bound, and an evicted workspace is freed
+    env = make_env("lqr2d")
+    n, p = env.spec.state_dim, env.spec.action_dim
+    first = weakref.ref(envs._workspace(n, n, p, env.spec.horizon, 1,
+                                        threading.get_ident())[0])
+    bound = envs._workspace.cache_info().maxsize
+    assert bound == 4
+    for episodes in range(1, 4 * bound):
+        rollout(env, *_rollout_args(env, episodes, episodes))
+        assert envs._workspace.cache_info().currsize <= bound
+    assert envs._workspace.cache_info().currsize == bound
+    gc.collect()
+    assert first() is None
 
 
 @pytest.mark.parametrize("episodes", [True, 2.5, np.float64(2.0), 0], ids=repr)

@@ -29,7 +29,8 @@ class _ConstantStateEnv:
         return np.tile(self.state[:, None], (1, len(keys)))
 
     def step(self, x, actions, out):
-        out[...] = self.state[:, None]
+        for row, value in zip(out, self.state):
+            row.fill(value)
 
     def rewards(self, xs, actions):
         return np.zeros(xs.shape[:-1])
@@ -110,7 +111,9 @@ class _BasisEnv:
         return np.tile(np.eye(self.spec.state_dim)[:, :1], (1, len(keys)))
 
     def step(self, x, actions, out):
-        out[...] = np.roll(x, 1, axis=0)
+        # out[j] = x[j - 1], as np.roll(x, 1, axis=0)
+        for j, row in enumerate(out):
+            np.copyto(row, x[j - 1])
 
     def rewards(self, xs, actions):
         return np.zeros(xs.shape[:-1])
