@@ -24,10 +24,11 @@ The JSON holds both commits, each side's `src_lines` (the total lines of
 comment-only and docstring lines) with the net change, the thread pins,
 host and library versions (from the benchmark's header line), and per
 workload the median, quartiles and IQR of every end-to-end metric of
-BENCHMARK.json plus the plain ms per iteration, with every run's value,
-the number of pairs the change wins (ties count for neither side) and a
-verdict (see `verdict`), and per side the median, quartiles, IQR and
-every run of each traced per-layer metric. The trees live in a temporary
+BENCHMARK.json plus the plain ms per iteration (judged under `iter_cal`'s
+bound), with every run's value, the number of pairs the change wins (ties
+count for neither side), a verdict (see `verdict`) and whether `iter_ms`
+confirms an `iter_cal` gain (see `summarize`), and per side the median,
+quartiles, IQR and every run of each traced per-layer metric. The trees live in a temporary
 directory that is removed afterwards; the JSON is written to the
 repository root as BENCH_<short sha of the change>.json.
 """
@@ -56,6 +57,9 @@ TIER1_ROUNDS = 3
 TRACE_ROUNDS = 3
 ITER_MS = re.compile(r"^iter_ms \(median of untraced calls\) ([0-9.eE+-]+) ms")
 TIER1_COUNTS = re.compile(r"(\d+) (passed|failed|errors?)\b")
+# printed after an iter_cal verdict, by its iter_ms_confirms
+CONFIRMS = {None: "", True: ", confirmed by iter_ms",
+            False: ", not confirmed by iter_ms"}
 TIER1_COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors",
                  "-p", "no:cacheprovider"]
 
@@ -197,9 +201,23 @@ def verdict(entry: dict) -> str:
     return "within bound"
 
 
+def metric_specs(benchmark: dict) -> dict:
+    """BENCHMARK.json's end-to-end metrics by name, plus the plain ms per
+    iteration under `iter_cal`'s bound: a calibrated gain that the plain
+    time does not show is no gain."""
+    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
+    metrics["iter_ms"] = {"unit": "ms/iter", "better": "lower",
+                          "bound": metrics["iter_cal"]["bound"]}
+    return metrics
+
+
 def summarize(runs: dict, metrics: dict) -> dict:
     """Per workload and metric: both sides' spreads, the pairs the change
-    wins, the ratio of the medians and the verdict."""
+    wins, the ratio of the medians and the verdict. When both `iter_cal`
+    and `iter_ms` are measured, the `iter_cal` entry also says whether the
+    `iter_ms` of the same pairs confirms its gain: `iter_ms_confirms` is
+    None when `iter_cal` shows no gain, else whether `iter_ms` reads a gain
+    too."""
     workloads = sorted({key.split(".", 1)[0]
                         for key in runs["parent"][0]["metrics"]})
     out = {}
@@ -222,6 +240,11 @@ def summarize(runs: dict, metrics: dict) -> dict:
             entry["median_ratio"] = entry["change"]["median"] / base if base else None
             entry["verdict"] = verdict(entry)
             out[workload][metric] = entry
+        if "iter_cal" in out[workload] and "iter_ms" in out[workload]:
+            cal = out[workload]["iter_cal"]
+            cal["iter_ms_confirms"] = (
+                out[workload]["iter_ms"]["verdict"] == "gain"
+                if cal["verdict"] == "gain" else None)
     return out
 
 
@@ -237,8 +260,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
     seconds = benchmark["run_seconds"]
-    metrics = {m["name"]: m for m in benchmark["end_to_end"]}
-    metrics["iter_ms"] = {"unit": "ms/iter", "better": "lower"}
+    metrics = metric_specs(benchmark)
     commits = {"parent": git("rev-parse", "--verify", args.parent + "^{commit}"),
                "change": git("rev-parse", "--verify", args.change + "^{commit}")}
     short = git("rev-parse", "--short=7", commits["change"])
@@ -314,7 +336,7 @@ def main(argv=None) -> int:
                   f" (IQR {entry['parent']['iqr']:.3g})  change "
                   f"{entry['change']['median']:.6g} (IQR {entry['change']['iqr']:.3g})"
                   f"  change wins {entry['change_wins']}/{entry['pairs']}"
-                  f"  {entry['verdict']}")
+                  f"  {entry['verdict']}{CONFIRMS[entry.get('iter_ms_confirms')]}")
     return 0
 
 

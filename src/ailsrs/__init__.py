@@ -4,10 +4,16 @@ training, demonstration recording and behavior cloning around it.
 """
 
 import os
+import sys
+import warnings
 
 # One BLAS thread, set before numpy loads: threaded OpenBLAS rounds the
 # discriminator's matmuls differently, so artifacts would follow the core count.
-os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+_PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and any(os.environ.get(v) != "1" for v in _PINS):
+    warnings.warn("numpy was imported before ailsrs, so the one-thread BLAS pin "
+                  "cannot take effect; import ailsrs first", RuntimeWarning, 2)
+os.environ.update(dict.fromkeys(_PINS, "1"))
 
 from .ars import ArsConfig, ars_update, sample_directions
 from .demo_io import (Trajectory, TrajectorySet, load_policy, load_trajectories,

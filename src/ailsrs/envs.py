@@ -268,11 +268,10 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     if np.ndim(thetas) == 3 and len(thetas) != len(keys):
         raise ValueError(f"{spec.name} takes one policy per episode, got "
                          f"{len(thetas)} policies for {len(keys)} episodes")
-    inv_rms = normalizer.snapshot()
     # theta @ (s * inv_rms) == (theta * inv_rms) @ s; in C order, because
     # the matmul need not round a strided or Fortran-ordered stack as it
     # rounds a contiguous one
-    thetas = np.ascontiguousarray(thetas if inv_rms is None else thetas * inv_rms)
+    thetas = np.multiply(thetas, normalizer.snapshot(), order="C")
     hi = _const(spec.action_clip)
     lo = _const(-spec.action_clip)
     x_0 = env.reset(keys)

@@ -4,7 +4,7 @@ A policy is a p x n weight matrix applied to whitened states:
 a = theta @ (s / sqrt(max(var + mu**2, 1e-8))): scaled by the running root
 mean square, never centred, so a zero state gives a zero action (centring
 would add a constant action bias that no optimal linear controller has).
-Whitening is the identity until at least two states have been observed.
+Whitening multiplies by `snapshot()`: ones until two states have been seen.
 The normalizer merges its statistics a block of states at a time. Behavior
 cloning fits theta to (state, action) arrays by one exact ridge solve.
 """
@@ -51,15 +51,11 @@ class ObservationNormalizer:
             return np.zeros(self.mean.shape)
         return self.m2 / self.count
 
-    def snapshot(self) -> np.ndarray | None:
-        """Frozen per-coordinate inverse RMS for a rollout; None while inactive."""
+    def snapshot(self) -> np.ndarray:
+        """Frozen (n,) inverse RMS for a rollout; ones while inactive."""
         if self.count < 2:
-            return None
+            return np.ones(self.mean.shape)
         return 1.0 / np.sqrt(np.maximum(self.variance() + self.mean ** 2, VAR_FLOOR))
-
-    def normalize(self, state: np.ndarray) -> np.ndarray:
-        inv_rms = self.snapshot()
-        return state if inv_rms is None else state * inv_rms
 
     def add_states(self, states: np.ndarray) -> None:
         """Fold a (B, n) block of states in one pairwise merge."""
@@ -102,7 +98,7 @@ def bc_closed_form(states: np.ndarray, actions: np.ndarray,
         raise ValueError("cannot fit on an empty dataset")
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    z = normalizer.normalize(states)
+    z = states * normalizer.snapshot()
     gram = z.T @ z + ridge * np.eye(z.shape[1])
     rhs = z.T @ actions
     try:

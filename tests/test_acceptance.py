@@ -265,19 +265,36 @@ def test_bc_oracle(riccati_demos_50, riccati_expert):
 # ---------------------------------------------------------------------------
 # criterion: end-to-end imitation on discriminator reward only
 # ---------------------------------------------------------------------------
-def test_end_to_end_imitation(e2e_runs):
+def test_end_to_end_imitation(e2e_runs, riccati_demos_50):
     runs = e2e_runs["runs"]
     hits = [r for r in runs if r["hit_iteration"] is not None]
     seconds = e2e_runs["total_seconds"]
+    # report-only baselines on the expert's 100 seed-0 episodes: the zero
+    # policy, each final imitator as a normalized score (0 for the zero
+    # policy, 1 for the expert) and the closed-form clone of the same demos
+    expert_mean = e2e_runs["expert_mean"]
+    zero, _ = ailsrs.evaluate_policy(ailsrs.LinearPolicy.zeros(1, 2),
+                                     ObservationNormalizer.for_dim(2), "lqr2d", 100, 0)
+    states = np.concatenate([t.states for t in riccati_demos_50.trajectories])
+    actions = np.concatenate([t.actions for t in riccati_demos_50.trajectories])
+    norm = ObservationNormalizer.for_dim(2)
+    norm.add_states(states)
+    bc, _ = ailsrs.evaluate_policy(bc_closed_form(states, actions, norm, ridge=1e-8),
+                                   norm, "lqr2d", 100, 0)
+    scores = [(ailsrs.evaluate_policy(r["policy"], r["normalizer"], "lqr2d",
+                                      100, 0)[0] - zero) / (expert_mean - zero)
+              for r in runs]
     detail = ", ".join(
         f"seed {r['seed']}: "
         + (f"hit at iter {r['hit_iteration']}" if r["hit_iteration"] is not None
            else f"no hit (final {r['final_eval']:.2f})")
-        for r in runs)
+        + f", score {score:.4f}"
+        for r, score in zip(runs, scores))
     ok = len(hits) >= 2 and seconds < 900.0
     assert _report("imitator reaches 90% of expert on discriminator reward only",
                    ok, f"{detail}; target {e2e_runs['target']:.4f}; "
-                       f"{seconds:.0f}s total")
+                       f"zero policy {zero:.2f}, BC clone {bc:.4f}, expert "
+                       f"{expert_mean:.4f}; {seconds:.0f}s total")
 
 
 # ---------------------------------------------------------------------------

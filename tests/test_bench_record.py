@@ -1,10 +1,11 @@
 import importlib.util
+import json
 import os
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "scripts", "bench_record.py")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_PATH = os.path.join(_ROOT, "scripts", "bench_record.py")
 _SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
 bench_record = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_record)
@@ -54,7 +55,7 @@ def test_summarize_verdict(better, bound, parent, change, expect):
 
 
 def test_summarize_verdict_without_bound():
-    # the plain ms per iteration has no bound: a gain or "no bound"
+    # a metric without a bound reads a gain or "no bound"
     runs = _runs({"m": {"parent": NARROW, "change": NARROW},
                   "iter_ms": {"parent": NARROW, "change": [v * 2 for v in NARROW]}})
     metrics = {"iter_ms": {"unit": "ms/iter", "better": "lower"}}
@@ -62,6 +63,38 @@ def test_summarize_verdict_without_bound():
     runs = _runs({"m": {"parent": NARROW, "change": NARROW},
                   "iter_ms": {"parent": NARROW, "change": [v / 2 for v in NARROW]}})
     assert bench_record.summarize(runs, metrics)["w"]["iter_ms"]["verdict"] == "gain"
+
+
+def _timing_metrics():
+    """iter_cal and iter_ms as the script reads them from BENCHMARK.json."""
+    with open(os.path.join(_ROOT, "BENCHMARK.json")) as fh:
+        specs = bench_record.metric_specs(json.load(fh))
+    return {name: specs[name] for name in ("iter_cal", "iter_ms")}
+
+
+@pytest.mark.parametrize("iter_ms, ms_verdict, confirms", [
+    pytest.param([v - 0.2 for v in NARROW], "gain", True, id="confirmed-gain"),
+    # the calibration moved, not the iteration
+    pytest.param(NARROW, "within bound", False, id="flat-iter-ms"),
+])
+def test_iter_ms_confirms_an_iter_cal_gain(iter_ms, ms_verdict, confirms):
+    runs = _runs({"iter_cal": {"parent": NARROW, "change": [v - 0.2 for v in NARROW]},
+                  "iter_ms": {"parent": NARROW, "change": iter_ms}})
+    table = bench_record.summarize(runs, _timing_metrics())["w"]
+    assert table["iter_cal"]["verdict"] == "gain"
+    assert table["iter_ms"]["verdict"] == ms_verdict
+    assert table["iter_cal"]["iter_ms_confirms"] is confirms
+
+
+def test_iter_ms_above_its_bound_reads_worse():
+    # iter_ms is judged under iter_cal's bound, 25%
+    runs = _runs({"iter_cal": {"parent": NARROW, "change": NARROW},
+                  "iter_ms": {"parent": NARROW, "change": [v * 1.3 for v in NARROW]}})
+    table = bench_record.summarize(runs, _timing_metrics())["w"]
+    assert table["iter_ms"]["bound"] == 0.25
+    assert table["iter_ms"]["verdict"] == "worse"
+    # no iter_cal gain, so nothing to confirm
+    assert table["iter_cal"]["iter_ms_confirms"] is None
 
 
 def test_runs_alternate_which_side_goes_first():

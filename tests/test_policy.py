@@ -57,7 +57,7 @@ def test_act_shifts_and_scales():
     # not centre, so [3, 1] maps to [3, 1] / sqrt(5)
     norm = _normalizer([1.0, 1.0], [4.0, 4.0])
     expect = [3.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0)]
-    np.testing.assert_allclose(norm.normalize(np.array([3.0, 1.0])), expect,
+    np.testing.assert_allclose(np.array([3.0, 1.0]) * norm.snapshot(), expect,
                                rtol=1e-15)
     np.testing.assert_allclose(_first_actions(np.eye(2), norm, [3.0, 1.0]),
                                [expect], rtol=1e-15)
@@ -72,7 +72,7 @@ def test_zero_state_gives_zero_action(mean, var, seed):
     # and in the rollout's effective-weight path
     theta = ScalarRng(seed).gaussian_matrix(3, 2)
     norm = _normalizer(mean, var)
-    assert np.all(norm.normalize(np.zeros(2)) == 0.0)
+    assert np.all(np.zeros(2) * norm.snapshot() == 0.0)
     _, actions, _, _ = rollout(_ConstantStateEnv(np.zeros(2), 3, horizon=3), theta,
                                norm, Rng(seed).keys([0]))
     assert np.all(actions == 0.0)
@@ -90,7 +90,7 @@ def test_act_linear_in_theta():
 def test_act_identity_until_two_observations():
     norm = ObservationNormalizer.for_dim(2)
     welford_update(norm, np.array([5.0, 5.0]))  # count == 1: still identity
-    np.testing.assert_array_equal(norm.normalize(np.array([1.5, 9.0])), [1.5, 9.0])
+    np.testing.assert_array_equal(np.array([1.5, 9.0]) * norm.snapshot(), [1.5, 9.0])
     np.testing.assert_allclose(_first_actions([[2.0, 0.0]], norm, [1.5, 9.0]),
                                [[3.0]])
 

@@ -214,33 +214,22 @@ def test_search_trains_on_a_view_of_the_block_it_scores(riccati_demos,
     assert trained.tobytes() == scored.tobytes()
 
 
-_BLAS_DIGEST = """
-import hashlib
-import ailsrs  # first: it pins the BLAS threads before numpy loads
-pol, norm, _ = ailsrs.riccati_optimal(seed=0, episodes=1)
-demos = ailsrs.record(pol, norm, "lqr2d", 4, 0)
-cfg = ailsrs.TrainerConfig(ars=ailsrs.ArsConfig(n_directions=8),
-                           max_iterations=5, eval_every=5, eval_episodes=2,
-                           seed=1)
-policy, _, rows = ailsrs.train_ailsrs("lqr2d", demos, cfg)
-h = hashlib.sha256(policy.theta.tobytes())
-h.update(repr([(r.mean_disc_return, r.disc_loss) for r in rows]).encode())
-print(h.hexdigest())
-"""
-
-
-def test_artifacts_do_not_depend_on_blas_threads():
-    # threaded OpenBLAS rounds the discriminator's matmuls differently; the
-    # package pins one thread whatever the environment asks for
+@pytest.mark.parametrize("imports, preset, warns", [
+    pytest.param("import numpy, ailsrs", False, True, id="numpy-first"),
+    pytest.param("import ailsrs, numpy", False, False, id="ailsrs-first"),
+    pytest.param("import numpy, ailsrs", True, False, id="numpy-first-pinned"),
+])
+def test_import_warns_when_the_blas_pin_comes_too_late(imports, preset, warns):
+    # OpenBLAS reads its thread count when numpy loads, so the package's pin
+    # works only if it is imported first or the variables already read 1
     src = os.path.dirname(os.path.dirname(os.path.abspath(ailsrs.__file__)))
-    digests = set()
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", _BLAS_DIGEST], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=300)
-        digests.add(out.stdout.strip())
-    assert len(digests) == 1, digests
+    pins = ailsrs._PINS
+    env = {k: v for k, v in os.environ.items() if k not in pins}
+    env.update(PYTHONPATH=src, **(dict.fromkeys(pins, "1") if preset else {}))
+    out = subprocess.run([sys.executable, "-c", imports], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert ("RuntimeWarning" in out.stderr
+            and "import ailsrs first" in out.stderr) == warns, out.stderr
 
 
 # What scripts/artifact_digest.py prints, with the numpy and BLAS it was
@@ -255,12 +244,21 @@ DIGEST_BLAS = "scipy-openblas 0.3.31.188.0"
 def test_artifact_digest_is_the_recorded_one():
     script = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "scripts", "artifact_digest.py")
-    out = subprocess.run([sys.executable, script], capture_output=True,
-                         text=True, timeout=600)
-    assert out.returncode == 0, out.stderr
+    digests = {}
+    for threads in ("1", "2"):
+        # threaded OpenBLAS rounds the discriminator's matmuls differently;
+        # the package pins one thread whatever the environment asks for
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, script], env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert out.returncode == 0, out.stderr
+        digests[threads] = out.stdout.strip()
+    # equal under both settings on any numpy and BLAS
+    assert digests["1"] == digests["2"], digests
+    digest = digests["1"]
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert out.stdout.strip() == ARTIFACT_DIGEST, (
-        f"artifact digest {out.stdout.strip()} under numpy {np.__version__} "
+    assert digest == ARTIFACT_DIGEST, (
+        f"artifact digest {digest} under numpy {np.__version__} "
         f"and {blas['name']} {blas['version']}; recorded {ARTIFACT_DIGEST} "
         f"under numpy {DIGEST_NUMPY} and {DIGEST_BLAS}")
 
