@@ -53,9 +53,9 @@ def ars_update(theta: np.ndarray, deltas: np.ndarray, returns: np.ndarray,
     sigma = float(returns.std())
     if sigma < 1e-12:
         return theta.copy()
-    step = np.zeros_like(theta)
-    for diff, delta in zip(returns[:, 0] - returns[:, 1], deltas):
-        step += diff * delta
+    # cumsum adds in direction order; + 0.0 keeps a loop's +0.0 start
+    diffs = returns[:, 0] - returns[:, 1]
+    step = np.cumsum(diffs[:, None, None] * deltas, axis=0)[-1] + 0.0
     return theta + (alpha / (len(deltas) * sigma)) * step
 
 

@@ -113,6 +113,23 @@ def test_ars_update_sums_directions_in_order(shape, n_directions):
         expect = theta + (0.02 / (n_directions * sigma)) * step
         got = ars_update(theta, deltas, returns, 0.02)
         assert got.tobytes() == expect.tobytes(), draw
+    if n_directions == 1:
+        return  # tied returns of one direction have no spread
+    # signed zero: tied +/- returns and negative deltas make every product
+    # in entry 0 -0.0, and -0.0 + -0.0 = -0.0; only a sum started from +0.0
+    # gives the +0.0 step that turns theta's -0.0 entry into +0.0
+    theta = np.zeros(shape)
+    theta.flat[0] = -0.0
+    returns = np.repeat(np.arange(1.0, n_directions + 1.0)[:, None], 2, axis=1)
+    deltas = np.ones((n_directions, *shape))
+    deltas[(slice(None), *np.unravel_index(0, shape))] = -1.0
+    step = np.zeros(shape)
+    for i in range(n_directions):
+        step += (returns[i, 0] - returns[i, 1]) * deltas[i]
+    sigma = float(np.std(returns))
+    expect = theta + (0.02 / (n_directions * sigma)) * step
+    got = ars_update(theta, deltas, returns, 0.02)
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_sample_directions_shapes_and_determinism():
