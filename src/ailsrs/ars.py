@@ -53,7 +53,7 @@ def ars_update(theta: np.ndarray, deltas: np.ndarray, returns: np.ndarray,
     sigma = float(returns.std())
     if sigma < 1e-12:
         return theta.copy()
-    # cumsum adds in direction order; + 0.0 keeps a loop's +0.0 start
+    # cumsum adds in direction order; + 0.0 gives the +0.0 of a sum from 0.0
     diffs = returns[:, 0] - returns[:, 1]
     step = np.cumsum(diffs[:, None, None] * deltas, axis=0)[-1] + 0.0
     return theta + (alpha / (len(deltas) * sigma)) * step
