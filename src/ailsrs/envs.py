@@ -59,6 +59,13 @@ def _const(value: float) -> np.ndarray:
     return c
 
 
+# numpy's clip ufunc, which np.clip and ndarray.clip reach only through
+# Python dispatch that costs more than the clamp on a 16-row column; it is
+# max then min, so NaN stays NaN and every bit is that of np.maximum then
+# np.minimum, in one call instead of two. numpy (>= 2.0) has no public name
+# for it
+_CLIP = np._core.umath.clip
+
 # Step and reward constants, named by the term they enter. Cost weights
 # carry the reward's sign.
 _LQR_DT = _const(0.1)                    # s' = s + dt (v, a)
@@ -169,8 +176,7 @@ class PendulumEnv:
         acc += actions[0]
         acc *= _PEND_DT
         acc += x[2]
-        np.maximum(acc, _PEND_MIN_SPEED, out=acc)
-        np.minimum(acc, _PEND_MAX_SPEED, out=acc)
+        _CLIP(acc, _PEND_MIN_SPEED, _PEND_MAX_SPEED, acc)
         np.multiply(acc, _PEND_DT, out=phi)
         phi += x[3]
         np.cos(phi, out[0])
@@ -263,6 +269,10 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     if np.ndim(keys) != 1:
         raise ValueError(f"{spec.name} takes a 1-D array of keys, one per "
                          f"episode, got shape {np.shape(keys)}")
+    key_dtype = np.asarray(keys).dtype
+    if key_dtype.kind != "u":
+        raise ValueError(f"{spec.name} takes unsigned integer stream keys "
+                         f"(see Rng.keys), got dtype {key_dtype}")
     if len(keys) == 0:
         raise ValueError(f"{spec.name} takes one or more episodes, got 0")
     if np.ndim(thetas) == 3 and len(thetas) != len(keys):
@@ -280,15 +290,14 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     x[0] = x_0
     # looked up per call, so a wrapper installed on the class sees every step
     step = env.step
-    matmul, maximum, minimum = np.matmul, np.maximum, np.minimum
+    matmul, clip = np.matmul, _CLIP
     for s_t, a, a_t, x_t, u_t, x_next in steps:
         # a stacked matmul rounds like one episode's theta @ s; at the
         # built-in widths (a BLAS dot for p = 1 and n <= 3, a gemv for
         # p = 2) the strided states round as contiguous ones do
         matmul(thetas, s_t, out=a)
         # clip in place; NaN stays NaN, as in np.clip
-        maximum(a_t, lo, out=a_t)
-        minimum(a_t, hi, out=a_t)
+        clip(a_t, lo, hi, a_t)
         step(x_t, u_t, x_next)
     # one copy of each into the (B, T, .) blocks the callers index by episode
     x_block = x[:horizon].transpose(2, 0, 1).copy()

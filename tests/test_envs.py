@@ -298,6 +298,46 @@ def test_rollout_rejects_keys_that_are_not_1d(name, labels):
                 ObservationNormalizer.for_dim(spec.state_dim), keys)
 
 
+@pytest.mark.parametrize("name", ENVS)
+@pytest.mark.parametrize("keys", [
+    pytest.param(np.arange(3), id="int64-keys"),
+    pytest.param(np.arange(3.0), id="float64-keys"),
+    pytest.param([1, 2, 3], id="list-keys")])
+def test_rollout_rejects_keys_that_are_not_unsigned(name, keys):
+    # they used to fail inside the key mixer, with numpy's TypeError on
+    # right_shift
+    spec = make_env(name).spec
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} takes unsigned integer stream keys (see Rng.keys), got "
+            f"dtype {np.asarray(keys).dtype}")):
+        rollout(make_env(name), np.zeros((spec.action_dim, spec.state_dim)),
+                ObservationNormalizer.for_dim(spec.state_dim), keys)
+
+
+def test_rollout_takes_uint32_keys():
+    spec = make_env("pendulum").spec
+    theta = np.full((spec.action_dim, spec.state_dim), 0.5)
+    norm = ObservationNormalizer.for_dim(spec.state_dim)
+    narrow = rollout(make_env("pendulum"), theta, norm,
+                     np.array([3, 9], dtype=np.uint32))
+    wide = rollout(make_env("pendulum"), theta, norm, _root_keys(3, 9))
+    assert [a.tobytes() for a in narrow] == [a.tobytes() for a in wide]
+
+
+def test_clip_is_numpys_clip_ufunc():
+    # the engine's one clamp is a private numpy name: a numpy that renames it
+    # or changes its bits fails here, by name
+    assert isinstance(envs._CLIP, np.ufunc)
+    lo, hi = envs._const(-2.0), envs._const(2.0)
+    a = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0, -2.0,
+                  np.nextafter(2.0, 3.0), np.nextafter(-2.0, -3.0),
+                  np.nextafter(2.0, 0.0), np.nextafter(-2.0, 0.0), 1.5, -3.0])
+    clipped = a.copy()
+    envs._CLIP(clipped, lo, hi, clipped)
+    assert clipped.tobytes() == np.minimum(np.maximum(a, lo), hi).tobytes()
+    assert clipped.tobytes() == np.clip(a, lo, hi).tobytes()
+
+
 class _RecordingEnv:
     """Wraps an env and checks the layout of every `step` call it gets."""
 
