@@ -21,7 +21,8 @@ each exported tree and with the tree's own, unchanged benchmark:
 
 The JSON holds both commits, each side's `src_lines` (the total lines of
 `src/**/*.py` and the code lines among them, which leave out blank,
-comment-only and docstring lines) with the net change, the thread pins,
+comment-only and docstring lines) and `tests_lines` (the same of
+`tests/**/*.py`), each with the net change, the thread pins,
 host and library versions (from the benchmark's header line), and per
 workload the median, quartiles and IQR of every end-to-end metric of
 BENCHMARK.json plus the plain ms per iteration (judged under `iter_cal`'s
@@ -135,11 +136,11 @@ def tier1(tree: str) -> dict:
             "summary": summary}
 
 
-def src_lines(tree: str) -> dict:
-    """Total lines of `tree`'s src/**/*.py, and the code lines among them:
+def py_lines(tree: str, top: str) -> dict:
+    """Total lines of `tree`'s top/**/*.py, and the code lines among them:
     the lines that are not blank, comment-only or part of a docstring."""
     total = code = 0
-    for path in glob.glob(os.path.join(tree, "src", "**", "*.py"), recursive=True):
+    for path in glob.glob(os.path.join(tree, top, "**", "*.py"), recursive=True):
         with open(path) as fh:
             text = fh.read()
         docstrings = set()
@@ -273,9 +274,12 @@ def main(argv=None) -> int:
     try:
         for side, commit in commits.items():
             export(commit, trees[side])
-        lines = {side: src_lines(tree) for side, tree in trees.items()}
-        lines["net"] = {kind: lines["change"][kind] - lines["parent"][kind]
-                        for kind in ("total", "code")}
+        lines = {}
+        for top in ("src", "tests"):
+            counts = {side: py_lines(tree, top) for side, tree in trees.items()}
+            counts["net"] = {kind: counts["change"][kind] - counts["parent"][kind]
+                             for kind in ("total", "code")}
+            lines[top] = counts
         bench_args = ["--workload", "all", "--seed", str(args.seed),
                       "--seconds", str(seconds), "--trace", "0"]
         runs = {"parent": [], "change": []}
@@ -302,7 +306,8 @@ def main(argv=None) -> int:
     first_header = next(iter(headers["change"].values()))
     record = {
         "commits": commits,
-        "src_lines": lines,
+        "src_lines": lines["src"],
+        "tests_lines": lines["tests"],
         "command": "python3 bench/run.py " + " ".join(bench_args),
         "pairs": PAIRS,
         "thread_pins": first_header["thread_pins"],
@@ -326,10 +331,11 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     progress(f"wrote {out_path}")
-    print(f"src/ lines: total {lines['parent']['total']} -> "
-          f"{lines['change']['total']} ({lines['net']['total']:+d}), code "
-          f"{lines['parent']['code']} -> {lines['change']['code']} "
-          f"({lines['net']['code']:+d})")
+    for top, counts in lines.items():
+        print(f"{top}/ lines: total {counts['parent']['total']} -> "
+              f"{counts['change']['total']} ({counts['net']['total']:+d}), code "
+              f"{counts['parent']['code']} -> {counts['change']['code']} "
+              f"({counts['net']['code']:+d})")
     for workload, table in record["workloads"].items():
         for metric, entry in table.items():
             print(f"{workload:22s} {metric:12s} parent {entry['parent']['median']:.6g}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import make_env, rollout
-from .numerics import Rng, check_count, uniform_block
+from .numerics import Rng, check_integer, uniform_block
 from .policy import ObservationNormalizer
 
 _TWO_PI = 2.0 * math.pi
@@ -33,7 +33,7 @@ class ArsConfig:
         # written so that NaN fails too
         if not (0 < self.alpha < math.inf and 0 < self.nu < math.inf):
             raise ValueError("alpha, nu must be positive and finite")
-        check_count("n_directions", self.n_directions, 1)
+        check_integer("n_directions", self.n_directions, 1)
 
 
 def ars_update(theta: np.ndarray, deltas: np.ndarray, returns: np.ndarray,
@@ -71,7 +71,7 @@ def sample_directions(rng: Rng, n_directions: int, p: int, n: int) -> np.ndarray
     odd p n drops the last sine. Log, cosine and sine are libm's, which
     numpy's do not round like."""
     for name, value in (("n_directions", n_directions), ("p", p), ("n", n)):
-        check_count(name, value, 1)
+        check_integer(name, value, 1)
     u = uniform_block(rng.keys(np.arange(n_directions)), p * n + p * n % 2,
                       0.0, 1.0).T
     r = np.sqrt(-2.0 * _libm(math.log, u[:, 0::2]))

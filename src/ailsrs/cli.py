@@ -18,7 +18,7 @@ from .ars import ArsConfig
 from .demo_io import (load_policy, load_trajectories, record, save_policy,
                       save_trajectories)
 from .envs import env_names, evaluate_policy
-from .policy import ObservationNormalizer, bc_closed_form
+from .policy import bc_closed_form
 from .trainer import (TrainerConfig, return_target, train_ailsrs, train_expert,
                       write_metrics)
 
@@ -65,11 +65,7 @@ def cmd_bc(args) -> int:
     demos = load_trajectories(args.demos)
     states = np.concatenate([t.states for t in demos.trajectories])
     actions = np.concatenate([t.actions for t in demos.trajectories])
-    # whiten against the demonstration states so the cloned weights live in
-    # the same coordinates a trained policy would use
-    normalizer = ObservationNormalizer.for_dim(states.shape[1])
-    normalizer.add_states(states)
-    policy = bc_closed_form(states, actions, normalizer, ridge=args.ridge)
+    policy, normalizer = bc_closed_form(states, actions, ridge=args.ridge)
     save_policy(policy, normalizer, demos.env_name, args.out)
     mean, std = evaluate_policy(policy, normalizer, demos.env_name, 100, 0)
     print(f"cloned policy from {len(demos)} episodes: eval return "

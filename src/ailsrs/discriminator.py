@@ -52,7 +52,7 @@ import os
 
 import numpy as np
 
-from .numerics import AdamState, Rng, adam_step, check_count
+from .numerics import AdamState, Rng, adam_step, check_integer
 
 HIDDEN = 100
 REWARD_CLAMP = 1.0 - 1e-6  # -log(1 - D) diverges as D -> 1
@@ -174,8 +174,8 @@ class MlpDiscriminator:
 
 def disc_init(n: int, p: int, rng: Rng) -> MlpDiscriminator:
     """Glorot-uniform weights, zero biases."""
-    if n < 1 or p < 1:
-        raise ValueError("state and action dims must be >= 1")
+    check_integer("n", n, 1)
+    check_integer("p", p, 1)
 
     def glorot(rows, cols):  # drawn in row-major order
         s = np.sqrt(6.0 / (rows + cols))
@@ -294,8 +294,8 @@ def disc_train(disc: MlpDiscriminator, adam: AdamState, expert_pairs: np.ndarray
     discriminator stays frozen and the loss of one such minibatch pair is
     returned. Mutates `disc` and `adam`.
     """
-    check_count("iters", iters, 0)
-    check_count("batch_size", batch_size, 1)
+    check_integer("iters", iters, 0)
+    check_integer("batch_size", batch_size, 1)
     if len(expert_pairs) == 0 or len(sampled_pairs) == 0:
         raise ValueError("both the expert and sampled pools must be nonempty")
     # every step's two index rows in one draw, in the stream order of two

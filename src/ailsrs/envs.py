@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, check_count, uniform_block
+from .numerics import Rng, check_integer, uniform_block
 from .policy import LinearPolicy, ObservationNormalizer
 
 # label for per-episode evaluation/recording streams, shared by everything
@@ -314,7 +314,7 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
 def episode_keys(seed: int, episodes: int) -> np.ndarray:
     """Stream keys of evaluation/recording episodes 0, ..., episodes - 1
     under `seed`."""
-    check_count("episodes", episodes, 1)
+    check_integer("episodes", episodes, 1)
     return Rng(seed).keys(EPISODE_STREAM, np.arange(episodes))
 
 

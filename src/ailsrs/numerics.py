@@ -45,12 +45,14 @@ def _mix64_block(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def check_count(name: str, value, minimum: int) -> None:
-    """Raise a ValueError naming the field unless `value` is an integer, a
-    Python or numpy one but not a bool, of at least `minimum`."""
+def check_integer(name: str, value, minimum: int | None = None) -> int:
+    """`value` as a Python int; a ValueError naming the field unless it is an
+    integer, a Python or numpy one but not a bool, of at least `minimum`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+            or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
 
 
 def _u64_draws(keys: np.ndarray, draws: int) -> np.ndarray:
@@ -89,9 +91,9 @@ class Rng:
     __slots__ = ("_key", "_state")
 
     def __init__(self, seed: int, labels: tuple[int, ...] = ()):
-        key = seed & _MASK64
+        key = check_integer("seed", seed) & _MASK64
         for lab in labels:
-            key = _mix64(key ^ (lab & _MASK64))
+            key = _mix64(key ^ (check_integer("label", lab) & _MASK64))
         self._key = key
         self._state = key
 
@@ -114,11 +116,9 @@ class Rng:
 
     def _advance(self, size: int) -> np.uint64:
         """The state before the next `size` draws; the stream moves past them."""
-        if size < 0:
-            raise ValueError(f"size must be >= 0, got {size}")
-        state = np.uint64(self._state)
-        self._state = (self._state + size * _GOLDEN) & _MASK64
-        return state
+        state = self._state
+        self._state = (state + check_integer("size", size, 0) * _GOLDEN) & _MASK64
+        return np.uint64(state)
 
     def uniforms(self, lo: float, hi: float, size: int) -> np.ndarray:
         """The next `size` uniforms in (lo, hi], as one array."""
@@ -135,9 +135,9 @@ class Rng:
                    and 1 <= b <= _INTP_MAX + 1 for b in bounds.flat):
             raise ValueError(f"n must be integers in [1, {_INTP_MAX + 1}], "
                              f"got {n!r}")
-        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
-        if any(d < 0 for d in shape):
-            raise ValueError(f"size must be >= 0, got {size}")
+        shape = (size,) if np.ndim(size) == 0 else tuple(size)
+        for d in shape:
+            check_integer("size", d, 0)
         try:
             fits = np.broadcast_shapes(bounds.shape, shape) == shape
         except ValueError:

@@ -84,20 +84,24 @@ class ObservationNormalizer:
         return ObservationNormalizer(self.count, self.mean.copy(), self.m2.copy())
 
 
-def bc_closed_form(states: np.ndarray, actions: np.ndarray,
-                   normalizer: ObservationNormalizer,
-                   ridge: float) -> LinearPolicy:
+def bc_closed_form(states: np.ndarray, actions: np.ndarray, ridge: float
+                   ) -> tuple[LinearPolicy, ObservationNormalizer]:
     """Exact ridge least-squares fit of theta to (B, n) states and (B, p)
-    actions: solves (Z^T Z + ridge I) A = Z^T Y for A, where Z holds the
-    states whitened through `normalizer`, and returns theta = A^T."""
+    actions. Whitens, as a trained policy does, by a normalizer of the
+    states it fits, solves (Z^T Z + ridge I) A = Z^T Y for A, where Z holds
+    the whitened states, and returns (LinearPolicy(A^T), that normalizer)."""
     states = np.asarray(states, dtype=float)
     actions = np.asarray(actions, dtype=float)
+    if states.ndim != 2 or actions.ndim != 2:
+        raise ValueError("states and actions must be 2-D (batch, dim) arrays")
     if len(states) != len(actions):
         raise ValueError("states and actions must pair up")
     if len(states) == 0:
         raise ValueError("cannot fit on an empty dataset")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+    if not 0 <= ridge < np.inf:  # NaN fails too
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
+    normalizer = ObservationNormalizer.for_dim(states.shape[1])
+    normalizer.add_states(states)
     z = states * normalizer.snapshot()
     gram = z.T @ z + ridge * np.eye(z.shape[1])
     rhs = z.T @ actions
@@ -106,4 +110,4 @@ def bc_closed_form(states: np.ndarray, actions: np.ndarray,
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "normal equations are singular; pass ridge > 0") from exc
-    return LinearPolicy(a.T)
+    return LinearPolicy(a.T), normalizer

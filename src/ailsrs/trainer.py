@@ -30,7 +30,7 @@ from .ars import ArsConfig, ars_update, evaluate_directions, sample_directions
 from .demo_io import TrajectorySet
 from .discriminator import disc_init, disc_train
 from .envs import evaluate_policy, make_env
-from .numerics import AdamState, Rng, check_count
+from .numerics import AdamState, Rng, check_integer
 from .policy import LinearPolicy, ObservationNormalizer
 
 # label namespaces for the per-iteration derived streams
@@ -56,10 +56,10 @@ class TrainerConfig:
         if not 0 < self.disc_lr < math.inf:
             raise ValueError("disc_lr must be positive and finite")
         for name, minimum in (("max_iterations", 1), ("disc_iters", 0),
-                              ("eval_every", 1), ("eval_episodes", 1)):
-            check_count(name, getattr(self, name), minimum)
+                              ("eval_every", 1), ("eval_episodes", 1), ("seed", None)):
+            check_integer(name, getattr(self, name), minimum)
         if self.disc_batch is not None:
-            check_count("disc_batch", self.disc_batch, 1)
+            check_integer("disc_batch", self.disc_batch, 1)
         if not math.isfinite(self.early_stop_target or 0.0):  # None is off
             raise ValueError("early_stop_target must be finite or None")
 

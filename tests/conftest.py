@@ -66,7 +66,7 @@ def e2e_runs(riccati_demos_50, riccati_expert):
         evals = [(r.iteration, r.eval_env_return_mean) for r in rows
                  if r.eval_env_return_mean is not None]
         hits = [it for it, m in evals if m >= target]
-        out.append({"seed": seed, "policy": policy, "normalizer": norm,
+        out.append({"seed": seed, "cfg": cfg, "policy": policy, "normalizer": norm,
                     "rows": rows, "evals": evals,
                     "hit_iteration": hits[0] if hits else None,
                     "final_eval": evals[-1][1]})

@@ -5,6 +5,7 @@ The full-scale physics benchmarks behind the original numbers are out of
 scope by design; these criteria verify the method end to end on the
 built-in desk-scale tasks, against exact oracles wherever one exists.
 """
+import dataclasses
 import json
 import math
 import sys
@@ -111,8 +112,8 @@ def test_discriminator_gradient_oracle():
     worst = 0.0
     for instance in range(20):
         disc = disc_init(2, 1, rng.derive(instance))
-        xe = np.array([[rng.gaussian() for _ in range(3)] for _ in range(4)])
-        xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(4)])
+        xe = rng.gaussian_matrix(4, 3)
+        xs = rng.gaussian_matrix(4, 3)
         g_bp = lsgan_grad(disc, xe, xs)[1]
         g_fd = _fd_gradient(disc, xe, xs, eps=1e-5)
         if instance == 0:
@@ -211,7 +212,7 @@ def test_ars_invariances():
 # ---------------------------------------------------------------------------
 def test_welford_matches_batch_statistics():
     rng = ScalarRng(314)
-    xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(1000)])
+    xs = rng.gaussian_matrix(1000, 3)
     stats = ObservationNormalizer.for_dim(3)
     for row in xs:
         stats.add_states(row[None])
@@ -250,9 +251,7 @@ def test_bc_oracle(riccati_demos_50, riccati_expert):
     expert, _, expert_mean = riccati_expert  # identity normalizer
     states = np.concatenate([t.states for t in riccati_demos_50.trajectories])
     actions = np.concatenate([t.actions for t in riccati_demos_50.trajectories])
-    norm = ObservationNormalizer.for_dim(2)
-    norm.add_states(states)
-    closed = bc_closed_form(states, actions, norm, ridge=1e-8)
+    closed, norm = bc_closed_form(states, actions, ridge=1e-8)
     mean, _ = ailsrs.evaluate_policy(closed, norm, "lqr2d", 100, 0)
     # noise-free demonstrations: un-whitened, the clone is the Riccati gain
     gap = float(np.max(np.abs(closed.theta * norm.snapshot() - expert.theta)))
@@ -277,10 +276,8 @@ def test_end_to_end_imitation(e2e_runs, riccati_demos_50):
                                      ObservationNormalizer.for_dim(2), "lqr2d", 100, 0)
     states = np.concatenate([t.states for t in riccati_demos_50.trajectories])
     actions = np.concatenate([t.actions for t in riccati_demos_50.trajectories])
-    norm = ObservationNormalizer.for_dim(2)
-    norm.add_states(states)
-    bc, _ = ailsrs.evaluate_policy(bc_closed_form(states, actions, norm, ridge=1e-8),
-                                   norm, "lqr2d", 100, 0)
+    bc, _ = ailsrs.evaluate_policy(*bc_closed_form(states, actions, ridge=1e-8),
+                                   "lqr2d", 100, 0)
     scores = [(ailsrs.evaluate_policy(r["policy"], r["normalizer"], "lqr2d",
                                       100, 0)[0] - zero) / (expert_mean - zero)
               for r in runs]
@@ -309,11 +306,24 @@ FAST_TRAIN_FLAGS = ["--n-dirs", "4", "--iters", "12", "--eval-every", "5",
                     "--eval-episodes", "3"]
 
 
-def test_no_reward_leakage(tmp_path, riccati_expert):
+def _expert_demos_file(tmp_path, riccati_expert):
     pol, norm, _ = riccati_expert
-    demos_path = tmp_path / "expert.demos"
-    ailsrs.save_trajectories(ailsrs.record(pol, norm, "lqr2d", 10, 0),
-                             str(demos_path))
+    path = tmp_path / "expert.demos"
+    ailsrs.save_trajectories(ailsrs.record(pol, norm, "lqr2d", 10, 0), str(path))
+    return path
+
+
+def _train_artifacts(tmp_path, demos, seed, tag):
+    """The policy bytes and the metrics (without wall_ms) of one `train`."""
+    out, metrics = tmp_path / f"{tag}.policy", tmp_path / f"{tag}.csv"
+    assert cli_main(["train", "--demos", str(demos), *FAST_TRAIN_FLAGS,
+                     "--seed", str(seed), "--out", str(out),
+                     "--metrics", str(metrics)]) == 0
+    return out.read_bytes(), _strip_wall_ms(metrics.read_text())
+
+
+def test_no_reward_leakage(tmp_path, riccati_expert):
+    demos_path = _expert_demos_file(tmp_path, riccati_expert)
     corrupted_path = tmp_path / "corrupted.demos"
     with open(demos_path) as src, open(corrupted_path, "w") as dst:
         dst.write(src.readline())
@@ -321,18 +331,8 @@ def test_no_reward_leakage(tmp_path, riccati_expert):
             obj = json.loads(line)
             obj["env_rewards"] = [r + 1000.0 for r in obj["env_rewards"]]
             dst.write(json.dumps(obj) + "\n")
-    outputs = {}
-    for tag, demos in (("clean", demos_path), ("corrupted", corrupted_path)):
-        out = tmp_path / f"{tag}.policy"
-        metrics = tmp_path / f"{tag}.csv"
-        rc = cli_main(["train", "--demos", str(demos), *FAST_TRAIN_FLAGS,
-                       "--seed", "1", "--out", str(out),
-                       "--metrics", str(metrics)])
-        assert rc == 0
-        outputs[tag] = (out.read_bytes(), _strip_wall_ms(metrics.read_text()))
-    same_policy = outputs["clean"][0] == outputs["corrupted"][0]
-    same_metrics = outputs["clean"][1] == outputs["corrupted"][1]
-    ok = same_policy and same_metrics
+    ok = (_train_artifacts(tmp_path, demos_path, 1, "clean")
+          == _train_artifacts(tmp_path, corrupted_path, 1, "corrupted"))
     assert _report("stored env rewards cannot influence training", ok,
                    "policy bytes and metrics identical after corrupting "
                    "every stored reward (wall_ms column excluded: measured time)")
@@ -342,20 +342,9 @@ def test_no_reward_leakage(tmp_path, riccati_expert):
 # criterion: bitwise determinism of the training command
 # ---------------------------------------------------------------------------
 def test_cmd_train_determinism(tmp_path, riccati_expert):
-    pol, norm, _ = riccati_expert
-    demos_path = tmp_path / "expert.demos"
-    ailsrs.save_trajectories(ailsrs.record(pol, norm, "lqr2d", 10, 0),
-                             str(demos_path))
-    artifacts = []
-    for run in ("a", "b"):
-        out = tmp_path / f"{run}.policy"
-        metrics = tmp_path / f"{run}.csv"
-        rc = cli_main(["train", "--demos", str(demos_path), *FAST_TRAIN_FLAGS,
-                       "--seed", "7", "--out", str(out),
-                       "--metrics", str(metrics)])
-        assert rc == 0
-        artifacts.append((out.read_bytes(), _strip_wall_ms(metrics.read_text())))
-    ok = artifacts[0][0] == artifacts[1][0] and artifacts[0][1] == artifacts[1][1]
+    demos_path = _expert_demos_file(tmp_path, riccati_expert)
+    ok = (_train_artifacts(tmp_path, demos_path, 7, "a")
+          == _train_artifacts(tmp_path, demos_path, 7, "b"))
     assert _report("identical flags give identical artifacts", ok,
                    "policy files byte-identical; metrics identical up to "
                    "the measured wall_ms column")
@@ -369,15 +358,9 @@ def test_bc_init_accelerates_imitation(e2e_runs, riccati_demos_50):
     assert zero_init_hit is not None
     states = np.concatenate([t.states for t in riccati_demos_50.trajectories])
     actions = np.concatenate([t.actions for t in riccati_demos_50.trajectories])
-    norm = ObservationNormalizer.for_dim(2)
-    norm.add_states(states)
-    bc_policy = bc_closed_form(states, actions, norm, ridge=1e-8)
-    cfg = ailsrs.TrainerConfig(
-        ars=ailsrs.ArsConfig(alpha=0.02, nu=0.03, n_directions=32),
-        max_iterations=2000, eval_every=10, eval_episodes=10, seed=1,
-        early_stop_target=e2e_runs["target"])
-    _, _, rows = ailsrs.train_ailsrs("lqr2d", riccati_demos_50, cfg,
-                                     init=(bc_policy, norm))
+    _, _, rows = ailsrs.train_ailsrs(
+        "lqr2d", riccati_demos_50, e2e_runs["runs"][0]["cfg"],
+        init=bc_closed_form(states, actions, ridge=1e-8))
     evals = [(r.iteration, r.eval_env_return_mean) for r in rows
              if r.eval_env_return_mean is not None]
     hits = [it for it, m in evals if m >= e2e_runs["target"]]
@@ -395,10 +378,8 @@ def test_frozen_discriminator_does_not_imitate(e2e_runs, riccati_demos_50):
     trained_hit = e2e_runs["runs"][0]["hit_iteration"]
     assert trained_hit is not None
     target = e2e_runs["target"]
-    cfg = ailsrs.TrainerConfig(
-        ars=ailsrs.ArsConfig(alpha=0.02, nu=0.03, n_directions=32),
-        max_iterations=trained_hit + 1, disc_iters=0, eval_every=10,
-        eval_episodes=10, seed=1, early_stop_target=target)
+    cfg = dataclasses.replace(e2e_runs["runs"][0]["cfg"],
+                              max_iterations=trained_hit + 1, disc_iters=0)
     started = time.perf_counter()
     _, _, rows = ailsrs.train_ailsrs("lqr2d", riccati_demos_50, cfg)
     seconds = time.perf_counter() - started
@@ -416,13 +397,9 @@ def test_frozen_discriminator_does_not_imitate(e2e_runs, riccati_demos_50):
 # ---------------------------------------------------------------------------
 def test_sample_efficiency_trend(e2e_runs, riccati_expert):
     pol, norm, expert_mean = riccati_expert
-    target = e2e_runs["target"]
     demos_10 = ailsrs.record(pol, norm, "lqr2d", episodes=10, seed=0)
-    cfg = ailsrs.TrainerConfig(
-        ars=ailsrs.ArsConfig(alpha=0.02, nu=0.03, n_directions=32),
-        max_iterations=2000, eval_every=10, eval_episodes=10, seed=1,
-        early_stop_target=target)
-    _, _, rows = ailsrs.train_ailsrs("lqr2d", demos_10, cfg)
+    # seed 1 of the 50-demo runs, on 10 demos
+    _, _, rows = ailsrs.train_ailsrs("lqr2d", demos_10, e2e_runs["runs"][0]["cfg"])
     finals = [r.eval_env_return_mean for r in rows
               if r.eval_env_return_mean is not None]
 

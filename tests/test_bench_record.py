@@ -113,3 +113,19 @@ def test_trace_spreads_take_each_metric_median_over_runs():
     assert spreads["w.a_ms"]["runs"] == [1.0, 3.0, 1.5]
     assert spreads["w.steps"]["median"] == 200.0
     assert spreads["w.steps"]["iqr"] == 0.0
+
+
+def test_py_lines_counts_code_apart_from_docstrings_and_comments(tmp_path):
+    (tmp_path / "tests" / "sub").mkdir(parents=True)
+    (tmp_path / "tests" / "test_a.py").write_text(
+        '"""Module docstring,\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment-only line\n"
+        "def f():\n"
+        '    """Function docstring."""\n'
+        "    return 1  # a trailing comment\n")
+    (tmp_path / "tests" / "sub" / "b.py").write_text("\nX = 2\n\n")
+    (tmp_path / "tests" / "notes.txt").write_text("not python\n")
+    assert bench_record.py_lines(str(tmp_path), "tests") == {"total": 10, "code": 3}
+    assert bench_record.py_lines(str(tmp_path), "src") == {"total": 0, "code": 0}

@@ -131,8 +131,8 @@ def test_lsgan_loss_bounded_unit_interval():
     rng = ScalarRng(8)
     for _ in range(10):
         disc = disc_init(2, 1, rng)
-        xe = np.array([[rng.gaussian() for _ in range(3)] for _ in range(5)])
-        xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(5)])
+        xe = rng.gaussian_matrix(5, 3)
+        xs = rng.gaussian_matrix(5, 3)
         assert 0.0 <= lsgan_grad(disc, xe, xs)[0] <= 1.0
 
 
@@ -145,8 +145,8 @@ def test_lsgan_loss_empty_batch_errors():
 def test_lsgan_grad_matches_generic_finite_differences():
     rng = ScalarRng(21)
     disc = disc_init(2, 1, rng)
-    xe = np.array([[rng.gaussian() for _ in range(3)] for _ in range(3)])
-    xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(3)])
+    xe = rng.gaussian_matrix(3, 3)
+    xs = rng.gaussian_matrix(3, 3)
 
     probe = disc_init(2, 1, Rng(0))
 
@@ -200,7 +200,7 @@ def test_disc_train_separable_toy_converges():
 
 def test_disc_train_zero_iters_is_frozen_on_one_minibatch():
     rng = ScalarRng(4)
-    expert, sampled = _gaussian_rows(rng, 30), _gaussian_rows(rng, 25)
+    expert, sampled = rng.gaussian_matrix(30, 3), rng.gaussian_matrix(25, 3)
     disc = disc_init(2, 1, Rng(5))
     before = disc.get_params().tobytes()
     adam = AdamState.zeros(disc.n_params)
@@ -237,13 +237,9 @@ def test_disc_train_rejects_bad_counts_before_drawing(field, value):
     assert rng.integers(7, 3).tobytes() == Rng(9).integers(7, 3).tobytes()
 
 
-def _gaussian_rows(rng, rows, width=3):
-    return np.array([[rng.gaussian() for _ in range(width)] for _ in range(rows)])
-
-
 def test_disc_train_returns_mean_minibatch_loss():
     rng = ScalarRng(43)
-    expert, sampled = _gaussian_rows(rng, 30), _gaussian_rows(rng, 25)
+    expert, sampled = rng.gaussian_matrix(30, 3), rng.gaussian_matrix(25, 3)
     disc, replay = disc_init(2, 1, Rng(44)), disc_init(2, 1, Rng(44))
     adam, replay_adam = AdamState.zeros(disc.n_params), AdamState.zeros(disc.n_params)
     loss = disc_train(disc, adam, expert, sampled, iters=6, batch_size=8,
@@ -298,7 +294,7 @@ def test_reward_batch_monotone_in_score():
 def test_reward_batch_matches_scalar_reward():
     rng = ScalarRng(9)
     disc = disc_init(2, 1, rng)
-    states = np.array([[rng.gaussian() for _ in range(2)] for _ in range(5)])
+    states = rng.gaussian_matrix(5, 2)
     actions = np.array([[rng.gaussian()] for _ in range(5)])
     pairs = np.concatenate([states, actions], axis=1)
     batch = disc.reward_batch(pairs[None])[0]

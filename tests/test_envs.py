@@ -88,8 +88,7 @@ def test_rewards_never_positive():
         rng = ScalarRng(17)
         x = env.reset(_root_keys(17, 18))
         for _ in range(env.spec.horizon):
-            a = np.array([[rng.gaussian() for _ in range(env.spec.action_dim)]
-                          for _ in range(2)])
+            a = rng.gaussian_matrix(2, env.spec.action_dim)
             r = env.rewards(x.T, a)
             assert r.shape == (2,) and np.all(r <= 0.0)
             x_next = np.empty_like(x)
@@ -427,8 +426,7 @@ def test_block_rollout_matches_scalar_reference(name, scale, shared):
     spec = make_env(name).spec
     rng = ScalarRng(12)
     norm = ObservationNormalizer.for_dim(spec.state_dim)
-    norm.add_states(np.array([[rng.gaussian() for _ in range(spec.state_dim)]
-                              for _ in range(20)]))
+    norm.add_states(rng.gaussian_matrix(20, spec.state_dim))
     thetas = np.stack([scale * rng.derive(2, b).gaussian_matrix(spec.action_dim,
                                                                spec.state_dim)
                        for b in range(16)])
@@ -467,8 +465,7 @@ def test_block_rollout_matches_single_episodes(name):
     spec = make_env(name).spec
     rng = ScalarRng(11)
     norm = ObservationNormalizer.for_dim(spec.state_dim)
-    norm.add_states(np.array([[rng.gaussian() for _ in range(spec.state_dim)]
-                              for _ in range(20)]))
+    norm.add_states(rng.gaussian_matrix(20, spec.state_dim))
     thetas = np.stack([0.5 * rng.derive(2, b).gaussian_matrix(spec.action_dim,
                                                              spec.state_dim)
                        for b in range(6)])
@@ -489,8 +486,7 @@ def test_rollout_bits_do_not_depend_on_policy_layout(name, whitened, layout):
     rng = ScalarRng(13)
     norm = ObservationNormalizer.for_dim(n)
     if whitened:
-        norm.add_states(np.array([[rng.gaussian() for _ in range(n)]
-                                  for _ in range(20)]))
+        norm.add_states(rng.gaussian_matrix(20, n))
     thetas = np.stack([rng.derive(2, b).gaussian_matrix(p, 2 * n) for b in range(16)])
     if layout == "fortran":
         thetas = np.asfortranarray(thetas[:, :, :n])

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 import _oracles
 from _oracles import ScalarRng, finite_diff, welford_update
 
-from ailsrs.ars import sample_directions
-from ailsrs.envs import EPISODE_STREAM
+from ailsrs.ars import ArsConfig, sample_directions
+from ailsrs.demo_io import record
+from ailsrs.discriminator import disc_init
+from ailsrs.envs import EPISODE_STREAM, evaluate_policy
 from ailsrs.numerics import AdamState, Rng, adam_step, uniform_block
-from ailsrs.policy import ObservationNormalizer
+from ailsrs.policy import LinearPolicy, ObservationNormalizer
 from ailsrs.trainer import (DIRECTIONS_STREAM, DISC_BATCH_STREAM, DISC_INIT_STREAM,
-                            ROLLOUT_STREAM)
+                            ROLLOUT_STREAM, TrainerConfig, train_expert)
 
 _M = (1 << 64) - 1
 # every stream label the package derives with, plus the edges of the
@@ -274,6 +276,35 @@ def test_block_draws_reject_negative_size():
         Rng(1).uniforms(0.0, 1.0, -1)
 
 
+_ZERO_POLICY = (LinearPolicy.zeros(1, 2), ObservationNormalizer.for_dim(2))
+# every public call that takes a seed, a stream label or a draw count,
+# returning an array for the integer `v`
+_INTEGER_ARGUMENTS = {
+    "Rng-seed": lambda v: Rng(v).uniforms(0.0, 1.0, 3),
+    "derive-label": lambda v: Rng(1).derive(v).uniforms(0.0, 1.0, 3),
+    "uniforms-size": lambda v: Rng(1).uniforms(0.0, 1.0, v),
+    "integers-size": lambda v: Rng(1).integers(5, v),
+    "disc_init-dims": lambda v: disc_init(v, v, Rng(0)).get_params(),
+    "record-seed": lambda v: record(*_ZERO_POLICY, "lqr2d", 2, v).trajectories[1].states,
+    "evaluate_policy-seed":
+        lambda v: np.array(evaluate_policy(*_ZERO_POLICY, "lqr2d", 2, v)),
+    "train_expert-seed":
+        lambda v: train_expert("lqr2d", ArsConfig(n_directions=2), 1, v)[0].theta,
+    "TrainerConfig-seed": lambda v: np.array(TrainerConfig(seed=v).seed),
+}
+
+
+@pytest.mark.parametrize("call", list(_INTEGER_ARGUMENTS.values()),
+                         ids=list(_INTEGER_ARGUMENTS))
+def test_integer_arguments_take_numpy_integers_and_reject_others(call):
+    # a numpy int64 used to overflow against the 64-bit constants, a float
+    # to raise a TypeError, and True to act as 1
+    assert call(np.int64(3)).tobytes() == call(3).tobytes()
+    for value in (1.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(value)
+
+
 def test_adam_first_step_magnitude_is_lr():
     state = AdamState.zeros(3)
     params = np.array([1.0, -2.0, 0.5])
@@ -373,7 +404,7 @@ def test_welford_single_observation():
 
 def test_welford_matches_two_pass_batch():
     rng = ScalarRng(2024)
-    xs = np.array([[rng.gaussian() for _ in range(3)] for _ in range(1000)])
+    xs = rng.gaussian_matrix(1000, 3)
     stats = ObservationNormalizer.for_dim(3)
     for row in xs:
         welford_update(stats, row)
@@ -385,7 +416,7 @@ def test_welford_matches_two_pass_batch():
 
 def test_merge_batch_matches_sequential_updates():
     rng = ScalarRng(77)
-    xs = np.array([[rng.gaussian() for _ in range(2)] for _ in range(500)])
+    xs = rng.gaussian_matrix(500, 2)
     seq = ObservationNormalizer.for_dim(2)
     for row in xs:
         welford_update(seq, row)

@@ -158,45 +158,36 @@ def test_perturb_antisymmetry(nu, seed):
                                atol=1e-15)
 
 
-def _linear_expert_data(theta_star, n_samples, rng, noise=0.0):
-    n = theta_star.shape[1]
-    states = np.stack([np.array([rng.gaussian() for _ in range(n)])
-                       for _ in range(n_samples)])
-    actions = states @ theta_star.T
-    if noise:
-        actions = actions + noise * np.stack(
-            [np.array([rng.gaussian() for _ in range(theta_star.shape[0])])
-             for _ in range(n_samples)])
-    return states, actions
+def _linear_expert_data(theta_star, n_samples, rng):
+    states = rng.gaussian_matrix(n_samples, theta_star.shape[1])
+    return states, states @ theta_star.T
 
 
 def test_bc_closed_form_recovers_expert_exactly():
     theta_star = np.array([[1.5, -0.7], [0.2, 0.9]])
     states, actions = _linear_expert_data(theta_star, 50, ScalarRng(10))
-    fitted = bc_closed_form(states, actions, ObservationNormalizer.for_dim(2),
-                            ridge=0.0)
-    np.testing.assert_allclose(fitted.theta, theta_star, atol=1e-8)
+    fitted, norm = bc_closed_form(states, actions, ridge=0.0)
+    # un-whitened, the clone is the expert
+    np.testing.assert_allclose(fitted.theta * norm.snapshot(), theta_star,
+                               atol=1e-8)
 
 
 def test_bc_closed_form_large_ridge_shrinks_to_zero():
     theta_star = np.array([[1.0, 2.0]])
     states, actions = _linear_expert_data(theta_star, 30, ScalarRng(11))
-    fitted = bc_closed_form(states, actions, ObservationNormalizer.for_dim(2),
-                            ridge=1e12)
+    fitted, _ = bc_closed_form(states, actions, ridge=1e12)
     assert np.max(np.abs(fitted.theta)) < 1e-6
 
 
 def test_bc_closed_form_normal_equation_residual():
     rng = ScalarRng(12)
-    states = np.stack([np.array([rng.gaussian() for _ in range(3)])
-                       for _ in range(200)])
-    actions = np.stack([np.array([rng.gaussian() for _ in range(2)])
-                        for _ in range(200)])
+    states = rng.gaussian_matrix(200, 3)
+    actions = rng.gaussian_matrix(200, 2)
     ridge = 1e-6
-    fitted = bc_closed_form(states, actions, ObservationNormalizer.for_dim(3),
-                            ridge=ridge)
+    fitted, norm = bc_closed_form(states, actions, ridge=ridge)
     a = fitted.theta.T
-    resid = (states.T @ states + ridge * np.eye(3)) @ a - states.T @ actions
+    z = states * norm.snapshot()
+    resid = (z.T @ z + ridge * np.eye(3)) @ a - z.T @ actions
     assert np.max(np.abs(resid)) <= 1e-8
 
 
@@ -205,23 +196,18 @@ def test_bc_closed_form_singular_without_ridge():
     states = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     actions = np.array([[1.0], [2.0], [3.0]])
     with pytest.raises(ValueError, match="ridge"):
-        bc_closed_form(states, actions, ObservationNormalizer.for_dim(2),
-                       ridge=0.0)
+        bc_closed_form(states, actions, ridge=0.0)
 
 
 def test_bc_fit_zero_actions_gives_zero_policy():
-    rng = ScalarRng(14)
-    states = np.stack([np.array([rng.gaussian() for _ in range(2)])
-                       for _ in range(40)])
-    fitted = bc_closed_form(states, np.zeros((40, 1)),
-                            ObservationNormalizer.for_dim(2), ridge=0.0)
+    states = ScalarRng(14).gaussian_matrix(40, 2)
+    fitted, _ = bc_closed_form(states, np.zeros((40, 1)), ridge=0.0)
     assert np.all(fitted.theta == 0.0)
 
 
 def test_bc_fit_empty_dataset_errors():
     with pytest.raises(ValueError, match="empty dataset"):
-        bc_closed_form(np.zeros((0, 2)), np.zeros((0, 1)),
-                       ObservationNormalizer.for_dim(2), ridge=1e-8)
+        bc_closed_form(np.zeros((0, 2)), np.zeros((0, 1)), ridge=1e-8)
 
 
 @pytest.mark.parametrize("fit", [
@@ -229,6 +215,15 @@ def test_bc_fit_empty_dataset_errors():
 ])
 def test_bc_unpaired_set_errors(fit):
     with pytest.raises(ValueError, match="pair up"):
-        fit(np.zeros((3, 2)), np.zeros((2, 1)), ObservationNormalizer.for_dim(2),
-            ridge=0.0)
+        fit(np.zeros((3, 2)), np.zeros((2, 1)), ridge=0.0)
 
+
+@pytest.mark.parametrize("states, actions, ridge, match", [
+    pytest.param(np.ones((3, 2)), np.ones((3, 1)), np.nan, "ridge", id="nan-ridge"),
+    pytest.param(np.ones((3, 2)), np.ones((3, 1)), np.inf, "ridge", id="inf-ridge"),
+    pytest.param(np.ones(3), np.ones((3, 1)), 1e-8, "2-D", id="1d-states"),
+    pytest.param(np.ones((3, 2)), np.ones(3), 1e-8, "2-D", id="1d-actions"),
+])
+def test_bc_unfittable_set_errors(states, actions, ridge, match):
+    with pytest.raises(ValueError, match=match):
+        bc_closed_form(states, actions, ridge=ridge)
