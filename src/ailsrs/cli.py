@@ -12,8 +12,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .ars import ArsConfig
 from .demo_io import (load_policy, load_trajectories, record, save_policy,
                       save_trajectories)
@@ -63,9 +61,7 @@ def cmd_record(args) -> int:
 
 def cmd_bc(args) -> int:
     demos = load_trajectories(args.demos)
-    states = np.concatenate([t.states for t in demos.trajectories])
-    actions = np.concatenate([t.actions for t in demos.trajectories])
-    policy, normalizer = bc_closed_form(states, actions, ridge=args.ridge)
+    policy, normalizer = bc_closed_form(*demos.rows(), ridge=args.ridge)
     save_policy(policy, normalizer, demos.env_name, args.out)
     mean, std = evaluate_policy(policy, normalizer, demos.env_name, 100, 0)
     print(f"cloned policy from {len(demos)} episodes: eval return "

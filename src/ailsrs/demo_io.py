@@ -51,6 +51,12 @@ class TrajectorySet:
     def __len__(self) -> int:
         return len(self.trajectories)
 
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M, n) states and (M, p) actions of every step, episode by episode:
+        the learners' view, which leaves the env rewards out of training."""
+        return (np.concatenate([t.states for t in self.trajectories]),
+                np.concatenate([t.actions for t in self.trajectories]))
+
     def mean_env_return(self) -> float:
         return float(np.mean([t.env_rewards.sum() for t in self.trajectories]))
 
@@ -157,10 +163,10 @@ def _check_header(path: str, header: dict, version: int, keys) -> EnvSpec:
     """Check the header read from a file's line 1: its version, the presence
     of `keys` beside env, state_dim and action_dim, and that the env is built
     in with exactly these dims. Returns the env's spec."""
-    if header.get("format_version") != version:
+    found = header.get("format_version")
+    if not _is_int(found) or found != version:
         raise FormatError(
-            f"{path}: format_version {header.get('format_version')!r}, "
-            f"expected {version} (line 1)")
+            f"{path}: format_version {found!r}, expected {version} (line 1)")
     for key in ("env", "state_dim", "action_dim", *keys):
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r} (line 1)")

@@ -331,17 +331,15 @@ def riccati_optimal(seed: int = 0, episodes: int = 100):
 
     Returns (policy, identity normalizer, mean return over seeded episodes).
     """
-    p = LQR_Q.copy()
+    p, converged = LQR_Q.copy(), False
     for _ in range(100_000):
         btp = LQR_B.T @ p
         gain = np.linalg.solve(LQR_R + btp @ LQR_B, btp @ LQR_A)
-        p_next = LQR_Q + LQR_A.T @ p @ LQR_A - LQR_A.T @ p @ LQR_B @ gain
-        if np.max(np.abs(p_next - p)) < 1e-12:
-            p = p_next
+        if converged:  # the gain of the converged cost-to-go
             break
+        p_next = LQR_Q + LQR_A.T @ p @ LQR_A - LQR_A.T @ p @ LQR_B @ gain
+        converged = np.max(np.abs(p_next - p)) < 1e-12
         p = p_next
-    btp = LQR_B.T @ p
-    gain = np.linalg.solve(LQR_R + btp @ LQR_B, btp @ LQR_A)
     policy = LinearPolicy(-gain)
     normalizer = ObservationNormalizer.for_dim(2)
     mean, _ = evaluate_policy(policy, normalizer, "lqr2d", episodes, seed)

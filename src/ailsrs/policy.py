@@ -96,6 +96,8 @@ def bc_closed_form(states: np.ndarray, actions: np.ndarray, ridge: float
         raise ValueError("states and actions must be 2-D (batch, dim) arrays")
     if len(states) != len(actions):
         raise ValueError("states and actions must pair up")
+    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(actions))):
+        raise ValueError("states and actions must be finite, not NaN or inf")
     if len(states) == 0:
         raise ValueError("cannot fit on an empty dataset")
     if not 0 <= ridge < np.inf:  # NaN fails too

@@ -123,9 +123,7 @@ def search(env_name: str, cfg: TrainerConfig,
             raise ValueError(f"demonstrations are for {expert.env_name!r}; "
                              f"requested {env_name!r}")
         expert.validate()
-        # (M, n+p) [state, action] rows; demonstration episodes may be ragged
-        expert_pairs = np.concatenate([np.concatenate([t.states, t.actions], axis=1)
-                                       for t in expert.trajectories])
+        expert_pairs = np.concatenate(expert.rows(), axis=1)  # (M, n+p)
         disc = disc_init(spec.state_dim, spec.action_dim,
                          root.derive(DISC_INIT_STREAM))
         adam = AdamState.zeros(disc.n_params)

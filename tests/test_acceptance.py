@@ -249,9 +249,7 @@ def test_lqr_expert_reaches_riccati(lqr_expert_run, riccati_expert):
 # ---------------------------------------------------------------------------
 def test_bc_oracle(riccati_demos_50, riccati_expert):
     expert, _, expert_mean = riccati_expert  # identity normalizer
-    states = np.concatenate([t.states for t in riccati_demos_50.trajectories])
-    actions = np.concatenate([t.actions for t in riccati_demos_50.trajectories])
-    closed, norm = bc_closed_form(states, actions, ridge=1e-8)
+    closed, norm = bc_closed_form(*riccati_demos_50.rows(), ridge=1e-8)
     mean, _ = ailsrs.evaluate_policy(closed, norm, "lqr2d", 100, 0)
     # noise-free demonstrations: un-whitened, the clone is the Riccati gain
     gap = float(np.max(np.abs(closed.theta * norm.snapshot() - expert.theta)))
@@ -274,10 +272,8 @@ def test_end_to_end_imitation(e2e_runs, riccati_demos_50):
     expert_mean = e2e_runs["expert_mean"]
     zero, _ = ailsrs.evaluate_policy(ailsrs.LinearPolicy.zeros(1, 2),
                                      ObservationNormalizer.for_dim(2), "lqr2d", 100, 0)
-    states = np.concatenate([t.states for t in riccati_demos_50.trajectories])
-    actions = np.concatenate([t.actions for t in riccati_demos_50.trajectories])
-    bc, _ = ailsrs.evaluate_policy(*bc_closed_form(states, actions, ridge=1e-8),
-                                   "lqr2d", 100, 0)
+    bc, _ = ailsrs.evaluate_policy(
+        *bc_closed_form(*riccati_demos_50.rows(), ridge=1e-8), "lqr2d", 100, 0)
     scores = [(ailsrs.evaluate_policy(r["policy"], r["normalizer"], "lqr2d",
                                       100, 0)[0] - zero) / (expert_mean - zero)
               for r in runs]
@@ -356,11 +352,9 @@ def test_cmd_train_determinism(tmp_path, riccati_expert):
 def test_bc_init_accelerates_imitation(e2e_runs, riccati_demos_50):
     zero_init_hit = e2e_runs["runs"][0]["hit_iteration"]
     assert zero_init_hit is not None
-    states = np.concatenate([t.states for t in riccati_demos_50.trajectories])
-    actions = np.concatenate([t.actions for t in riccati_demos_50.trajectories])
     _, _, rows = ailsrs.train_ailsrs(
         "lqr2d", riccati_demos_50, e2e_runs["runs"][0]["cfg"],
-        init=bc_closed_form(states, actions, ridge=1e-8))
+        init=bc_closed_form(*riccati_demos_50.rows(), ridge=1e-8))
     evals = [(r.iteration, r.eval_env_return_mean) for r in rows
              if r.eval_env_return_mean is not None]
     hits = [it for it, m in evals if m >= e2e_runs["target"]]

@@ -60,8 +60,8 @@ def test_record_deterministic_bytes(tmp_path, riccati):
 
 def test_trajectory_roundtrip_exact(tmp_path):
     rng = ScalarRng(11)
-    trajs = [Trajectory(rng.gaussian_matrix(5, 2), rng.gaussian_matrix(5, 1),
-                        rng.gaussian_matrix(5, 1)[:, 0]) for _ in range(3)]
+    trajs = [Trajectory(rng.gaussian_matrix(k, 2), rng.gaussian_matrix(k, 1),
+                        rng.gaussian_matrix(k, 1)[:, 0]) for k in (5, 2, 4)]
     demos = TrajectorySet("lqr2d", trajs)
     path = str(tmp_path / "demos.jsonl")
     save_trajectories(demos, path)
@@ -72,6 +72,10 @@ def test_trajectory_roundtrip_exact(tmp_path):
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.actions, b.actions)
         np.testing.assert_array_equal(a.env_rewards, b.env_rewards)
+    # rows() joins the ragged episodes' steps in episode order
+    states, actions = loaded.rows()
+    assert states.shape == (11, 2) and actions.shape == (11, 1)
+    np.testing.assert_array_equal(actions[5:7], trajs[1].actions)
 
 
 @pytest.mark.parametrize("workload", ["imitate-lqr2d", "disctrain-pointmass2d"])
@@ -153,6 +157,10 @@ def test_non_numeric_episode_names_path_and_line(tmp_path):
 
 
 @pytest.mark.parametrize("key, value, fault", [
+    pytest.param("format_version", True, "format_version True, expected 1",
+                 id="format_version-bool"),
+    pytest.param("format_version", 1.0, "format_version 1.0, expected 1",
+                 id="format_version-float"),
     pytest.param("episodes", "1", "not a positive integer", id="episodes-str"),
     pytest.param("episodes", 1.0, "not a positive integer", id="episodes-float"),
     pytest.param("episodes", True, "not a positive integer", id="episodes-bool"),
@@ -318,6 +326,8 @@ def _with(key, value):
 
 @pytest.mark.parametrize("edit, fault", [
     pytest.param(lambda doc: [doc], "expected an object", id="not-object"),
+    pytest.param(_with("format_version", 2.0), "format_version 2.0, expected 2",
+                 id="format_version-float"),
     pytest.param(_without("theta"), "header missing 'theta'", id="theta-missing"),
     pytest.param(_without("count"), "header missing 'count'", id="count-missing"),
     pytest.param(_with("action_dim", True), "not an integer", id="action_dim-bool"),

@@ -285,7 +285,7 @@ _INTEGER_ARGUMENTS = {
     "uniforms-size": lambda v: Rng(1).uniforms(0.0, 1.0, v),
     "integers-size": lambda v: Rng(1).integers(5, v),
     "disc_init-dims": lambda v: disc_init(v, v, Rng(0)).get_params(),
-    "record-seed": lambda v: record(*_ZERO_POLICY, "lqr2d", 2, v).trajectories[1].states,
+    "record-seed": lambda v: record(*_ZERO_POLICY, "lqr2d", 2, v).rows()[0],
     "evaluate_policy-seed":
         lambda v: np.array(evaluate_policy(*_ZERO_POLICY, "lqr2d", 2, v)),
     "train_expert-seed":

@@ -223,6 +223,10 @@ def test_bc_unpaired_set_errors(fit):
     pytest.param(np.ones((3, 2)), np.ones((3, 1)), np.inf, "ridge", id="inf-ridge"),
     pytest.param(np.ones(3), np.ones((3, 1)), 1e-8, "2-D", id="1d-states"),
     pytest.param(np.ones((3, 2)), np.ones(3), 1e-8, "2-D", id="1d-actions"),
+    pytest.param([[1, 2], [np.nan, 1], [0.5, 0.3]], np.ones((3, 1)), 1e-8,
+                 "finite", id="nan-state"),
+    pytest.param(np.ones((3, 2)), [[1], [np.inf], [1]], 1e-8, "finite",
+                 id="inf-action"),
 ])
 def test_bc_unfittable_set_errors(states, actions, ridge, match):
     with pytest.raises(ValueError, match=match):

@@ -272,8 +272,7 @@ def test_discriminator_loss_decreases_on_first_iteration(riccati_demos):
     deltas = sample_directions(root.derive(DIRECTIONS_STREAM, 0), 8, 1, 2)
     _, states, actions = evaluate_directions(np.zeros((1, 2)), deltas, 0.03, "lqr2d",
                                              norm, root.derive(ROLLOUT_STREAM, 0))
-    epool = np.concatenate(
-        [np.concatenate([t.states, t.actions], axis=1) for t in demos.trajectories])
+    epool = np.concatenate(demos.rows(), axis=1)
     spool = np.concatenate([states, actions], axis=2).reshape(-1, 3)
     before = _oracles.lsgan_loss(disc, epool, spool)
     adam = AdamState.zeros(disc.n_params)
