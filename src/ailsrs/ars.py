@@ -93,7 +93,9 @@ def evaluate_directions(theta: np.ndarray, deltas: np.ndarray, nu: float,
     results do not depend on execution order.
     """
     offsets = nu * deltas
-    thetas = np.stack([theta + offsets, theta - offsets], axis=1)
+    thetas = np.empty((len(deltas), 2, *theta.shape))
+    np.add(theta, offsets, out=thetas[:, 0])
+    np.subtract(theta, offsets, out=thetas[:, 1])
     # episode (i, sign) runs on the stream rng.derive(i, sign)
     keys = rng.keys(np.arange(len(deltas))[:, None], (0, 1)).ravel()
     states, actions, _, returns = rollout(make_env(env_name),

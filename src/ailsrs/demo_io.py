@@ -58,7 +58,10 @@ class TrajectorySet:
                 np.concatenate([t.actions for t in self.trajectories]))
 
     def mean_env_return(self) -> float:
-        return float(np.mean([t.env_rewards.sum() for t in self.trajectories]))
+        """Mean over episodes of the return, each summed in step order as
+        `rollout` sums it (see there for the + 0.0)."""
+        return float(np.mean([np.cumsum(t.env_rewards)[-1] + 0.0
+                              for t in self.trajectories]))
 
     def validate(self, message=lambda k, fault: f"episode {k}: {fault}") -> None:
         """Raise a FormatError at the first bad episode, described by

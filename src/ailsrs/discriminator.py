@@ -12,8 +12,11 @@ numpy, written once in `MlpDiscriminator._layers`; an input row is one
 episodes in stacked passes of whole episodes, about SCORE_ROWS rows each:
 numpy's stacked matmul makes for each episode the BLAS call that a lone
 episode gets, so the rewards are those of one pass per episode, bit for
-bit (one 2-D pass over the flattened rows is not: OpenBLAS rounds a row by
-the row count of its call). `lsgan_grad` returns a minibatch pair's loss
+bit. One 2-D pass over the flattened rows is not, in general: with numpy
+2.4 and OpenBLAS 0.3.31 it gave the same bits when every episode had at
+least 16 rows and a multiple of 4 rows (the 100- and 200-step episodes of
+the built-in environments), and rewards a few ulp apart otherwise (5, 12,
+17 or 150 rows). `lsgan_grad` returns a minibatch pair's loss
 with its hand-derived gradient from one forward pass (no autodiff
 dependency); `disc_train` takes Adam steps on minibatches drawn from two
 (M, n+p) arrays of rows, all indices of a call in one draw, and when

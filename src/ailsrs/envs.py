@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, check_integer, uniform_block
+from .numerics import Rng, _const, check_integer, uniform_block
 from .policy import LinearPolicy, ObservationNormalizer
 
 # label for per-episode evaluation/recording streams, shared by everything
@@ -48,15 +48,6 @@ EPISODE_STREAM = 100
 
 # the operands of `step`: contiguous (B,) rows, one per coordinate
 Rows = Sequence[np.ndarray]
-
-
-def _const(value: float) -> np.ndarray:
-    """A read-only 0-d float64 array: numpy converts a numpy-scalar operand
-    on every ufunc call, which costs more than the arithmetic on a 16-row
-    column, and a 0-d array it does not."""
-    c = np.array(value, dtype=np.float64)
-    c.flags.writeable = False
-    return c
 
 
 # numpy's clip ufunc, which np.clip and ndarray.clip reach only through
@@ -81,7 +72,8 @@ _PEND_G_OVER_L = _const(10.0)
 _PEND_DT = _const(0.05)
 _PEND_MAX_SPEED = _const(8.0)
 _PEND_MIN_SPEED = _const(-8.0)
-_PEND_RESET_RANGE = np.array([[math.pi], [1.0]])  # |phi|, |phidot| at reset
+_PEND_RESET_HI = _const([[math.pi], [1.0]])  # |phi|, |phidot| at reset
+_PEND_RESET_LO = _const(-_PEND_RESET_HI)
 
 
 @dataclass(frozen=True)
@@ -163,7 +155,7 @@ class PendulumEnv:
     def reset(self, keys: np.ndarray) -> np.ndarray:
         x = np.empty((4, len(keys)))
         # each episode draws phi, then phidot, into rows 3 and 2
-        x[3:1:-1] = uniform_block(keys, 2, -_PEND_RESET_RANGE, _PEND_RESET_RANGE)
+        x[3:1:-1] = uniform_block(keys, 2, _PEND_RESET_LO, _PEND_RESET_HI)
         np.cos(x[3], x[0])
         np.sin(x[3], x[1])
         return x

@@ -26,6 +26,25 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _const(value, dtype=np.float64) -> np.ndarray:
+    """`value` as a read-only array, a 0-d one for a scalar: numpy converts
+    a numpy-scalar operand on every ufunc call, which costs more than the
+    arithmetic on a 16-row column, and a 0-d array it does not."""
+    c = np.array(value, dtype=dtype)
+    c.flags.writeable = False
+    return c
+
+
+# the uint64 operands of the block draws: splitmix64's shifts and
+# multipliers, the golden step, and the 53-bit uniform's shift and offset
+_SHIFT_30, _SHIFT_27, _SHIFT_31, _SHIFT_11 = (
+    _const(s, np.uint64) for s in (30, 27, 31, 11))
+_MUL_1 = _const(0xBF58476D1CE4E5B9, np.uint64)
+_MUL_2 = _const(0x94D049BB133111EB, np.uint64)
+_GOLDEN_U64 = _const(_GOLDEN, np.uint64)
+_ONE_U64 = _const(1, np.uint64)
+
+
 def _mix64(z: int) -> int:
     """splitmix64 output mixer (finalizer)."""
     z &= _MASK64
@@ -37,11 +56,11 @@ def _mix64(z: int) -> int:
 def _mix64_block(z: np.ndarray) -> np.ndarray:
     """`_mix64` of every element of a uint64 array, in place; numpy uint64
     arithmetic wraps modulo 2^64, as the masks do above."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= z >> _SHIFT_30
+    z *= _MUL_1
+    z ^= z >> _SHIFT_27
+    z *= _MUL_2
+    z ^= z >> _SHIFT_31
     return z
 
 
@@ -59,7 +78,7 @@ def _u64_draws(keys: np.ndarray, draws: int) -> np.ndarray:
     """(draws, *keys.shape) uint64 block whose row d holds draw d + 1 of the
     stream at each key, mix64(key + (d + 1) golden)."""
     counters = np.arange(1, draws + 1, dtype=np.uint64)
-    counters *= np.uint64(_GOLDEN)
+    counters *= _GOLDEN_U64
     return _mix64_block(np.add.outer(counters, keys))
 
 
@@ -67,7 +86,7 @@ def uniform_block(keys: np.ndarray, draws: int, lo, hi) -> np.ndarray:
     """(draws, *keys.shape) uniforms in (lo, hi], 53-bit resolution: row d
     holds draw d + 1 of the stream at each key. `lo` and `hi` broadcast
     against the block, so each row may have its own range."""
-    u = ((_u64_draws(keys, draws) >> np.uint64(11)) + np.uint64(1)).astype(float)
+    u = ((_u64_draws(keys, draws) >> _SHIFT_11) + _ONE_U64).astype(float)
     u *= 2.0 ** -53
     return lo + (hi - lo) * u
 

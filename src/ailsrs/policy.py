@@ -68,8 +68,14 @@ class ObservationNormalizer:
         if xs.size == 0:
             return
         nb = xs.shape[0]
-        mb = xs.mean(axis=0)
-        m2b = ((xs - mb) ** 2).sum(axis=0)
+        # cumsum sums each column in row order, whatever the block's width
+        # or layout; + 0.0 gives the +0.0 that a sum started from 0.0
+        # leaves for a column of -0.0. The deviations are laid out column
+        # by column, so that neither pass runs one n-wide loop per row
+        mb = (np.cumsum(xs, axis=0)[-1] + 0.0) / nb
+        dev = np.subtract(xs, mb, order="F")
+        dev *= dev
+        m2b = np.cumsum(dev, axis=0)[-1] + 0.0
         if self.count == 0:
             self.count, self.mean, self.m2 = nb, mb, m2b
             return

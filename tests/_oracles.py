@@ -1,7 +1,7 @@
 """Reference computations that only the tests use: the scalar splitmix64
 stream, a generic finite-difference gradient, the single-row Welford step,
-the Adam update, and the discriminator's passes, rewards, LSGAN loss and
-LSGAN gradient written out of place."""
+the in-order column sum, the Adam update, and the discriminator's passes,
+rewards, LSGAN loss and LSGAN gradient written out of place."""
 import math
 
 import numpy as np
@@ -92,6 +92,15 @@ def welford_update(stats, x: np.ndarray) -> None:
     delta = x - stats.mean
     stats.mean = stats.mean + delta / stats.count
     stats.m2 = stats.m2 + delta * (x - stats.mean)
+
+
+def row_order_sum(xs: np.ndarray) -> np.ndarray:
+    """Column sums of a (B, n) block, added one row at a time from 0.0: the
+    in-order reference for `add_states`' sums."""
+    acc = np.zeros(xs.shape[1])
+    for row in xs:
+        acc = acc + row
+    return acc
 
 
 def adam_step(state, params: np.ndarray, grads: np.ndarray,

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from _oracles import ScalarRng, finite_diff, welford_update
+from _oracles import ScalarRng, finite_diff, row_order_sum, welford_update
 
+from ailsrs import envs, numerics
 from ailsrs.ars import ArsConfig, sample_directions
 from ailsrs.demo_io import record
 from ailsrs.discriminator import disc_init
@@ -451,6 +452,67 @@ def test_add_states_empty_block_is_noop():
     assert stats.count == before.count
     np.testing.assert_array_equal(stats.mean, before.mean)
     np.testing.assert_array_equal(stats.m2, before.m2)
+
+
+def _block(rows, cols, seed=5):
+    return ScalarRng(seed).gaussian_matrix(rows, cols)
+
+
+def _zero_column(first=-0.0, rest=-0.0):
+    xs = _block(6, 2)
+    xs[:, 1] = [first] + [rest] * 5
+    return xs
+
+
+@pytest.mark.parametrize("held, xs", [
+    (None, _block(1, 3)),
+    (None, _block(3200, 3)),
+    (None, _block(6400, 2)),
+    (None, _block(3200, 1)),
+    (None, _zero_column()),
+    (None, _zero_column(rest=1.5)),
+    (_block(50, 3, seed=6), _block(3200, 3)),
+], ids=["one-row", "3200x3", "6400x2", "3200x1", "negative-zero-column",
+        "negative-zero-then-nonzero", "merge-into-held"])
+def test_add_states_sums_columns_in_row_order(held, xs):
+    # the block's sums are the oracle's, row by row from 0.0, to the bit;
+    # a held block is merged by Chan et al.'s pairwise update
+    stats = ObservationNormalizer.for_dim(xs.shape[1])
+    if held is not None:
+        stats.add_states(held)
+    count, mean, m2 = stats.count, stats.mean, stats.m2
+    stats.add_states(xs)
+    nb = len(xs)
+    mb = row_order_sum(xs) / nb
+    m2b = row_order_sum((xs - mb) ** 2)
+    if count:
+        delta = mb - mean
+        mb = mean + delta * (nb / (count + nb))
+        m2b = m2 + m2b + delta * delta * (count * nb / (count + nb))
+    assert stats.count == count + nb
+    assert stats.mean.tobytes() == mb.tobytes()
+    assert stats.m2.tobytes() == m2b.tobytes()
+
+
+@pytest.mark.parametrize("module", [numerics, envs], ids=lambda m: m.__name__)
+def test_operand_constants_are_read_only_0d_arrays(module):
+    # numpy converts a numpy-scalar operand on every call; a 0-d array it
+    # does not, and read-only, no caller can change a step or a draw
+    assert not [name for name, value in vars(module).items()
+                if isinstance(value, np.generic)]
+    arrays = {name: value for name, value in vars(module).items()
+              if name.startswith("_") and isinstance(value, np.ndarray)}
+    assert arrays
+    for name, value in arrays.items():
+        assert value.ndim == 0 or value.size > 1, name
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0
+
+
+def test_mix64_block_is_the_scalar_mixer():
+    keys = [0, 1, 2**63, 2**64 - 1]
+    assert numerics._mix64_block(np.array(keys, dtype=np.uint64)).tolist() == \
+        [_oracles._mix(k) for k in keys]
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50))
