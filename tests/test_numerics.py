@@ -496,8 +496,9 @@ def test_add_states_sums_columns_in_row_order(held, xs):
 
 @pytest.mark.parametrize("module", [numerics, envs], ids=lambda m: m.__name__)
 def test_operand_constants_are_read_only_0d_arrays(module):
-    # numpy converts a numpy-scalar operand on every call; a 0-d array it
-    # does not, and read-only, no caller can change a step or a draw
+    # numpy converts a numpy-scalar operand on every call and a 0-d array
+    # it does not; read-only, an operand cannot be changed under a step or
+    # a draw
     assert not [name for name, value in vars(module).items()
                 if isinstance(value, np.generic)]
     arrays = {name: value for name, value in vars(module).items()
