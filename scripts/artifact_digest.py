@@ -23,8 +23,8 @@ refactor that must not change any artifact is checked with
     python3 scripts/artifact_digest.py
 
 run once at each commit, with the same copy of this script. It uses only
-`train_expert`, `train_ailsrs`, `record` and the episodes of the set it
-returns, `save_trajectories`, `evaluate_policy`, `LinearPolicy`,
+`train_expert`, `train_ailsrs`, `record` and the three arrays of the set
+it returns, `save_trajectories`, `evaluate_policy`, `LinearPolicy`,
 `ObservationNormalizer` and the `bc` command line, whose signatures are
 stable.
 """
@@ -64,8 +64,8 @@ def add_policy(h, policy, normalizer) -> None:
 
 
 def add_demos(h, demos) -> None:
-    for t in demos.trajectories:
-        for a in (t.states, t.actions, t.env_rewards):
+    for k in range(len(demos)):
+        for a in (demos.states[k], demos.actions[k], demos.env_rewards[k]):
             h.update(np.ascontiguousarray(a, dtype=float).tobytes())
 
 

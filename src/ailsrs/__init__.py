@@ -16,8 +16,8 @@ if "numpy" in sys.modules and any(os.environ.get(v) != "1" for v in _PINS):
 os.environ.update(dict.fromkeys(_PINS, "1"))
 
 from .ars import ArsConfig, ars_update, sample_directions
-from .demo_io import (Trajectory, TrajectorySet, load_policy, load_trajectories,
-                      record, save_policy, save_trajectories)
+from .demo_io import (TrajectorySet, load_policy, load_trajectories, record,
+                      save_policy, save_trajectories)
 from .discriminator import MlpDiscriminator, disc_init, disc_train, lsgan_grad
 from .envs import (EnvSpec, env_names, evaluate_policy, make_env, riccati_optimal,
                    rollout)
@@ -29,10 +29,10 @@ from .trainer import (MetricsRow, TrainerConfig, return_target, search,
 __all__ = [
     "AdamState", "ArsConfig", "EnvSpec", "LinearPolicy", "MetricsRow",
     "MlpDiscriminator", "ObservationNormalizer", "Rng", "TrainerConfig",
-    "Trajectory", "TrajectorySet", "adam_step", "ars_update",
-    "bc_closed_form", "disc_init", "disc_train", "env_names",
-    "evaluate_policy", "load_policy", "load_trajectories", "lsgan_grad",
-    "make_env", "record", "return_target", "riccati_optimal", "rollout",
-    "sample_directions", "save_policy", "save_trajectories", "search",
-    "train_ailsrs", "train_expert", "write_metrics",
+    "TrajectorySet", "adam_step", "ars_update", "bc_closed_form",
+    "disc_init", "disc_train", "env_names", "evaluate_policy", "load_policy",
+    "load_trajectories", "lsgan_grad", "make_env", "record", "return_target",
+    "riccati_optimal", "rollout", "sample_directions", "save_policy",
+    "save_trajectories", "search", "train_ailsrs", "train_expert",
+    "write_metrics",
 ]

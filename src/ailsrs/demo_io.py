@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .policy import LinearPolicy, ObservationNormalizer
 
 FORMAT_VERSION = 1
 POLICY_FORMAT_VERSION = 2
+_KEYS = ("states", "actions", "env_rewards")  # of an episode line
 
 
 class FormatError(ValueError):
@@ -30,76 +32,67 @@ class FormatError(ValueError):
 
 
 @dataclass
-class Trajectory:
-    """One episode of raw states, executed (clipped) actions and env rewards.
-    Rollouts are (B, T, .) array blocks; episodes take this form only in a
-    demonstrations file, where their lengths may differ."""
-
-    states: np.ndarray       # (T, n)
-    actions: np.ndarray      # (T, p)
-    env_rewards: np.ndarray  # (T,)
-
-
-@dataclass
 class TrajectorySet:
-    """Recorded demonstration episodes for one environment, whose spec gives
-    the widths of their states and actions."""
+    """Demonstrations for one environment as one block of E equal-length
+    episodes, whose widths n and p the env's spec gives."""
 
     env_name: str
-    trajectories: list[Trajectory]
+    states: np.ndarray       # (E, T, n) raw
+    actions: np.ndarray      # (E, T, p) executed (clipped)
+    env_rewards: np.ndarray  # (E, T)
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.states)
+
+    @property
+    def trajectories(self):
+        # Per-episode views, only for bench/run.py's round-trip check until
+        # the bench compares the three arrays; nothing in the package reads it.
+        return (SimpleNamespace(**dict(zip(_KEYS, episode))) for episode
+                in zip(self.states, self.actions, self.env_rewards))
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(M, n) states and (M, p) actions of every step, episode by episode:
-        the learners' view, which leaves the env rewards out of training."""
-        return (np.concatenate([t.states for t in self.trajectories]),
-                np.concatenate([t.actions for t in self.trajectories]))
+        """(E·T, n) states and (E·T, p) actions of every step, episode by
+        episode, as views of contiguous blocks: the learners' view, which
+        leaves the env rewards out of training."""
+        return (self.states.reshape(-1, self.states.shape[-1]),
+                self.actions.reshape(-1, self.actions.shape[-1]))
 
     def mean_env_return(self) -> float:
         """Mean over episodes of the return, each summed in step order as
         `rollout` sums it (see there for the + 0.0)."""
-        return float(np.mean([np.cumsum(t.env_rewards)[-1] + 0.0
-                              for t in self.trajectories]))
+        return float(np.mean(np.cumsum(self.env_rewards, axis=1)[:, -1] + 0.0))
 
     def validate(self, message=lambda k, fault: f"episode {k}: {fault}") -> None:
         """Raise a FormatError at the first bad episode, described by
-        message(k, fault)."""
-        if not self.trajectories:
-            raise FormatError("a trajectory set needs >= 1 episode")
+        message(k, fault); a fault of a whole block is episode 0's."""
+        blocks = (self.states, self.actions, self.env_rewards)
+        if tuple(block.ndim for block in blocks) != (3, 3, 2):
+            raise FormatError(message(0, "an episode's states and actions must "
+                                      "be 2-D arrays, its env_rewards 1-D"))
+        if len({block.shape[:2] for block in blocks}) > 1:
+            raise FormatError(message(0, "ragged lengths"))
+        if 0 in self.env_rewards.shape:
+            raise FormatError("a trajectory set needs >= 1 episode of >= 1 step")
         spec = make_env(self.env_name).spec
-        for k, t in enumerate(self.trajectories):
-            if t.states.ndim != 2 or t.actions.ndim != 2 or t.env_rewards.ndim != 1:
+        for name, block, expected in zip(_KEYS, blocks,
+                                         (spec.state_dim, spec.action_dim)):
+            if block.shape[2] != expected:
                 raise FormatError(message(
-                    k, "states and actions must be 2-D arrays, env_rewards 1-D"))
-            if not (len(t.states) == len(t.actions) == len(t.env_rewards)):
-                raise FormatError(message(k, "ragged lengths"))
-            if len(t.states) < 1:
-                raise FormatError(message(k, "empty"))
-            if t.states.shape[1] != spec.state_dim:
-                raise FormatError(message(
-                    k, f"states are {t.states.shape[1]}-dim, "
-                    f"expected {spec.state_dim}"))
-            if t.actions.shape[1] != spec.action_dim:
-                raise FormatError(message(
-                    k, f"actions are {t.actions.shape[1]}-dim, "
-                    f"expected {spec.action_dim}"))
-            for arr in (t.states, t.actions, t.env_rewards):
-                _check_values(arr, lambda fault: message(k, fault))
+                    0, f"{name} are {block.shape[2]}-dim, expected {expected}"))
+        _check_values(blocks, message)
 
 
 def record(policy: LinearPolicy, normalizer: ObservationNormalizer,
            env_name: str, episodes: int, seed: int) -> TrajectorySet:
-    """Roll the policy out for `episodes` seeded episodes and keep everything.
+    """Roll the policy out for `episodes` seeded episodes; keep its blocks.
 
     Uses the same per-episode streams as evaluation, so the recorded mean
     return equals the evaluation mean for the same (policy, seed, episodes).
     """
-    env = make_env(env_name)
-    *block, _ = rollout(env, policy.theta, normalizer,
+    *block, _ = rollout(make_env(env_name), policy.theta, normalizer,
                         episode_keys(seed, episodes))
-    return TrajectorySet(env_name, [Trajectory(*episode) for episode in zip(*block)])
+    return TrajectorySet(env_name, *block)
 
 
 def save_trajectories(demo_set: TrajectorySet, path: str) -> None:
@@ -110,10 +103,9 @@ def save_trajectories(demo_set: TrajectorySet, path: str) -> None:
                              "state_dim": spec.state_dim,
                              "action_dim": spec.action_dim,
                              "episodes": len(demo_set)}) + "\n")
-        for t in demo_set.trajectories:
-            fh.write(json.dumps({"states": t.states.tolist(),
-                                 "actions": t.actions.tolist(),
-                                 "env_rewards": t.env_rewards.tolist()}) + "\n")
+        for episode in zip(demo_set.states, demo_set.actions, demo_set.env_rewards):
+            fh.write(json.dumps({key: arr.tolist() for key, arr
+                                 in zip(_KEYS, episode)}) + "\n")
 
 
 def _is_int(value) -> bool:
@@ -121,14 +113,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_values(arr: np.ndarray, message) -> None:
-    """Raise unless an array holds finite integers or floats, which JSON
+def _check_values(arrays, message) -> None:
+    """Raise unless the arrays hold finite integers or floats, which JSON
     writes as numbers that load back (bools, complex numbers and long
-    doubles do not); message(fault) describes the fault."""
-    if arr.dtype.kind not in "iuf" or not np.can_cast(arr.dtype, float):
-        raise FormatError(message(f"{arr.dtype} values, not integers or floats"))
-    if not np.all(np.isfinite(arr)):
-        raise FormatError(message("non-finite value"))
+    doubles do not); message(k, fault) names the fault at index k of axis 0."""
+    for arr in arrays:
+        if arr.dtype.kind not in "iuf" or not np.can_cast(arr.dtype, float):
+            raise FormatError(message(0, f"{arr.dtype} values, not integers or floats"))
+    bad = np.concatenate([np.flatnonzero(~np.isfinite(arr).all(axis=tuple(
+        range(1, arr.ndim)))) for arr in arrays])
+    if bad.size:
+        raise FormatError(message(int(bad.min()), "non-finite value"))
 
 
 def _floats(value) -> np.ndarray:
@@ -201,17 +196,20 @@ def load_trajectories(path: str) -> TrajectorySet:
         raise FormatError(
             f"{path}: header promises {episodes} episodes but file has "
             f"{len(lines) - 1} (line {len(lines)})")
-    trajectories = []
-    for k in range(episodes):
-        obj = _parse_object(path, k + 2, lines[k + 1])
+    states, actions, rewards = blocks = ([], [], [])  # one array per line in each
+    for line, text in enumerate(lines[1:], 2):
+        obj = _parse_object(path, line, text)
         try:
-            trajectories.append(Trajectory(*(
-                _floats(obj[key]) for key in ("states", "actions", "env_rewards"))))
+            for block, key in zip(blocks, _KEYS):
+                block.append(_floats(obj[key])[None])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"{path}: bad episode on line {k + 2}: {exc}") from None
-    out = TrajectorySet(spec.name, trajectories)
-    out.validate(lambda k, fault: f"{path}: {fault} on line {k + 2}")
-    return out
+            raise FormatError(f"{path}: bad episode on line {line}: {exc}") from None
+        TrajectorySet(spec.name, states[-1], actions[-1], rewards[-1]).validate(
+            lambda _, fault: f"{path}: {fault} on line {line}")
+        if rewards[-1].shape != rewards[0].shape:
+            raise FormatError(f"{path}: episode length {rewards[-1].shape[1]} differs "
+                              f"from line 2's {rewards[0].shape[1]} on line {line}")
+    return TrajectorySet(spec.name, *map(np.concatenate, blocks))
 
 
 def save_policy(policy: LinearPolicy, normalizer: ObservationNormalizer,
@@ -239,8 +237,7 @@ def _check_policy(path: str, spec: EnvSpec, theta: np.ndarray, mu: np.ndarray,
                           "header dims (line 1)")
     if mu.shape != (spec.state_dim,) or var.shape != (spec.state_dim,):
         raise FormatError(f"{path}: mu/var must be state_dim vectors (line 1)")
-    for arr in (theta, mu, var):
-        _check_values(arr, lambda fault: f"{path}: {fault} (line 1)")
+    _check_values((theta, mu, var), lambda _, fault: f"{path}: {fault} (line 1)")
     if np.any(var < 0):
         raise FormatError(f"{path}: negative variance (line 1)")
 

@@ -294,8 +294,9 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     # one copy of each into the (B, T, .) blocks the callers index by episode
     x_block = x[:horizon].transpose(2, 0, 1).copy()
     actions = taken.transpose(2, 0, 1).copy()
-    # the block itself when x holds only the observation
-    states = np.ascontiguousarray(x_block[..., :n])
+    # x_block itself when x holds only the observation (k = n), else one
+    # copy of the workspace's first n coordinates
+    states = x_block if len(x_0) == n else x[:horizon, :n].transpose(2, 0, 1).copy()
     env_rewards = env.rewards(x_block, actions)
     # cumsum adds in step order, like a scalar running sum; + 0.0 gives the
     # +0.0 that a sum started from 0.0 leaves when every reward is -0.0

@@ -9,10 +9,11 @@ import pytest
 
 from _oracles import ScalarRng, welford_update
 
-from ailsrs.demo_io import (FormatError, Trajectory, TrajectorySet, load_policy,
+from ailsrs.demo_io import (FormatError, TrajectorySet, load_policy,
                             load_trajectories, record, save_policy,
                             save_trajectories)
-from ailsrs.envs import evaluate_policy, riccati_optimal
+from ailsrs.envs import (env_names, episode_keys, evaluate_policy, make_env,
+                         riccati_optimal, rollout)
 from ailsrs.policy import LinearPolicy, ObservationNormalizer
 
 
@@ -26,8 +27,28 @@ def test_record_shapes(riccati):
     pol, norm = riccati
     demos = record(pol, norm, "lqr2d", episodes=10, seed=0)
     assert len(demos) == 10
-    assert all(t.states.shape == (100, 2) and t.actions.shape == (100, 1)
-               for t in demos.trajectories)
+    assert demos.states.shape == (10, 100, 2) and demos.actions.shape == (10, 100, 1)
+    assert demos.env_rewards.shape == (10, 100)
+
+
+@pytest.mark.parametrize("env_name", env_names())
+def test_record_keeps_the_rollout_blocks(tmp_path, env_name):
+    spec = make_env(env_name).spec
+    pol = LinearPolicy(ScalarRng(3).gaussian_matrix(spec.action_dim, spec.state_dim))
+    norm = ObservationNormalizer.for_dim(spec.state_dim)
+    demos = record(pol, norm, env_name, 3, 7)
+    block = rollout(make_env(env_name), pol.theta, norm, episode_keys(7, 3))[:3]
+    for got, want in zip((demos.states, demos.actions, demos.env_rewards), block,
+                         strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # the learners' rows are views of the blocks, recorded or loaded
+    path = str(tmp_path / "demos.jsonl")
+    save_trajectories(demos, path)
+    for demo_set in (demos, load_trajectories(path)):
+        states, actions = demo_set.rows()
+        assert np.shares_memory(states, demo_set.states)
+        assert np.shares_memory(actions, demo_set.actions)
 
 
 @pytest.mark.parametrize("episodes", [True, 2.5, np.float64(2.0), 0], ids=repr)
@@ -62,23 +83,45 @@ def test_record_deterministic_bytes(tmp_path, riccati):
 
 
 def test_trajectory_roundtrip_exact(tmp_path):
+    # a set's episodes need equal lengths, not the env's horizon
     rng = ScalarRng(11)
-    trajs = [Trajectory(rng.gaussian_matrix(k, 2), rng.gaussian_matrix(k, 1),
-                        rng.gaussian_matrix(k, 1)[:, 0]) for k in (5, 2, 4)]
-    demos = TrajectorySet("lqr2d", trajs)
+    demos = TrajectorySet("lqr2d", rng.gaussian_matrix(12, 2).reshape(3, 4, 2),
+                          rng.gaussian_matrix(12, 1).reshape(3, 4, 1),
+                          rng.gaussian_matrix(3, 4))
     path = str(tmp_path / "demos.jsonl")
     save_trajectories(demos, path)
     loaded = load_trajectories(path)
     assert loaded.env_name == "lqr2d"
     assert len(loaded) == 3
-    for a, b in zip(demos.trajectories, loaded.trajectories):
-        np.testing.assert_array_equal(a.states, b.states)
-        np.testing.assert_array_equal(a.actions, b.actions)
-        np.testing.assert_array_equal(a.env_rewards, b.env_rewards)
-    # rows() joins the ragged episodes' steps in episode order
+    np.testing.assert_array_equal(demos.states, loaded.states)
+    np.testing.assert_array_equal(demos.actions, loaded.actions)
+    np.testing.assert_array_equal(demos.env_rewards, loaded.env_rewards)
+    # rows() joins the episodes' steps in episode order
     states, actions = loaded.rows()
-    assert states.shape == (11, 2) and actions.shape == (11, 1)
-    np.testing.assert_array_equal(actions[5:7], trajs[1].actions)
+    assert states.shape == (12, 2) and actions.shape == (12, 1)
+    np.testing.assert_array_equal(actions[4:8], demos.actions[1])
+
+
+def test_episode_shorter_than_line_2s_names_its_line(tmp_path):
+    # a file holds one (E, T, .) block, so its episodes are of equal length
+    header = {"format_version": 1, "env": "lqr2d", "state_dim": 2,
+              "action_dim": 1, "episodes": 3}
+    path = tmp_path / "demos.jsonl"
+    episodes = [{"states": [[0.0, 0.0]] * k, "actions": [[0.0]] * k,
+                 "env_rewards": [-1.0] * k} for k in (5, 2, 4)]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in (header, *episodes)))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{path}: episode length 2 differs from line 2's 5 on line 3") + "$"):
+        load_trajectories(str(path))
+
+
+def test_validate_names_the_first_bad_episode():
+    states, actions = np.zeros((3, 4, 2)), np.zeros((3, 4, 1))
+    rewards = np.zeros((3, 4))
+    # actions come before env rewards, but episode 1 before episode 2
+    actions[2, 0, 0] = rewards[1, 3] = np.inf
+    with pytest.raises(FormatError, match="^episode 1: non-finite value$"):
+        TrajectorySet("lqr2d", states, actions, rewards).validate()
 
 
 @pytest.mark.parametrize("workload", ["imitate-lqr2d", "disctrain-pointmass2d"])
@@ -192,8 +235,9 @@ def test_bad_header_names_path_and_line(tmp_path, key, value, fault):
 
 
 def test_wrong_state_width_rejected(tmp_path):
-    trajs = [Trajectory(np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(4))]
-    demos = TrajectorySet("lqr2d", trajs)  # lqr2d's states are 2-dim
+    # lqr2d's states are 2-dim
+    demos = TrajectorySet("lqr2d", np.zeros((1, 4, 3)), np.zeros((1, 4, 1)),
+                          np.zeros((1, 4)))
     with pytest.raises(FormatError, match="3-dim"):
         save_trajectories(demos, str(tmp_path / "x.jsonl"))
 
@@ -211,8 +255,8 @@ def test_version_mismatch_rejected(tmp_path, riccati):
 
 
 def test_nonfinite_rejected(tmp_path):
-    trajs = [Trajectory(np.array([[1.0, np.nan]]), np.zeros((1, 1)), np.zeros(1))]
-    demos = TrajectorySet("lqr2d", trajs)
+    demos = TrajectorySet("lqr2d", np.array([[[1.0, np.nan]]]), np.zeros((1, 1, 1)),
+                          np.zeros((1, 1)))
     with pytest.raises(FormatError, match="non-finite"):
         save_trajectories(demos, str(tmp_path / "x.jsonl"))
 
@@ -276,9 +320,9 @@ def _policy_saver(env_name, theta_shape, normalizer):
 
 
 def _demos_saver(env_name, state_dim, dtype=float):
-    episode = Trajectory(np.zeros((4, state_dim), dtype), np.zeros((4, 1)),
-                         np.zeros(4))
-    return lambda path: save_trajectories(TrajectorySet(env_name, [episode]), path)
+    demos = TrajectorySet(env_name, np.zeros((1, 4, state_dim), dtype),
+                          np.zeros((1, 4, 1)), np.zeros((1, 4)))
+    return lambda path: save_trajectories(demos, path)
 
 
 @pytest.mark.parametrize("save, fault", [

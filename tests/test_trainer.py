@@ -292,10 +292,7 @@ def test_normalizer_count_grows_by_visited_states(riccati_demos):
 
 def test_no_environment_reward_leakage(riccati_demos):
     demos, _ = riccati_demos
-    corrupted = TrajectorySet(
-        demos.env_name,
-        [dataclasses.replace(t, env_rewards=t.env_rewards + 1000.0)
-         for t in demos.trajectories])
+    corrupted = dataclasses.replace(demos, env_rewards=demos.env_rewards + 1000.0)
     cfg = _small_cfg(max_iterations=4)
     pol_a, _, rows_a = train_ailsrs("lqr2d", demos, cfg)
     pol_b, _, rows_b = train_ailsrs("lqr2d", corrupted, cfg)
@@ -310,7 +307,8 @@ def test_train_ailsrs_rejects_mismatched_demos(riccati_demos):
 
 
 def test_train_ailsrs_rejects_empty_expert_set():
-    empty = TrajectorySet("lqr2d", [])
+    empty = TrajectorySet("lqr2d", np.zeros((0, 100, 2)), np.zeros((0, 100, 1)),
+                          np.zeros((0, 100)))
     with pytest.raises(ValueError):
         train_ailsrs("lqr2d", empty, _small_cfg())
 
