@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import make_env, rollout
-from .numerics import Rng, check_integer, uniform_block
+from .numerics import Rng, check_integer, sum_in_order, uniform_block
 from .policy import ObservationNormalizer
 
 _TWO_PI = 2.0 * math.pi
@@ -53,9 +53,8 @@ def ars_update(theta: np.ndarray, deltas: np.ndarray, returns: np.ndarray,
     sigma = float(returns.std())
     if sigma < 1e-12:
         return theta.copy()
-    # cumsum adds in direction order; + 0.0 gives the +0.0 of a sum from 0.0
-    diffs = returns[:, 0] - returns[:, 1]
-    step = np.cumsum(diffs[:, None, None] * deltas, axis=0)[-1] + 0.0
+    # in direction order, as the docstring promises
+    step = sum_in_order((returns[:, 0] - returns[:, 1])[:, None, None] * deltas, 0)
     return theta + (alpha / (len(deltas) * sigma)) * step
 
 

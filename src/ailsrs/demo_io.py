@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .envs import EnvSpec, env_names, episode_keys, make_env, rollout
+from .numerics import sum_in_order
 from .policy import LinearPolicy, ObservationNormalizer
 
 FORMAT_VERSION = 1
@@ -60,8 +61,8 @@ class TrajectorySet:
 
     def mean_env_return(self) -> float:
         """Mean over episodes of the return, each summed in step order as
-        `rollout` sums it (see there for the + 0.0)."""
-        return float(np.mean(np.cumsum(self.env_rewards, axis=1)[:, -1] + 0.0))
+        `rollout` sums it."""
+        return float(np.mean(sum_in_order(self.env_rewards, 1)))
 
     def validate(self, message=lambda k, fault: f"episode {k}: {fault}") -> None:
         """Raise a FormatError at the first bad episode, described by

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, _const, check_integer, uniform_block
+from .numerics import Rng, _const, check_integer, sum_in_order, uniform_block
 from .policy import LinearPolicy, ObservationNormalizer
 
 # label for per-episode evaluation/recording streams, shared by everything
@@ -298,10 +298,9 @@ def rollout(env, thetas: np.ndarray, normalizer: ObservationNormalizer,
     # copy of the workspace's first n coordinates
     states = x_block if len(x_0) == n else x[:horizon, :n].transpose(2, 0, 1).copy()
     env_rewards = env.rewards(x_block, actions)
-    # cumsum adds in step order, like a scalar running sum; + 0.0 gives the
-    # +0.0 that a sum started from 0.0 leaves when every reward is -0.0
-    returns = np.cumsum(env_rewards, axis=1)[:, -1] + 0.0
-    return states, actions, env_rewards, returns
+    # returns in step order, like a scalar running sum, so an episode of all
+    # -0.0 rewards returns +0.0
+    return states, actions, env_rewards, sum_in_order(env_rewards, 1)
 
 
 def episode_keys(seed: int, episodes: int) -> np.ndarray:

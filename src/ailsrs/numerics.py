@@ -74,6 +74,14 @@ def check_integer(name: str, value, minimum: int | None = None) -> int:
     return int(value)
 
 
+def sum_in_order(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of `a` along `axis` (counted from 0), added in index order one
+    term at a time, whatever the width or layout, where numpy's own sum
+    adds pairwise or in SIMD lanes depending on both. The + 0.0 gives the
+    +0.0 that a sum started from 0.0 leaves where every term is -0.0."""
+    return np.cumsum(a, axis=axis)[(slice(None),) * axis + (-1,)] + 0.0
+
+
 def _u64_draws(keys: np.ndarray, draws: int) -> np.ndarray:
     """(draws, *keys.shape) uint64 block whose row d holds draw d + 1 of the
     stream at each key, mix64(key + (d + 1) golden)."""

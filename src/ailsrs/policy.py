@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import sum_in_order
+
 VAR_FLOOR = 1e-8
 
 
@@ -68,14 +70,14 @@ class ObservationNormalizer:
         if xs.size == 0:
             return
         nb = xs.shape[0]
-        # cumsum sums each column in row order, whatever the block's width
-        # or layout; + 0.0 gives the +0.0 that a sum started from 0.0
-        # leaves for a column of -0.0. The deviations are laid out column
-        # by column, so that neither pass runs one n-wide loop per row
-        mb = (np.cumsum(xs, axis=0)[-1] + 0.0) / nb
+        # each column in row order, as a one-row-at-a-time merge adds it,
+        # even for a one-wide block, which numpy's own sum adds pairwise.
+        # The deviations are laid out column by column, so that neither
+        # pass runs one n-wide loop per row
+        mb = sum_in_order(xs, 0) / nb
         dev = np.subtract(xs, mb, order="F")
         dev *= dev
-        m2b = np.cumsum(dev, axis=0)[-1] + 0.0
+        m2b = sum_in_order(dev, 0)
         if self.count == 0:
             self.count, self.mean, self.m2 = nb, mb, m2b
             return

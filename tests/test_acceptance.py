@@ -237,7 +237,8 @@ def test_lqr_expert_reaches_riccati(lqr_expert_run, riccati_expert):
     # RMS whitening without centring keeps the bias-free Riccati controller
     # a = -K s representable (a centring mean adds a constant action bias).
     # The pinned seed reaches ~1.042; seeds 2-4 stay above 1.0526 within
-    # 500 iterations (see README). Asserted as stated.
+    # 500 iterations (per-seed ratios in CHANGES.md's entry "Whitening by
+    # RMS, not by mean"). Asserted as stated.
     assert _report(
         "plain search reaches 95% of the optimal-control oracle", ok,
         f"best eval {best:.4f} (iter {best_iter}) vs target {target:.4f}; "

@@ -494,7 +494,19 @@ def test_add_states_sums_columns_in_row_order(held, xs):
     assert stats.m2.tobytes() == m2b.tobytes()
 
 
-@pytest.mark.parametrize("module", [numerics, envs], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("xs", [
+    _block(3200, 3), _block(3200, 1), _block(1, 3), _zero_column(),
+], ids=["3200x3", "one-wide", "one-row", "negative-zero-column"])
+def test_sum_in_order_is_the_row_order_sum(xs):
+    # to the bit, along axis 0 and along axis 1 of the transpose, as a view
+    # and as a C-contiguous copy
+    expected = row_order_sum(xs).tobytes()
+    assert numerics.sum_in_order(xs, 0).tobytes() == expected
+    assert numerics.sum_in_order(xs.T, 1).tobytes() == expected
+    assert numerics.sum_in_order(np.ascontiguousarray(xs.T), 1).tobytes() == expected
+
+
+@pytest.mark.parametrize("module",[numerics, envs], ids=lambda m: m.__name__)
 def test_operand_constants_are_read_only_0d_arrays(module):
     # numpy converts a numpy-scalar operand on every call and a 0-d array
     # it does not; read-only, an operand cannot be changed under a step or
